@@ -56,11 +56,9 @@ from .invariants import (
     vertex_connectivity,
 )
 from .bounds import (
-    EPS,
     EPS_EQ,
     BoundReport,
     algebraic_connectivity_cap,
-    bound_report,
     cut_partition_bounds,
     independence_upper_bounds,
     laplacian_toughness_bounds,
@@ -71,19 +69,22 @@ from .bounds import (
     toughness_lower_terms,
 )
 from .extremal import (
-    EqualityVerdict,
     ExtremalWitness,
     build_extremal,
     detect_join_form,
-    equality_case_verdict,
     fiedler_structure_check,
 )
 from .sweep import (
     CHECK_NAMES,
+    CHECKS,
     DEFAULT_CHECKS,
+    EqualityVerdict,
+    GraphFacts,
     SweepConfig,
     SweepConfigError,
     SweepReport,
+    bound_report,
+    equality_case_verdict,
     evaluate_graph,
     sweep,
 )

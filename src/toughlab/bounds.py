@@ -1,11 +1,11 @@
-"""Evaluators for every toughness / independence inequality, plus reports.
+"""Evaluators for every toughness / independence inequality, and the
+per-graph report record.
 
-All evaluators return plain bound values; callers (the sweep engine, the
-acceptance suite) compare them against the exact invariants with the
-module-level tolerances.  EPS is the inequality slack, EPS_EQ the equality
-detection window; both default to 1e-7, wide enough for the eigensolver's
-residual and tight enough to separate genuine equality cases on the small
-corpora.
+All evaluators are pure formulas returning plain bound values; callers (the
+sweep engine, the acceptance suite) compare them against the exact
+invariants.  EPS_EQ is the default equality detection window (per-graph
+report, equality verdict): 1e-7, wide enough for the eigensolver's residual
+and tight enough to separate genuine equality cases on the small corpora.
 
 Division guards: the normalized deviation xi cannot vanish for a graph with
 an edge (the eigenvalue trace forbids it), but the spectral term guards the
@@ -20,22 +20,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formats import write_graph6
 from .graphs import (
     Graph,
     VertexSet,
     components,
     degree_profile,
     edge_boundary,
-    is_complete,
-    is_connected,
     iter_bits,
     volume,
 )
-from .invariants import ToughnessCertificate, toughness
-from .spectra import SpectralSummary, spectral_summary
+from .invariants import ToughnessCertificate
+from .spectra import SpectralSummary
 
-EPS = 1e-7
 EPS_EQ = 1e-7
 
 
@@ -199,11 +195,16 @@ def cut_partition_bounds(
     size_x = x.bit_count()
     if size_x > y.bit_count():
         raise ValueError("|X| must not exceed |Y|")
+    cap_ratio, floor_ratio = cut_partition_ratios(summary)
+    return cap_ratio * g.n, floor_ratio * size_x
+
+
+def cut_partition_ratios(summary: SpectralSummary) -> tuple[float, float]:
+    """(cap on |X| over n, floor on |S| over |X|) for cut_partition_bounds:
+    (mu_1 - mu_{n-1})/(2 mu_1) and 2 mu_{n-1}/(mu_1 - mu_{n-1})."""
     mu1 = summary.laplacian_radius
     mu_second = summary.algebraic_connectivity
-    cap = (mu1 - mu_second) / (2.0 * mu1) * g.n
-    floor = 2.0 * mu_second / (mu1 - mu_second) * size_x
-    return cap, floor
+    return (mu1 - mu_second) / (2.0 * mu1), 2.0 * mu_second / (mu1 - mu_second)
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +257,14 @@ class BoundReport:
         return "inf" if self.tau.infinite else str(self.tau.value)
 
     def to_json_dict(self) -> dict:
-        def num(x):
-            if x is None or (isinstance(x, float) and not math.isfinite(x)):
-                return None
-            return x
-
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "m": self.m,
-            "delta": self.delta,
-            "Delta": self.Delta,
-            "tau": self.tau_text(),
-            "inv_max_degree": num(self.inv_max_degree),
-            "degree_sum_term": num(self.degree_sum_term),
-            "spectral_term": num(self.spectral_term),
-            "lap_product_bound": num(self.lap_product_bound),
-            "lap_gap_bound": num(self.lap_gap_bound),
-            "brouwer_bound": num(self.brouwer_bound),
-            "brouwer_strict_bound": num(self.brouwer_strict_bound),
-            "alon_bound": num(self.alon_bound),
-            "connectivity_cap": num(self.connectivity_cap),
-            "equality_lap_product": self.equality_lap_product,
-            "equality_lap_gap": self.equality_lap_gap,
-        }
+        """Fields in CSV_COLUMNS order; tau as text, undefined or infinite
+        bounds as None."""
+        out = {}
+        for col in CSV_COLUMNS:
+            value = getattr(self, col)
+            out[col] = None if isinstance(value, float) and not math.isfinite(value) else value
+        out["tau"] = self.tau_text()
+        return out
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -297,54 +282,3 @@ class BoundReport:
                 out.append(str(v))
         return out
 
-
-def equality_within(a: float, b: float, eps: float = EPS_EQ) -> bool:
-    return abs(a - b) <= eps
-
-
-def bound_report(
-    g: Graph,
-    summary: SpectralSummary | None = None,
-    cert: ToughnessCertificate | None = None,
-) -> BoundReport:
-    """Assemble the full per-graph bound report. Requires a connected graph."""
-    if not is_connected(g):
-        raise ValueError("bound reports require a connected graph")
-    if summary is None and g.n >= 2:
-        summary = spectral_summary(g)
-    if cert is None:
-        cert = toughness(g)
-    dmax, dmin, _ = degree_profile(g)
-    if g.n < 2 or summary is None:
-        # single vertex: complete by convention, nothing to bound
-        return BoundReport(
-            write_graph6(g), g.n, g.m, dmin, dmax, cert,
-            math.inf, math.inf, math.inf, math.inf, math.inf,
-            None, None, None, None, False, False)
-    terms = toughness_lower_terms(g, summary)
-    lap_product, lap_gap = laplacian_toughness_bounds(g, summary)
-    reg = regular_toughness_bounds(g, summary)
-    complete = is_complete(g)
-    cap = None if complete else algebraic_connectivity_cap(summary, cert.value)
-    tau_f = cert.as_float()
-    eq_product = (not complete) and equality_within(tau_f, lap_product)
-    eq_gap = (not complete) and equality_within(tau_f, lap_gap)
-    return BoundReport(
-        graph6=write_graph6(g),
-        n=g.n,
-        m=g.m,
-        delta=dmin,
-        Delta=dmax,
-        tau=cert,
-        inv_max_degree=terms[0],
-        degree_sum_term=terms[1],
-        spectral_term=terms[2],
-        lap_product_bound=lap_product,
-        lap_gap_bound=lap_gap,
-        brouwer_bound=reg[0] if reg else None,
-        brouwer_strict_bound=reg[1] if reg else None,
-        alon_bound=reg[2] if reg else None,
-        connectivity_cap=cap,
-        equality_lap_product=eq_product,
-        equality_lap_gap=eq_gap,
-    )

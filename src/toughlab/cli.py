@@ -12,13 +12,14 @@ Exit codes: 0 clean, 1 sweep violations (or a strict-mode parse failure),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 from typing import Iterator
 
-from .bounds import CSV_COLUMNS, bound_report
-from .extremal import build_extremal, detect_join_form, equality_case_verdict
+from .bounds import CSV_COLUMNS
+from .extremal import build_extremal
 from .formats import (
     GENERATED_MAX_N,
     CorpusStream,
@@ -27,10 +28,18 @@ from .formats import (
     parse_graph6,
     write_graph6,
 )
-from .graphs import Graph, is_complete, is_connected, vertices_of
+from .graphs import Graph, vertices_of
 from .invariants import independence_number, toughness, vertex_connectivity
 from .spectra import spectral_summary
-from .sweep import CHECK_NAMES, DEFAULT_CHECKS, SweepConfig, SweepConfigError, sweep
+from .sweep import (
+    CHECK_NAMES,
+    DEFAULT_CHECKS,
+    GraphFacts,
+    SweepConfig,
+    SweepConfigError,
+    bound_report,
+    sweep,
+)
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -38,24 +47,22 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("graph6", "edges"), default="graph6",
         help="graph6 lines or one whitespace edge list")
-    parser.add_argument("--json", action="store_true", help="JSON lines output (default)")
     parser.add_argument("--table", action="store_true", help="human-readable output")
 
 
-def _read_text(args) -> str:
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return sys.stdin.read()
+def _numbered_lines(args) -> Iterator[tuple[int, str]]:
+    """(line number, line) from --file or standard input, read as consumed."""
+    source = open(args.file, encoding="utf-8") if args.file else contextlib.nullcontext(sys.stdin)
+    with source as fh:
+        yield from enumerate(fh, 1)
 
 
 def _input_graphs(args) -> Iterator[tuple[str, Graph]]:
-    text = _read_text(args)
     if args.format == "edges":
-        g = parse_edge_list(text)
+        g = parse_edge_list("".join(line for _, line in _numbered_lines(args)))
         yield write_graph6(g), g
         return
-    for line in text.splitlines():
+    for _, line in _numbered_lines(args):
         if line.strip():
             g = parse_graph6(line)
             yield line.strip(), g
@@ -147,31 +154,29 @@ def _cmd_extremal(args) -> int:
             return 2
         base = parse_graph6(args.h_graph6)
         g = build_extremal(base, args.n)
-        record = {"graph6": write_graph6(g), "delta": base.n, "n": args.n}
-        record.update(_detect_record(g))
+        g6 = write_graph6(g)
+        record = {"graph6": g6, "delta": base.n, "n": args.n}
+        record.update(_detect_record(g6, g))
         _emit(args, record)
         return 0
     for g6, g in _input_graphs(args):
         record = {"graph6": g6}
-        record.update(_detect_record(g))
+        record.update(_detect_record(g6, g))
         _emit(args, record)
     return 0
 
 
-def _detect_record(g: Graph) -> dict:
-    witness = detect_join_form(g)
+def _detect_record(g6: str, g: Graph) -> dict:
+    facts = GraphFacts(g6, g)
+    witness = facts.witness
     out: dict = {"detected": witness is not None}
     if witness is not None:
         out["witness_delta"] = witness.delta
         out["independent_part"] = vertices_of(witness.independent_part)
         out["base_graph6"] = write_graph6(witness.base_h)
         out["eigen_condition_ok"] = witness.eigen_condition_ok
-    if is_connected(g) and not is_complete(g):
-        verdict = equality_case_verdict(g)
-        out["product_equality"] = verdict.product_equality
-        out["gap_equality"] = verdict.gap_equality
-        out["structural"] = verdict.structural
-        out["consistent"] = verdict.consistent
+    if facts.bounded:
+        out.update(facts.verdict()._asdict())
     return out
 
 
@@ -192,9 +197,8 @@ def _cmd_verify(args) -> int:
         corpus_id = stream.source
         lines = ((i + 1, write_graph6(g)) for i, g in enumerate(stream))
     else:
-        text = _read_text(args)
         corpus_id = args.file or "<stdin>"
-        lines = ((i + 1, ln) for i, ln in enumerate(text.splitlines()))
+        lines = _numbered_lines(args)
     config = SweepConfig(
         checks=checks,
         tol=args.tol,

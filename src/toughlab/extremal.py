@@ -6,16 +6,17 @@ vertices, subject to an eigenvalue floor on H: the second-smallest
 Laplacian eigenvalue of H must be at least 2*delta - n.  This module builds
 members of the family, detects the decomposition in arbitrary graphs, and
 checks the companion structure forced when the algebraic connectivity
-equals the vertex connectivity.
+equals the vertex connectivity.  The verdict that compares the detected
+structure with numeric equality lives with the other per-graph facts in
+``sweep``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .bounds import EPS_EQ, bound_report, equality_within
+from .bounds import EPS_EQ
 from .graphs import (
     Graph,
     VertexSet,
@@ -52,13 +53,6 @@ class ExtremalWitness:
     eigen_condition_ok: bool
 
 
-class EqualityVerdict(NamedTuple):
-    product_equality: bool
-    gap_equality: bool
-    structural: bool
-    consistent: bool
-
-
 def build_extremal(h: Graph, n: int) -> Graph:
     """Join ``h`` with n - |h| isolated vertices; ``h`` keeps labels 0..delta-1.
 
@@ -72,6 +66,7 @@ def build_extremal(h: Graph, n: int) -> Graph:
 
 
 def _eigen_condition(base: Graph, delta: int, n: int) -> bool:
+    """The floor: mu_{delta-1}(base) >= 2*delta - n, vacuous for delta = 1."""
     if delta == 1:
         return True
     mu = laplacian_spectrum(base)
@@ -118,23 +113,6 @@ def detect_join_form(g: Graph) -> ExtremalWitness | None:
     return None
 
 
-def equality_case_verdict(g: Graph) -> EqualityVerdict:
-    """Compare numeric equality in the two Laplacian toughness bounds with
-    the structural join-decomposition test.  Requires connected non-complete
-    input."""
-    if not is_connected(g):
-        raise ValueError("equality verdict requires a connected graph")
-    if is_complete(g):
-        raise ValueError("equality verdict requires a non-complete graph")
-    report = bound_report(g)
-    witness = detect_join_form(g)
-    structural = witness is not None and witness.eigen_condition_ok
-    consistent = (report.equality_lap_product == structural) and (
-        report.equality_lap_gap == structural)
-    return EqualityVerdict(
-        report.equality_lap_product, report.equality_lap_gap, structural, consistent)
-
-
 def fiedler_structure_check(g: Graph, summary: SpectralSummary | None = None) -> bool:
     """Verify the structure forced when algebraic connectivity equals vertex
     connectivity.
@@ -150,7 +128,7 @@ def fiedler_structure_check(g: Graph, summary: SpectralSummary | None = None) ->
     if summary is None:
         summary = spectral_summary(g)
     kappa = vertex_connectivity(g).kappa
-    if not equality_within(summary.algebraic_connectivity, kappa, EPS_EQ):
+    if abs(summary.algebraic_connectivity - kappa) > EPS_EQ:
         raise ValueError(
             f"algebraic connectivity {summary.algebraic_connectivity} != kappa {kappa}")
     n = g.n
@@ -162,9 +140,6 @@ def fiedler_structure_check(g: Graph, summary: SpectralSummary | None = None) ->
         for v in combo:
             if g.rows[v] & outside != outside:
                 return False
-        if kappa >= 2:
-            base = induced_subgraph(g, s)
-            mu = laplacian_spectrum(base)
-            if mu[-2] < 2 * kappa - n - EIGEN_SLACK:
-                return False
+        if not _eigen_condition(induced_subgraph(g, s), kappa, n):
+            return False
     return True

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .graphs import Graph, is_connected
 
@@ -171,16 +171,6 @@ class CorpusStream:
             raise ValueError(f"generated corpora support 1 <= n <= {GENERATED_MAX_N}, got {n}")
         tag = f"gen:n={n}" + (":connected" if connected_only else "")
         return cls(tag, "generated-labeled", lambda: _labeled_graphs(n, connected_only))
-
-    @classmethod
-    def from_graph6_lines(cls, lines: Iterable[str], source: str = "<lines>") -> "CorpusStream":
-        rows = [ln for ln in lines if ln.strip()]
-
-        def gen() -> Iterator[Graph]:
-            for ln in rows:
-                yield parse_graph6(ln)
-
-        return cls(source, "graph6", gen)
 
     @classmethod
     def from_graph6_file(cls, path: str) -> "CorpusStream":

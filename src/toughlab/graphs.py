@@ -29,12 +29,7 @@ def mask_of(vertices: Iterable[int]) -> VertexSet:
 
 def vertices_of(mask: VertexSet) -> list[int]:
     """List the vertex labels set in ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return list(iter_bits(mask))
 
 
 def iter_bits(mask: VertexSet) -> Iterator[int]:
@@ -133,7 +128,7 @@ class ComponentPartition:
         return mask
 
 
-def _component_masks(rows: tuple[int, ...], remaining: VertexSet) -> list[VertexSet]:
+def component_masks(rows: tuple[int, ...], remaining: VertexSet) -> list[VertexSet]:
     """Connected components of the subgraph induced on ``remaining``."""
     comps = []
     todo = remaining
@@ -188,7 +183,7 @@ def components(g: Graph, removed: VertexSet) -> ComponentPartition:
     remaining = g.full_mask & ~removed
     if remaining == 0:
         raise ValueError("removal leaves an empty remainder")
-    blocks = _component_masks(g.rows, remaining)
+    blocks = component_masks(g.rows, remaining)
     blocks.sort(key=lambda b: (b.bit_count(), b))
     return ComponentPartition(tuple(blocks))
 
@@ -197,19 +192,7 @@ def is_connected(g: Graph) -> bool:
     """True iff the graph has one connected component. Requires n >= 1."""
     if g.n < 1:
         raise ValueError("connectivity needs at least one vertex")
-    comp = 1
-    frontier = 1
-    full = g.full_mask
-    while frontier:
-        grown = 0
-        f = frontier
-        while f:
-            low = f & -f
-            grown |= g.rows[low.bit_length() - 1]
-            f ^= low
-        frontier = grown & ~comp
-        comp |= frontier
-    return comp == full
+    return len(component_masks(g.rows, g.full_mask)) == 1
 
 
 def is_complete(g: Graph) -> bool:

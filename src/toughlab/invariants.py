@@ -17,7 +17,7 @@ from .graphs import (
     ComponentPartition,
     Graph,
     VertexSet,
-    _component_masks,
+    component_masks,
     is_complete,
     is_connected,
     iter_bits,
@@ -87,7 +87,7 @@ def toughness(g: Graph) -> ToughnessCertificate:
             break
         for combo in itertools.combinations(range(n), size):
             cut = mask_of(combo)
-            comps = _component_masks(g.rows, full & ~cut)
+            comps = component_masks(g.rows, full & ~cut)
             omega = len(comps)
             if omega < 2:
                 continue

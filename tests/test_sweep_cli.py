@@ -1,12 +1,15 @@
 """Sweep engine determinism and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from toughlab import write_graph6
+import toughlab
+from toughlab import FormatError, path_graph, write_graph6
 from toughlab.formats import enumerate_labeled_connected
 from toughlab.sweep import (
     CHECK_NAMES,
@@ -74,10 +77,16 @@ def test_parallel_sweep_is_deterministic():
     assert json.dumps(rep1.records_dict()) == json.dumps(rep2.records_dict())
 
 
+# the child interpreter imports the same toughlab as the tests, installed or not
+CHILD_PATH = os.pathsep.join(filter(None, (
+    str(Path(toughlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))
+
+
 def run_cli(args, stdin_text=""):
     return subprocess.run(
         [sys.executable, "-m", "toughlab", *args],
-        input=stdin_text, capture_output=True, text=True)
+        input=stdin_text, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": CHILD_PATH})
 
 
 def test_cli_tough_on_edge_list(petersen):
@@ -162,3 +171,24 @@ def test_cli_alpha_kappa(petersen):
     alpha = json.loads(run_cli(["alpha"], text).stdout.strip())
     kappa = json.loads(run_cli(["kappa"], text).stdout.strip())
     assert alpha["alpha"] == 4 and kappa["kappa"] == 3
+
+
+def test_strict_mode_reports_lowest_bad_line_with_jobs():
+    # the first bad line closes a slow 256-line chunk; the second sits alone
+    # in the next chunk, which a worker finishes first
+    lines = corpus_lines(6)[:255] + [(256, "!!"), (257, "!!")]
+    for jobs in (1, 2):
+        with pytest.raises(FormatError, match="^line 256:"):
+            sweep(SweepConfig(jobs=jobs, strict=True), lines)
+
+
+def test_cut_partition_equality_follows_eq_tol():
+    # P4: the strict grouping {0} | {2, 3} of the cut {1} has |X| = 1 against
+    # a cap of about 1.66, inside a window of 1 but not of 1e-7
+    p4 = write_graph6(path_graph(4)) + "\n"
+    proc = run_cli(["verify", "--checks", "cut-partition"], p4)
+    assert proc.returncode == 0 and proc.stdout == ""
+    proc = run_cli(["verify", "--checks", "cut-partition", "--eq-tol", "1"], p4)
+    assert proc.returncode == 1
+    checks = {json.loads(line)["check"] for line in proc.stdout.splitlines()}
+    assert "cut-partition-x-equality" in checks

@@ -14,7 +14,13 @@ import sys
 import pytest
 
 from toughlab.cli import main
-from toughlab.formats import enumerate_labeled, enumerate_labeled_connected, write_graph6
+from toughlab.formats import (
+    enumerate_labeled,
+    enumerate_labeled_connected,
+    write_edge_list,
+    write_graph6,
+)
+from toughlab.graphs import petersen_graph
 
 
 def _lines(ns, connected):
@@ -27,6 +33,8 @@ CORPORA = {
     "all-le4": lambda: _lines(range(1, 5), False),
     "conn-le5": lambda: _lines(range(1, 6), True),
     "conn-2to5": lambda: _lines(range(2, 6), True),
+    "petersen-edges": lambda: write_edge_list(petersen_graph()),
+    "none": lambda: "",
 }
 
 # (argv, corpus) -> (exit code, sha256 of stdout)
@@ -44,6 +52,13 @@ GOLDEN = {
     (("spectra",), "conn-2to5"): (0, "6bce4efd20c0ef5bada8ccb8f5d22368d0da047ea1d72fb8e93cdbac2f3284eb"),
     (("spectra", "--table"), "conn-2to5"): (0, "e7c3be37fdd25b4d5ad27fabf789f1cc283c3433947113c296e7c0fea27b8ecb"),
     (("alpha",), "all-le4"): (0, "007278ecb280013572716b2d48d6ba8dfe022bb9bceec6476cbcce1bd6e060d1"),
+    (("gen", "--n", "5"), "none"): (0, "4ac9156f6af83aee1229b9eb4bd9cd3427c1fe25a0d0eb9f642eb054b3e857b0"),
+    (("gen", "--n", "5", "--connected"), "none"): (0, "ef02b50d51d63e411f9036bb8042acbf9c1035b29aefc909246d366bfb9e6ff3"),
+    (("verify", "--gen", "5", "--connected"), "none"): (0, "180e3fbcecbcbac8d89adfc0d6f4117b7cb704cdecbf878fe81bd7babad2ec3d"),
+    (("extremal", "--h-graph6", "A_", "--n", "5"), "none"): (0, "47a52d2c2e7d554bcea3d80c2e7b8d28f96f460b2bd4e463cbf78910d1c5ea3a"),
+    (("extremal", "--h-graph6", "Bw", "--n", "6", "--table"), "none"): (0, "09ed204d7ab949956a22b6ebe4f14aab3892693d5ceb6ffbb3d2677bb16aed4d"),
+    (("tough", "--format", "edges"), "petersen-edges"): (0, "c352397627b0d1f61a2989884e8ca41a9e3f63db7119d84f602bf7b9805cb108"),
+    (("bounds", "--format", "edges", "--table"), "petersen-edges"): (0, "6338e6ae74086ee0e62bf5e82af73785f04126f69879fb7ad463878e19748fc8"),
 }
 
 

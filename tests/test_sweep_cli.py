@@ -139,6 +139,7 @@ def test_cli_verify_generated_corpus():
     assert proc.returncode == 0
     summary = json.loads(proc.stderr.strip().splitlines()[-1])
     assert summary["graphs_checked"] == 4
+    assert summary["corpus_id"] == "gen:n=3:connected"
 
 
 def test_cli_verify_bad_line_modes():

@@ -5,7 +5,6 @@ from .graphs import (
     ComponentPartition,
     Graph,
     VertexSet,
-    complete_bipartite_graph,
     complete_graph,
     components,
     cycle_graph,
@@ -26,7 +25,6 @@ from .graphs import (
     volume,
 )
 from .formats import (
-    CorpusStream,
     FormatError,
     enumerate_labeled,
     enumerate_labeled_connected,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .graphs import (
@@ -210,27 +210,6 @@ def cut_partition_ratios(summary: SpectralSummary) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Per-graph report
 
-CSV_COLUMNS = (
-    "graph6",
-    "n",
-    "m",
-    "delta",
-    "Delta",
-    "tau",
-    "inv_max_degree",
-    "degree_sum_term",
-    "spectral_term",
-    "lap_product_bound",
-    "lap_gap_bound",
-    "brouwer_bound",
-    "brouwer_strict_bound",
-    "alon_bound",
-    "connectivity_cap",
-    "equality_lap_product",
-    "equality_lap_gap",
-)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Every bound value for one graph, with equality flags against exact tau."""
@@ -282,3 +261,5 @@ class BoundReport:
                 out.append(str(v))
         return out
 
+
+CSV_COLUMNS = tuple(f.name for f in fields(BoundReport))

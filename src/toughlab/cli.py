@@ -22,8 +22,8 @@ from .bounds import CSV_COLUMNS
 from .extremal import build_extremal
 from .formats import (
     GENERATED_MAX_N,
-    CorpusStream,
     FormatError,
+    enumerate_labeled,
     parse_edge_list,
     parse_graph6,
     write_graph6,
@@ -89,85 +89,47 @@ def _vertex_list(mask: int | None) -> list[int] | None:
     return None if mask is None else vertices_of(mask)
 
 
-def _cmd_tough(args) -> int:
-    for g6, g in _input_graphs(args):
-        cert = toughness(g)
-        _emit(args, {
-            "graph6": g6,
-            "tau": "inf" if cert.infinite else str(cert.value),
-            "tau_num": cert.tau_num,
-            "tau_den": cert.tau_den,
-            "cut": _vertex_list(cert.cut),
-            "omega": cert.omega,
-        })
-    return 0
+def _tough_record(g: Graph) -> dict:
+    cert = toughness(g)
+    return {
+        "tau": "inf" if cert.infinite else str(cert.value),
+        "tau_num": cert.tau_num,
+        "tau_den": cert.tau_den,
+        "cut": _vertex_list(cert.cut),
+        "omega": cert.omega,
+    }
 
 
-def _cmd_alpha(args) -> int:
-    for g6, g in _input_graphs(args):
-        cert = independence_number(g)
-        _emit(args, {"graph6": g6, "alpha": cert.alpha,
-                     "witness": _vertex_list(cert.witness)})
-    return 0
+def _alpha_record(g: Graph) -> dict:
+    cert = independence_number(g)
+    return {"alpha": cert.alpha, "witness": _vertex_list(cert.witness)}
 
 
-def _cmd_kappa(args) -> int:
-    for g6, g in _input_graphs(args):
-        cert = vertex_connectivity(g)
-        _emit(args, {"graph6": g6, "kappa": cert.kappa,
-                     "separator": _vertex_list(cert.separator)})
-    return 0
+def _kappa_record(g: Graph) -> dict:
+    cert = vertex_connectivity(g)
+    return {"kappa": cert.kappa, "separator": _vertex_list(cert.separator)}
 
 
-def _cmd_spectra(args) -> int:
-    for g6, g in _input_graphs(args):
-        summary = spectral_summary(g)
-        _emit(args, {
-            "graph6": g6,
-            "n": g.n,
-            "m": g.m,
-            "adjacency": list(summary.adjacency_eigs),
-            "laplacian": list(summary.laplacian_eigs),
-            "normalized": list(summary.normalized_eigs),
-            "xi": summary.xi,
-            "lambda": summary.lambda_reg,
-        })
-    return 0
+def _spectra_record(g: Graph) -> dict:
+    summary = spectral_summary(g)
+    return {
+        "n": g.n,
+        "m": g.m,
+        "adjacency": list(summary.adjacency_eigs),
+        "laplacian": list(summary.laplacian_eigs),
+        "normalized": list(summary.normalized_eigs),
+        "xi": summary.xi,
+        "lambda": summary.lambda_reg,
+    }
 
 
-def _cmd_bounds(args) -> int:
-    if args.csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_COLUMNS)
-        for _, g in _input_graphs(args):
-            writer.writerow(bound_report(g).to_csv_row())
-        return 0
-    for _, g in _input_graphs(args):
-        _emit(args, bound_report(g).to_json_dict())
-    return 0
+def _bounds_record(g: Graph) -> dict:
+    # the report carries its own graph6, written from the parsed graph
+    return bound_report(g).to_json_dict()
 
 
-def _cmd_extremal(args) -> int:
-    if args.h_graph6:
-        if args.n is None:
-            print("error: --n is required with --h-graph6", file=sys.stderr)
-            return 2
-        base = parse_graph6(args.h_graph6)
-        g = build_extremal(base, args.n)
-        g6 = write_graph6(g)
-        record = {"graph6": g6, "delta": base.n, "n": args.n}
-        record.update(_detect_record(g6, g))
-        _emit(args, record)
-        return 0
-    for g6, g in _input_graphs(args):
-        record = {"graph6": g6}
-        record.update(_detect_record(g6, g))
-        _emit(args, record)
-    return 0
-
-
-def _detect_record(g6: str, g: Graph) -> dict:
-    facts = GraphFacts(g6, g)
+def _extremal_record(g: Graph) -> dict:
+    facts = GraphFacts(write_graph6(g), g)
     witness = facts.witness
     out: dict = {"detected": witness is not None}
     if witness is not None:
@@ -180,9 +142,37 @@ def _detect_record(g6: str, g: Graph) -> dict:
     return out
 
 
+def _cmd_records(args) -> int:
+    """One record per input graph: its input line, then the command's fields."""
+    for g6, g in _input_graphs(args):
+        _emit(args, {"graph6": g6, **args.record(g)})
+    return 0
+
+
+def _cmd_bounds(args) -> int:
+    if not args.csv:
+        return _cmd_records(args)
+    writer = csv.writer(sys.stdout)
+    writer.writerow(CSV_COLUMNS)
+    for _, g in _input_graphs(args):
+        writer.writerow(bound_report(g).to_csv_row())
+    return 0
+
+
+def _cmd_extremal(args) -> int:
+    if not args.h_graph6:
+        return _cmd_records(args)
+    if args.n is None:
+        print("error: --n is required with --h-graph6", file=sys.stderr)
+        return 2
+    base = parse_graph6(args.h_graph6)
+    g = build_extremal(base, args.n)
+    _emit(args, {"graph6": write_graph6(g), "delta": base.n, "n": args.n, **_extremal_record(g)})
+    return 0
+
+
 def _cmd_gen(args) -> int:
-    stream = CorpusStream.generated(args.n, connected_only=args.connected)
-    for g in stream:
+    for g in enumerate_labeled(args.n, connected_only=args.connected):
         print(write_graph6(g))
     return 0
 
@@ -193,9 +183,9 @@ def _cmd_verify(args) -> int:
     else:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     if args.gen is not None:
-        stream = CorpusStream.generated(args.gen, connected_only=args.connected)
-        corpus_id = stream.source
-        lines = ((i + 1, write_graph6(g)) for i, g in enumerate(stream))
+        graphs = enumerate_labeled(args.gen, connected_only=args.connected)
+        corpus_id = f"gen:n={args.gen}" + (":connected" if args.connected else "")
+        lines = ((i, write_graph6(g)) for i, g in enumerate(graphs, 1))
     else:
         corpus_id = args.file or "<stdin>"
         lines = _numbered_lines(args)
@@ -229,23 +219,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toughness, spectra, and spectral-bound certification for small graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, blurb in (
-        ("tough", _cmd_tough, "exact toughness with an optimal cut certificate"),
-        ("alpha", _cmd_alpha, "exact independence number with witness"),
-        ("kappa", _cmd_kappa, "exact vertex connectivity with separator"),
-        ("spectra", _cmd_spectra, "adjacency / Laplacian / normalized spectra"),
+    per_graph = {}
+    for name, record, blurb in (
+        ("tough", _tough_record, "exact toughness with an optimal cut certificate"),
+        ("alpha", _alpha_record, "exact independence number with witness"),
+        ("kappa", _kappa_record, "exact vertex connectivity with separator"),
+        ("spectra", _spectra_record, "adjacency / Laplacian / normalized spectra"),
+        ("bounds", _bounds_record, "full per-graph bound report"),
+        ("extremal", _extremal_record, "build or detect the extremal join family"),
     ):
-        p = sub.add_parser(name, help=blurb)
+        p = per_graph[name] = sub.add_parser(name, help=blurb)
         _add_input_args(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_records, record=record)
 
-    p = sub.add_parser("bounds", help="full per-graph bound report")
-    _add_input_args(p)
+    p = per_graph["bounds"]
     p.add_argument("--csv", action="store_true", help="CSV output with the documented column order")
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("extremal", help="build or detect the extremal join family")
-    _add_input_args(p)
+    p = per_graph["extremal"]
     p.add_argument("--h-graph6", help="graph6 of the base graph; build mode")
     p.add_argument("--n", type=int, help="total order of the built join")
     p.set_defaults(fn=_cmd_extremal)

@@ -75,41 +75,29 @@ def _eigen_condition(base: Graph, delta: int, n: int) -> bool:
 
 def detect_join_form(g: Graph) -> ExtremalWitness | None:
     """Find a decomposition of ``g`` as a base graph joined with isolated
-    vertices, or None.
+    vertices, or None.  Requires n >= 1 (ValueError otherwise).
 
-    Scans vertices in ascending label order; a candidate v proposes the
-    complement of its neighborhood as the independent part.  The candidate
-    is accepted when that part is independent, all its members share v's
-    neighborhood exactly, v has minimum degree, and the implied base order
-    sits in 1..n-2.  The scan is complete for the family: in any such join
-    every isolated-side vertex proposes the isolated side itself.
+    Scans vertices of minimum degree delta in ascending label order; a
+    candidate v proposes the complement of its neighborhood as the
+    independent part.  The candidate is accepted when 1 <= delta <= n - 2
+    and every member of the part has v's neighborhood exactly; the part is
+    then independent, because v's neighborhood excludes it.  An accepted
+    witness implies a connected, non-complete graph: every part vertex is
+    adjacent to the whole nonempty base, and the part is independent with
+    at least two vertices.  The scan is complete for the family: in any
+    such join every isolated-side vertex proposes the isolated side itself.
     """
-    if not is_connected(g) or is_complete(g):
-        return None
     n = g.n
-    _, dmin, degrees = degree_profile(g)
+    _, delta, degrees = degree_profile(g)
+    if not 1 <= delta <= n - 2:
+        return None
     for v in range(n):
-        if degrees[v] != dmin:
+        if degrees[v] != delta:
             continue
         part = g.full_mask & ~g.rows[v]
-        if part.bit_count() != n - dmin:
-            continue
-        delta = dmin
-        if not 1 <= delta <= n - 2:
-            continue
-        ok = True
-        for u in iter_bits(part):
-            if g.rows[u] != g.rows[v]:
-                ok = False
-                break
-        if not ok:
-            continue
-        # independence follows from uniform neighborhoods (no member is a
-        # neighbor of v), but check explicitly anyway
-        if any(g.rows[u] & part for u in iter_bits(part)):
-            continue
-        base = induced_subgraph(g, g.rows[v])
-        return ExtremalWitness(base, part, delta, _eigen_condition(base, delta, n))
+        if all(g.rows[u] == g.rows[v] for u in iter_bits(part)):
+            base = induced_subgraph(g, g.rows[v])
+            return ExtremalWitness(base, part, delta, _eigen_condition(base, delta, n))
     return None
 
 

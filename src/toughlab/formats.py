@@ -4,20 +4,22 @@ Supported formats:
 
 * graph6 (short form, n <= 62): header byte ``chr(n + 63)``, then the upper
   adjacency triangle in column-major pair order (0,1), (0,2), (1,2), (0,3),
-  ... packed six bits per byte, each byte offset by 63, zero padded.
+  ... packed six bits per byte, each byte offset by 63, zero padded.  The
+  parser rejects nonzero padding bits, so every accepted record is the one
+  ``write_graph6`` produces for its graph.
 * edge list: first token is the vertex count, followed by whitespace
   separated ``u v`` pairs with 0 <= u, v < n and u != v.
 
 Generated corpora enumerate every labeled graph on n vertices in ascending
 edge-mask order (bit k of the mask is pair k in lexicographic (i, j) order),
-optionally filtered to connected graphs.
+optionally filtered to connected graphs.  A generator makes one pass; call
+it again for another.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graphs import Graph, is_connected
 
@@ -57,6 +59,8 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError(f"graph6 payload truncated: {len(payload)} bytes, expected {expected}")
     if len(payload) > expected:
         raise FormatError(f"graph6 payload has trailing data: {len(payload)} bytes, expected {expected}")
+    if payload and (ord(payload[-1]) - 63) & ((1 << (6 * expected - nbits)) - 1):
+        raise FormatError("graph6 padding bits are not zero")
     rows = [0] * n
     k = 0
     for ch in payload:
@@ -129,13 +133,24 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines)
 
 
-def _mask_pairs(n: int) -> list[tuple[int, int]]:
-    # lexicographic (i, j) order defines the generated-corpus edge-mask bits
-    return list(itertools.combinations(range(n), 2))
+def enumerate_labeled(n: int, connected_only: bool = False) -> Iterator[Graph]:
+    """Every labeled graph on n vertices, exactly once, in edge-mask order;
+    only the connected ones with ``connected_only``.
+
+    Raises ValueError at the call unless 1 <= n <= GENERATED_MAX_N.
+    """
+    if not 1 <= n <= GENERATED_MAX_N:
+        raise ValueError(f"generated corpora support 1 <= n <= {GENERATED_MAX_N}, got {n}")
+    return _labeled_graphs(n, connected_only)
+
+
+def enumerate_labeled_connected(n: int) -> Iterator[Graph]:
+    return enumerate_labeled(n, connected_only=True)
 
 
 def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
-    pairs = _mask_pairs(n)
+    # lexicographic (i, j) order defines the edge-mask bits
+    pairs = list(itertools.combinations(range(n), 2))
     npairs = len(pairs)
     for mask in range(1 << npairs):
         rows = [0] * n
@@ -148,46 +163,3 @@ def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
         if connected_only and not is_connected(g):
             continue
         yield g
-
-
-@dataclass(frozen=True)
-class CorpusStream:
-    """Re-iterable, pull-based stream of graphs from one corpus source.
-
-    Each ``iter()`` opens an independent pass, so several workers can walk
-    the same stream description concurrently.
-    """
-
-    source: str
-    format: str
-    _factory: Callable[[], Iterator[Graph]] = field(repr=False, compare=False)
-
-    def __iter__(self) -> Iterator[Graph]:
-        return self._factory()
-
-    @classmethod
-    def generated(cls, n: int, connected_only: bool = False) -> "CorpusStream":
-        if not 1 <= n <= GENERATED_MAX_N:
-            raise ValueError(f"generated corpora support 1 <= n <= {GENERATED_MAX_N}, got {n}")
-        tag = f"gen:n={n}" + (":connected" if connected_only else "")
-        return cls(tag, "generated-labeled", lambda: _labeled_graphs(n, connected_only))
-
-    @classmethod
-    def from_graph6_file(cls, path: str) -> "CorpusStream":
-        def gen() -> Iterator[Graph]:
-            with open(path, "r", encoding="utf-8") as fh:
-                for ln in fh:
-                    if ln.strip():
-                        yield parse_graph6(ln)
-
-        return cls(path, "graph6", gen)
-
-
-def enumerate_labeled_connected(n: int) -> CorpusStream:
-    """Every connected labeled graph on n vertices, exactly once, in edge-mask order."""
-    return CorpusStream.generated(n, connected_only=True)
-
-
-def enumerate_labeled(n: int) -> CorpusStream:
-    """Every labeled graph on n vertices in edge-mask order."""
-    return CorpusStream.generated(n, connected_only=False)

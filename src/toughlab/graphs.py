@@ -91,9 +91,6 @@ class Graph:
     def full_mask(self) -> VertexSet:
         return (1 << self.n) - 1
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
@@ -120,12 +117,6 @@ class ComponentPartition:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(b.bit_count() for b in self.blocks)
-
-    def union(self) -> VertexSet:
-        mask = 0
-        for b in self.blocks:
-            mask |= b
-        return mask
 
 
 def component_masks(rows: tuple[int, ...], remaining: VertexSet) -> list[VertexSet]:
@@ -269,10 +260,6 @@ def cycle_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """Star with center 0 and the given number of leaves."""
     return Graph.from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def petersen_graph() -> Graph:

@@ -1,5 +1,6 @@
 """The extremal join family: construction, detection, equality structure."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,12 @@ from toughlab import (
     empty_graph,
     equality_case_verdict,
     fiedler_structure_check,
+    induced_subgraph,
+    is_complete,
     is_connected,
     join,
     laplacian_spectrum,
+    mask_of,
     path_graph,
     spectral_summary,
     toughness,
@@ -51,6 +55,25 @@ def test_detect_examples(c4, petersen, claw):
 def test_detect_skips_disconnected_and_complete():
     assert detect_join_form(complete_graph(4)) is None
     assert detect_join_form(disjoint_union(complete_graph(2), complete_graph(2))) is None
+
+
+def test_detect_matches_the_definition_exhaustively():
+    # in the family iff some part P has every member's neighborhood equal to
+    # V \ P (so P is independent) with |V \ P| = min degree in 1..n-2
+    for n in range(1, 7):
+        for g in enumerate_labeled(n):
+            dmin = degree_profile(g)[1]
+            parts = [] if not 1 <= dmin <= n - 2 else [
+                mask_of(c) for c in itertools.combinations(range(n), n - dmin)
+                if all(g.rows[v] == g.full_mask & ~mask_of(c) for v in c)]
+            wit = detect_join_form(g)
+            assert (wit is not None) == bool(parts)
+            if wit is not None:
+                assert is_connected(g) and not is_complete(g)
+                assert wit.independent_part in parts and wit.delta == dmin
+                assert wit.base_h == induced_subgraph(g, g.full_mask & ~wit.independent_part)
+    with pytest.raises(ValueError):
+        detect_join_form(empty_graph(0))
 
 
 def test_verdict_examples(c4, petersen):

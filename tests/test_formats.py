@@ -6,7 +6,6 @@ import random
 import pytest
 
 from toughlab import (
-    CorpusStream,
     FormatError,
     Graph,
     complete_graph,
@@ -63,8 +62,34 @@ def test_parse_errors_are_distinct():
         parse_graph6("C~~")
     with pytest.raises(FormatError, match="empty"):
         parse_graph6("   ")
+    with pytest.raises(FormatError, match="padding"):
+        parse_graph6("Bx")  # Bw with a nonzero padding bit
     with pytest.raises(FormatError, match="caps at"):
         write_graph6(Graph.from_edges(63, []))
+
+
+def test_near_graph6_records_are_rejected_or_canonical():
+    # mutate valid records; whatever parses must round-trip to the same text
+    rng = random.Random(6)
+    for _ in range(20000):
+        n = rng.randint(0, 12)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        chars = list(write_graph6(Graph.from_edges(n, edges)))
+        pos = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and pos < len(chars):
+            chars[pos] = chr(rng.randint(60, 128))
+        elif edit == 1:
+            chars.insert(pos, chr(rng.randint(63, 126)))
+        elif pos < len(chars):
+            del chars[pos]
+        s = "".join(chars)
+        try:
+            g = parse_graph6(s)
+        except FormatError:
+            continue
+        g.validate()
+        assert write_graph6(g) == s
 
 
 def test_edge_list_parsing():
@@ -98,20 +123,20 @@ def test_enumeration_counts_match_recurrence():
 
 
 def test_enumeration_is_deterministic_and_filtered():
-    stream = enumerate_labeled_connected(4)
-    first = [write_graph6(g) for g in stream]
-    second = [write_graph6(g) for g in stream]  # independent second pass
+    first = [write_graph6(g) for g in enumerate_labeled_connected(4)]
+    second = [write_graph6(g) for g in enumerate_labeled_connected(4)]
     assert first == second
-    assert all(is_connected(g) for g in stream)
+    assert all(is_connected(parse_graph6(s)) for s in first)
     full = sum(1 for _ in enumerate_labeled(4))
     assert full == 64
 
 
 def test_enumeration_rejects_out_of_range():
+    # at the call, before any graph is pulled
     with pytest.raises(ValueError):
-        CorpusStream.generated(0)
+        enumerate_labeled(0)
     with pytest.raises(ValueError):
-        CorpusStream.generated(8)
+        enumerate_labeled(8, connected_only=True)
 
 
 def test_enumeration_is_pull_based_at_the_top_size():
@@ -121,11 +146,3 @@ def test_enumeration_is_pull_based_at_the_top_size():
     assert len(head) == 3
     assert all(g.n == 7 and is_connected(g) for g in head)
 
-
-def test_graph6_file_stream(tmp_path):
-    path = tmp_path / "corpus.g6"
-    path.write_text("C~\nCl\n\n@\n", encoding="utf-8")
-    stream = CorpusStream.from_graph6_file(str(path))
-    graphs = list(stream)
-    assert [g.n for g in graphs] == [4, 4, 1]
-    assert list(stream) == graphs  # re-iterable

@@ -10,7 +10,7 @@ import pytest
 
 import toughlab
 from toughlab import FormatError, path_graph, write_graph6
-from toughlab.formats import enumerate_labeled_connected
+from toughlab.formats import enumerate_labeled, enumerate_labeled_connected
 from toughlab.sweep import (
     CHECK_NAMES,
     SweepConfig,
@@ -20,9 +20,8 @@ from toughlab.sweep import (
 
 
 def corpus_lines(n, connected=True):
-    from toughlab.formats import CorpusStream
-    stream = CorpusStream.generated(n, connected_only=connected)
-    return [(i + 1, write_graph6(g)) for i, g in enumerate(stream)]
+    graphs = enumerate_labeled(n, connected_only=connected)
+    return [(i + 1, write_graph6(g)) for i, g in enumerate(graphs)]
 
 
 def test_sweep_clean_corpus_all_checks():

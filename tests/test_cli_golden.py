@@ -9,6 +9,8 @@ prints the current digests for a deliberate output change.
 import contextlib
 import hashlib
 import io
+import itertools
+import random
 import sys
 
 import pytest
@@ -20,12 +22,27 @@ from toughlab.formats import (
     write_edge_list,
     write_graph6,
 )
-from toughlab.graphs import petersen_graph
+from toughlab.graphs import Graph, cycle_graph, is_connected, petersen_graph
 
 
 def _lines(ns, connected):
     enum = enumerate_labeled_connected if connected else enumerate_labeled
     return "".join(write_graph6(g) + "\n" for n in ns for g in enum(n))
+
+
+def _sample7_lines():
+    """Connected graphs among 300 seeded 21-bit edge masks on 7 vertices,
+    then Petersen and C12, so regular graphs reach the adjacency solve."""
+    rng = random.Random(7)
+    pairs = list(itertools.combinations(range(7), 2))
+    graphs = []
+    for _ in range(300):
+        mask = rng.getrandbits(len(pairs))
+        g = Graph.from_edges(7, [p for k, p in enumerate(pairs) if mask >> k & 1])
+        if is_connected(g):
+            graphs.append(g)
+    graphs += [petersen_graph(), cycle_graph(12)]
+    return "".join(write_graph6(g) + "\n" for g in graphs)
 
 
 CORPORA = {
@@ -34,6 +51,7 @@ CORPORA = {
     "conn-le5": lambda: _lines(range(1, 6), True),
     "conn-2to5": lambda: _lines(range(2, 6), True),
     "petersen-edges": lambda: write_edge_list(petersen_graph()),
+    "sample-7": _sample7_lines,
     "none": lambda: "",
 }
 
@@ -59,6 +77,9 @@ GOLDEN = {
     (("extremal", "--h-graph6", "Bw", "--n", "6", "--table"), "none"): (0, "09ed204d7ab949956a22b6ebe4f14aab3892693d5ceb6ffbb3d2677bb16aed4d"),
     (("tough", "--format", "edges"), "petersen-edges"): (0, "c352397627b0d1f61a2989884e8ca41a9e3f63db7119d84f602bf7b9805cb108"),
     (("bounds", "--format", "edges", "--table"), "petersen-edges"): (0, "6338e6ae74086ee0e62bf5e82af73785f04126f69879fb7ad463878e19748fc8"),
+    (("verify",), "sample-7"): (0, "0d03fef82fc6cc3934d73cd8c6be699f7e347ebe7f22d9d1e1d5bcbd90e392b2"),
+    (("bounds",), "sample-7"): (0, "41aae9bb37a6393e73df3273e44312943642257df6a52fcdc7a315cd7532c0fb"),
+    (("spectra",), "sample-7"): (0, "d458ecea3439679925d355832407bcc9cf3a698086be5495e59b1b568cb1de0e"),
 }
 
 

@@ -24,13 +24,14 @@ from .formats import (
     GENERATED_MAX_N,
     FormatError,
     enumerate_labeled,
+    graph6_record,
     parse_edge_list,
     parse_graph6,
     write_graph6,
 )
 from .graphs import Graph, vertices_of
 from .invariants import independence_number, toughness, vertex_connectivity
-from .spectra import spectral_summary
+from .spectra import adjacency_spectrum, spectral_summary
 from .sweep import (
     CHECK_NAMES,
     DEFAULT_CHECKS,
@@ -65,7 +66,7 @@ def _input_graphs(args) -> Iterator[tuple[str, Graph]]:
     for _, line in _numbered_lines(args):
         if line.strip():
             g = parse_graph6(line)
-            yield line.strip(), g
+            yield graph6_record(line), g
 
 
 def _emit(args, record: dict) -> None:
@@ -115,7 +116,7 @@ def _spectra_record(g: Graph) -> dict:
     return {
         "n": g.n,
         "m": g.m,
-        "adjacency": list(summary.adjacency_eigs),
+        "adjacency": adjacency_spectrum(g),
         "laplacian": list(summary.laplacian_eigs),
         "normalized": list(summary.normalized_eigs),
         "xi": summary.xi,

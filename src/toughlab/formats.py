@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .graphs import Graph, is_connected
+from .graphs import MAX_VERTICES, Graph, is_connected
 
 GRAPH6_MAX_N = 62
 GENERATED_MAX_N = 7
@@ -36,11 +36,15 @@ def _graph6_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+def graph6_record(line: str) -> str:
+    """The record on a graph6 line, without whitespace and the optional
+    ``>>graph6<<`` header."""
+    return line.strip().removeprefix(">>graph6<<")
+
+
 def parse_graph6(line: str) -> Graph:
     """Decode one short-form graph6 record into a labeled graph."""
-    s = line.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+    s = graph6_record(line)
     if not s:
         raise FormatError("empty graph6 record")
     for ch in s:
@@ -108,8 +112,8 @@ def parse_edge_list(text: str) -> Graph:
         n = int(tokens[0])
     except ValueError:
         raise FormatError(f"vertex count is not an integer: {tokens[0]!r}") from None
-    if n < 0:
-        raise FormatError(f"negative vertex count {n}")
+    if not 0 <= n <= MAX_VERTICES:
+        raise FormatError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     rest = tokens[1:]
     if len(rest) % 2:
         raise FormatError("odd number of endpoint tokens")

@@ -4,7 +4,15 @@ The solver is a cyclic-rotation (Jacobi) diagonalizer kept in-repo so the
 package has no numeric dependency and every run is bit-for-bit
 deterministic.  Convergence: off-diagonal Frobenius norm <= 1e-12 times the
 initial Frobenius norm plus an absolute floor of 1e-300, capped at
-JACOBI_MAX_SWEEPS full sweeps.
+JACOBI_MAX_SWEEPS full sweeps.  Before each sweep a scan of the upper
+triangle looks for one entry above the target; since the off-norm is at
+least sqrt(2) times any entry, such an entry proves the sweep is needed,
+and the exact sum of squares runs only when the scan finds none.
+
+``spectral_summary`` solves the Laplacian and normalized Laplacian, which
+every bound reads, and the adjacency matrix only for regular graphs, where
+``lambda_reg`` needs it.  ``adjacency_spectrum`` gives the full adjacency
+spectrum of any graph.
 
 Eigenvalue order conventions: all spectra are returned descending.  The
 normalized Laplacian uses the isolated-vertex convention of zeroing the
@@ -14,6 +22,7 @@ eigenvalue.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,46 +59,56 @@ def symmetric_eigenvalues(matrix: list[list[float]]) -> list[float]:
 
     fro = math.sqrt(math.fsum(x * x for row in a for x in row))
     target = 1e-12 * fro + 1e-300
+    plan = _rotation_plan(n)
 
-    def off_norm() -> float:
+    def converged() -> bool:
+        # off_norm >= sqrt(2) |a_pq|, so one entry above target settles it
+        # without the sum, whose squares can also underflow to zero
+        for p, q, _ in plan:
+            if abs(a[p][q]) > target:
+                return False
         return math.sqrt(2.0 * math.fsum(
-            a[i][j] * a[i][j] for i in range(n) for j in range(i + 1, n)))
+            a[p][q] * a[p][q] for p, q, _ in plan)) <= target
 
     for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm() <= target:
+        if converged():
             return sorted((a[i][i] for i in range(n)), reverse=True)
-        for p in range(n - 1):
+        for p, q, others in plan:
             ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if apq == 0.0:
-                    continue
-                aq = a[q]
-                app, aqq = ap[p], aq[q]
-                diff = aqq - app
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                ap[p] = app - t * apq
-                aq[q] = aqq + t * apq
-                ap[q] = aq[p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    ai = a[i]
-                    aip, aiq = ai[p], ai[q]
-                    ai[p] = ap[i] = aip - s * (aiq + tau * aip)
-                    ai[q] = aq[i] = aiq + s * (aip - tau * aiq)
-    if off_norm() <= target:
+            apq = ap[q]
+            if apq == 0.0:
+                continue
+            aq = a[q]
+            app, aqq = ap[p], aq[q]
+            diff = aqq - app
+            if abs(apq) < 1e-36 * abs(diff):
+                t = apq / diff
+            else:
+                theta = diff / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            ap[p] = app - t * apq
+            aq[q] = aqq + t * apq
+            ap[q] = aq[p] = 0.0
+            for i in others:
+                ai = a[i]
+                aip, aiq = ai[p], ai[q]
+                ai[p] = ap[i] = aip - s * (aiq + tau * aip)
+                ai[q] = aq[i] = aiq + s * (aip - tau * aiq)
+    if converged():
         return sorted((a[i][i] for i in range(n)), reverse=True)
     raise ConvergenceError(f"no convergence after {JACOBI_MAX_SWEEPS} sweeps")
+
+
+@functools.cache
+def _rotation_plan(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Cyclic sweep order: each pair p < q with the indices other than p, q."""
+    return tuple((p, q, tuple(i for i in range(n) if i != p and i != q))
+                 for p in range(n - 1) for q in range(p + 1, n))
 
 
 def adjacency_matrix(g: Graph) -> list[list[float]]:
@@ -140,14 +159,14 @@ def normalized_laplacian_spectrum(g: Graph) -> list[float]:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """All three spectra of one graph plus the derived scalar quantities.
+    """The Laplacian and normalized spectra of one graph plus the derived
+    scalar quantities.
 
     ``xi`` is the normalized-Laplacian deviation max(|1 - top|, |1 - second
     smallest|).  ``lambda_reg`` is max(|second largest|, |smallest|) of the
     adjacency spectrum when the graph is regular, else None.
     """
 
-    adjacency_eigs: tuple[float, ...]
     laplacian_eigs: tuple[float, ...]
     normalized_eigs: tuple[float, ...]
     xi: float
@@ -163,16 +182,22 @@ class SpectralSummary:
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:
-    """Compute the three spectra and derived quantities. Requires n >= 2."""
+    """Compute the spectra the bounds read and the derived quantities.
+
+    The adjacency spectrum is solved only for regular graphs, where it
+    gives ``lambda_reg``.  Requires n >= 2.
+    """
     if g.n < 2:
         raise ValueError("spectral summary needs at least two vertices")
-    adj = adjacency_spectrum(g)
     lap = laplacian_spectrum(g)
     norm = normalized_laplacian_spectrum(g)
     xi = max(abs(1.0 - norm[0]), abs(1.0 - norm[-2]))
     dmax, dmin, _ = degree_profile(g)
-    lambda_reg = max(abs(adj[1]), abs(adj[-1])) if dmax == dmin else None
-    return SpectralSummary(tuple(adj), tuple(lap), tuple(norm), xi, lambda_reg)
+    lambda_reg = None
+    if dmax == dmin:
+        adj = adjacency_spectrum(g)
+        lambda_reg = max(abs(adj[1]), abs(adj[-1]))
+    return SpectralSummary(tuple(lap), tuple(norm), xi, lambda_reg)
 
 
 def join_laplacian_spectrum(

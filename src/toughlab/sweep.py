@@ -38,7 +38,7 @@ from .bounds import (
     toughness_lower_terms,
 )
 from .extremal import ExtremalWitness, detect_join_form
-from .formats import FormatError, parse_graph6, write_graph6
+from .formats import FormatError, graph6_record, parse_graph6, write_graph6
 from .graphs import Graph, component_masks, degree_profile, is_complete, is_connected
 from .invariants import ToughnessCertificate, independence_number, toughness
 from .spectra import spectral_summary
@@ -426,8 +426,7 @@ def _evaluate_chunk(args) -> tuple[int, list[Violation], list[Interesting], list
         except FormatError as exc:
             diagnostics.append(Diagnostic(lineno, str(exc)))
             continue
-        g6 = line.strip()
-        v, i = evaluate_graph(g6, g, checks, tol, eps_eq)
+        v, i = evaluate_graph(graph6_record(line), g, checks, tol, eps_eq)
         violations += v
         interesting += i
         count += 1

@@ -113,6 +113,27 @@ def test_edge_list_errors():
         parse_edge_list("zzz")
 
 
+def test_edge_list_fuzz_raises_format_error_or_validates():
+    rng = random.Random(4242)
+    tokens = ["0", "1", "2", "3", "5", "7", "-1", "62", "64", "65", "100",
+              "x", "1.5", "0x3", "+2", "1_0", "", "\t"]
+    for _ in range(20000):
+        if rng.random() < 0.5:
+            n = rng.randint(0, 6)
+            words = [str(n)] + [str(rng.randint(0, max(n - 1, 0))) for _ in range(2 * rng.randint(0, 6))]
+            for _ in range(rng.randint(0, 2)):
+                words.insert(rng.randint(0, len(words)), rng.choice(tokens))
+        else:
+            words = [rng.choice(tokens) for _ in range(rng.randint(0, 9))]
+        text = rng.choice((" ", "\n")).join(words)
+        try:
+            g = parse_edge_list(text)
+        except FormatError:
+            continue
+        g.validate()
+        assert g.n == int(text.split()[0])
+
+
 def test_enumeration_counts_match_recurrence():
     expected = {1: 1, 3: 4, 4: 38}
     for n, want in expected.items():

@@ -7,6 +7,7 @@ import pytest
 
 from toughlab import (
     ComponentPartition,
+    Graph,
     balanced_component_split,
     complete_graph,
     components,
@@ -62,6 +63,22 @@ def test_toughness_matches_exhaustive_oracle():
                 assert cert.infinite
             else:
                 assert cert.value == want
+
+
+def test_invariants_match_oracles_on_random_graphs_7_to_10():
+    rng = random.Random(710)
+    for n in range(7, 11):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(25):
+            p = rng.choice((0.3, 0.5, 0.7))
+            g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+            while not is_connected(g):
+                g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+            want = brute_toughness(g)
+            cert = toughness(g)
+            assert cert.infinite if want is None else cert.value == want
+            assert independence_number(g).alpha == brute_alpha(g)
+            assert vertex_connectivity(g).kappa == brute_kappa(g)
 
 
 def test_independence_examples(c4, petersen):

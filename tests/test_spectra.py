@@ -1,5 +1,8 @@
 """Eigensolver against the numpy oracle, plus the spectrum conventions."""
 
+import contextlib
+import io
+import json
 import math
 import random
 
@@ -20,7 +23,9 @@ from toughlab import (
     spectral_summary,
     symmetric_eigenvalues,
 )
-from toughlab.formats import enumerate_labeled
+from toughlab import spectra
+from toughlab.cli import main
+from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.spectra import laplacian_matrix
 
 from _oracles import has_nontrivial_bipartite_component
@@ -48,6 +53,12 @@ def test_solver_against_numpy_oracle():
         # convergence target 1e-12 * initial Frobenius norm keeps the
         # eigenvalue error far inside the documented residual budget
         assert close(got, want, tol=1e-9)
+
+
+def test_solver_rotates_entries_whose_squares_underflow():
+    # 1e-170 squared underflows to zero, so the sum of squares alone would
+    # call the matrix diagonal before any rotation
+    assert symmetric_eigenvalues([[0, 1e-170], [1e-170, 0]]) == [1e-170, -1e-170]
 
 
 def test_solver_input_validation():
@@ -85,6 +96,31 @@ def test_summary_examples(petersen, c4, k4):
     with pytest.raises(ValueError):
         spectral_summary(Graph.from_edges(1, []))
     assert spectral_summary(irregular).lambda_reg is None
+
+
+def test_summary_solves_adjacency_only_for_regular_graphs(monkeypatch, claw, c4):
+    calls = []
+    solve, adjacency = spectra.symmetric_eigenvalues, spectra.adjacency_spectrum
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues",
+                        lambda m: calls.append("solve") or solve(m))
+    monkeypatch.setattr(spectra, "adjacency_spectrum",
+                        lambda g: calls.append("adjacency") or adjacency(g))
+    assert spectral_summary(claw).lambda_reg is None
+    assert calls == ["solve", "solve"]
+    calls.clear()
+    assert spectral_summary(c4).lambda_reg is not None
+    assert calls.count("solve") == 3 and calls.count("adjacency") == 1
+
+
+def test_cli_spectra_prints_the_adjacency_spectrum(monkeypatch, claw, c4):
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(claw) + "\n" + write_graph6(c4) + "\n"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["spectra"]) == 0
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [r["adjacency"] for r in records] == [adjacency_spectrum(claw), adjacency_spectrum(c4)]
+    assert close(records[0]["adjacency"], [math.sqrt(3), 0, 0, -math.sqrt(3)])
+    assert records[0]["lambda"] is None and records[1]["lambda"] is not None
 
 
 def test_exhaustive_spectrum_invariants():

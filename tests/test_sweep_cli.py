@@ -1,5 +1,7 @@
 """Sweep engine determinism and the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -180,6 +182,18 @@ def test_strict_mode_reports_lowest_bad_line_with_jobs():
     for jobs in (1, 2):
         with pytest.raises(FormatError, match="^line 256:"):
             sweep(SweepConfig(jobs=jobs, strict=True), lines)
+
+
+def test_records_carry_the_graph6_record_without_its_header(monkeypatch):
+    from toughlab.cli import main
+    for argv in (["tough"], ["alpha"], ["kappa"], ["spectra"], ["bounds"],
+                 ["extremal"], ["verify", "--tol", "-5"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(">>graph6<<Cl\n"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert records and {r["graph6"] for r in records} == {"Cl"}, argv
 
 
 def test_cut_partition_equality_follows_eq_tol():

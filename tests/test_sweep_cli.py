@@ -12,6 +12,7 @@ import pytest
 
 import toughlab
 from toughlab import FormatError, path_graph, write_graph6
+from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, enumerate_labeled_connected
 from toughlab.sweep import (
     CHECK_NAMES,
@@ -185,7 +186,6 @@ def test_strict_mode_reports_lowest_bad_line_with_jobs():
 
 
 def test_records_carry_the_graph6_record_without_its_header(monkeypatch):
-    from toughlab.cli import main
     for argv in (["tough"], ["alpha"], ["kappa"], ["spectra"], ["bounds"],
                  ["extremal"], ["verify", "--tol", "-5"]):
         monkeypatch.setattr("sys.stdin", io.StringIO(">>graph6<<Cl\n"))

@@ -2,8 +2,11 @@
 
 Pins the exact record stream of every subcommand (which graphs get
 violation and interesting records, every bound value, every certificate)
-so refactors can prove they changed nothing.  ``python tests/test_cli_golden.py``
-prints the current digests for a deliberate output change.
+so refactors can prove they changed nothing.  For ``verify`` the digest of
+the sorted stdout lines is pinned as well: it holds the record multiset
+fixed whatever order the records are printed in.
+``python tests/test_cli_golden.py`` prints the current digests for a
+deliberate output change.
 """
 
 import contextlib
@@ -82,8 +85,20 @@ GOLDEN = {
     (("spectra",), "sample-7"): (0, "d458ecea3439679925d355832407bcc9cf3a698086be5495e59b1b568cb1de0e"),
 }
 
+# verify entries: sha256 of the sorted stdout lines
+SORTED_GOLDEN = {
+    (("verify",), "all-5"): "180e3fbcecbcbac8d89adfc0d6f4117b7cb704cdecbf878fe81bd7babad2ec3d",
+    (("verify", "--checks", "all"), "all-le4"): "d5cfe16a178ccfce0e52b92ea25e193a930231349d5bd37174c0d0aeec87cac6",
+    (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): "d5cfe16a178ccfce0e52b92ea25e193a930231349d5bd37174c0d0aeec87cac6",
+    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): "8390593ecdf884f5bf1e0afa91ee24b0cc51a6bea6aa456b12b2ead99955a15f",
+    (("verify", "--checks", "tough-lower,cut-partition"), "all-5"): "38bf4ae1aaad85d5c83f1dc56aaa4064d51d1c5cd9bc0c931cd47bd8282a3906",
+    (("verify", "--gen", "5", "--connected"), "none"): "180e3fbcecbcbac8d89adfc0d6f4117b7cb704cdecbf878fe81bd7babad2ec3d",
+    (("verify",), "sample-7"): "0d03fef82fc6cc3934d73cd8c6be699f7e347ebe7f22d9d1e1d5bcbd90e392b2",
+}
+
 
 def run(argv, corpus):
+    """(exit code, stdout) of one CLI call on the corpus."""
     stdin, sys.stdin = sys.stdin, io.StringIO(CORPORA[corpus]())
     out = io.StringIO()
     try:
@@ -91,15 +106,37 @@ def run(argv, corpus):
             code = main(list(argv))
     finally:
         sys.stdin = stdin
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue()
 
 
-@pytest.mark.parametrize("argv, corpus", list(GOLDEN),
-                         ids=[" ".join(argv) + " < " + corpus for argv, corpus in GOLDEN])
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def sorted_lines_sha256(text):
+    return sha256("".join(sorted(text.splitlines(keepends=True))))
+
+
+def _ids(table):
+    return [" ".join(argv) + " < " + corpus for argv, corpus in table]
+
+
+@pytest.mark.parametrize("argv, corpus", list(GOLDEN), ids=_ids(GOLDEN))
 def test_cli_output_is_unchanged(argv, corpus):
-    assert run(argv, corpus) == GOLDEN[argv, corpus]
+    code, out = run(argv, corpus)
+    assert (code, sha256(out)) == GOLDEN[argv, corpus]
+
+
+@pytest.mark.parametrize("argv, corpus", list(SORTED_GOLDEN), ids=_ids(SORTED_GOLDEN))
+def test_verify_record_multiset_is_unchanged(argv, corpus):
+    assert sorted_lines_sha256(run(argv, corpus)[1]) == SORTED_GOLDEN[argv, corpus]
 
 
 if __name__ == "__main__":
-    for argv, corpus in GOLDEN:
-        print(f"    ({argv!r}, {corpus!r}): {run(argv, corpus)!r},")
+    outputs = {key: run(*key) for key in GOLDEN}
+    for (argv, corpus), (code, out) in outputs.items():
+        print(f"    ({argv!r}, {corpus!r}): {(code, sha256(out))!r},")
+    print()
+    for (argv, corpus), (code, out) in outputs.items():
+        if argv[0] == "verify":
+            print(f"    ({argv!r}, {corpus!r}): {sorted_lines_sha256(out)!r},")

@@ -35,9 +35,12 @@ from .spectra import adjacency_spectrum, spectral_summary
 from .sweep import (
     CHECK_NAMES,
     DEFAULT_CHECKS,
+    Diagnostic,
     GraphFacts,
+    Record,
     SweepConfig,
     SweepConfigError,
+    Violation,
     bound_report,
     sweep,
 )
@@ -116,7 +119,7 @@ def _spectra_record(g: Graph) -> dict:
     return {
         "n": g.n,
         "m": g.m,
-        "adjacency": adjacency_spectrum(g),
+        "adjacency": list(summary.regular_adjacency_eigs or adjacency_spectrum(g)),
         "laplacian": list(summary.laplacian_eigs),
         "normalized": list(summary.normalized_eigs),
         "xi": summary.xi,
@@ -199,19 +202,21 @@ def _cmd_verify(args) -> int:
         corpus_id=corpus_id,
     )
     try:
-        report = sweep(config, lines)
+        report = sweep(config, lines, _print_sweep_record)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for v in report.violations:
-        print(json.dumps({"kind": "violation", "graph6": v.graph6,
-                          "check": v.check, "lhs": v.lhs, "rhs": v.rhs}))
-    for rec in report.interesting:
-        print(json.dumps({"kind": "interesting", "graph6": rec.graph6, "tag": rec.tag}))
-    for d in report.diagnostics:
-        print(f"line {d.lineno}: {d.message}", file=sys.stderr)
     print(report.summary_line(), file=sys.stderr)
     return 1 if report.violations else 0
+
+
+def _print_sweep_record(record: Record | Diagnostic) -> None:
+    """Records as JSON lines on stdout, diagnostics on stderr."""
+    if type(record) is Diagnostic:
+        print(f"line {record.lineno}: {record.message}", file=sys.stderr)
+    else:
+        kind = "violation" if type(record) is Violation else "interesting"
+        print(json.dumps({"kind": kind, **record._asdict()}))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,8 +11,8 @@ and the exact sum of squares runs only when the scan finds none.
 
 ``spectral_summary`` solves the Laplacian and normalized Laplacian, which
 every bound reads, and the adjacency matrix only for regular graphs, where
-``lambda_reg`` needs it.  ``adjacency_spectrum`` gives the full adjacency
-spectrum of any graph.
+``lambda_reg`` needs it; it keeps that adjacency spectrum.
+``adjacency_spectrum`` gives the full adjacency spectrum of any graph.
 
 Eigenvalue order conventions: all spectra are returned descending.  The
 normalized Laplacian uses the isolated-vertex convention of zeroing the
@@ -159,8 +159,9 @@ def normalized_laplacian_spectrum(g: Graph) -> list[float]:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """The Laplacian and normalized spectra of one graph plus the derived
-    scalar quantities.
+    """The Laplacian and normalized spectra of one graph, the adjacency
+    spectrum if the graph is regular (else None), and the derived scalar
+    quantities.
 
     ``xi`` is the normalized-Laplacian deviation max(|1 - top|, |1 - second
     smallest|).  ``lambda_reg`` is max(|second largest|, |smallest|) of the
@@ -170,7 +171,12 @@ class SpectralSummary:
     laplacian_eigs: tuple[float, ...]
     normalized_eigs: tuple[float, ...]
     xi: float
-    lambda_reg: float | None
+    regular_adjacency_eigs: tuple[float, ...] | None
+
+    @property
+    def lambda_reg(self) -> float | None:
+        adj = self.regular_adjacency_eigs
+        return None if adj is None else max(abs(adj[1]), abs(adj[-1]))
 
     @property
     def laplacian_radius(self) -> float:
@@ -193,11 +199,8 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     norm = normalized_laplacian_spectrum(g)
     xi = max(abs(1.0 - norm[0]), abs(1.0 - norm[-2]))
     dmax, dmin, _ = degree_profile(g)
-    lambda_reg = None
-    if dmax == dmin:
-        adj = adjacency_spectrum(g)
-        lambda_reg = max(abs(adj[1]), abs(adj[-1]))
-    return SpectralSummary(tuple(lap), tuple(norm), xi, lambda_reg)
+    adj = tuple(adjacency_spectrum(g)) if dmax == dmin else None
+    return SpectralSummary(tuple(lap), tuple(norm), xi, adj)
 
 
 def join_laplacian_spectrum(

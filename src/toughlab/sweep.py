@@ -8,19 +8,23 @@ describes each.  ``sweep`` runs the enabled checks over a stream of graph6
 records, in parallel if asked.
 
 Violations record (graph6, check, lhs, rhs) where the failed comparison was
-"lhs within tolerance of rhs".  Results are aggregated in input order and
-sorted, so reports are byte-identical across parallelism degrees apart from
-wall_time.
+"lhs within tolerance of rhs".  ``sweep`` hands each 256-line chunk's
+records to its caller as soon as the chunk is done, in input order, and
+keeps only counts: the record stream is the same at any parallelism degree,
+and memory does not grow with the input.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -305,38 +309,30 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """What a sweep did: the records themselves went to its ``emit``."""
+
     corpus_id: str
     graphs_checked: int
-    violations: tuple[Violation, ...]
-    interesting: tuple[Interesting, ...]
-    diagnostics: tuple[Diagnostic, ...]
+    violations: int
+    interesting: int
+    diagnostics: int
     wall_time: float
-
-    def records_dict(self) -> dict:
-        """Deterministic portion of the report (excludes wall_time)."""
-        return {
-            "corpus_id": self.corpus_id,
-            "graphs_checked": self.graphs_checked,
-            "violations": [list(v) for v in self.violations],
-            "interesting": [list(i) for i in self.interesting],
-            "diagnostics": [list(d) for d in self.diagnostics],
-        }
 
     def summary_line(self) -> str:
         return json.dumps({
             "corpus_id": self.corpus_id,
             "graphs_checked": self.graphs_checked,
-            "violations": len(self.violations),
-            "interesting": len(self.interesting),
-            "diagnostics": len(self.diagnostics),
+            "violations": self.violations,
+            "interesting": self.interesting,
+            "diagnostics": self.diagnostics,
             "wall_time": round(self.wall_time, 3),
         })
 
 
 def evaluate_graph(
     g6: str, g: Graph, checks: Iterable[str], tol: float, eps_eq: float
-) -> tuple[list[Violation], list[Interesting]]:
-    """Run the enabled checks on one graph.
+) -> list[Record]:
+    """Run the enabled checks on one graph; records come in ``CHECKS`` order.
 
     Checks whose preconditions the graph does not meet (disconnected or
     complete input for toughness checks, edgeless graphs for mixing) are
@@ -347,16 +343,11 @@ def evaluate_graph(
         raise SweepConfigError(
             f"mixing check caps at n = {MIXING_MAX_N} (subset-pair explosion), got n = {g.n}")
     facts = GraphFacts(g6, g)
-    violations: list[Violation] = []
-    interesting: list[Interesting] = []
+    records: list[Record] = []
     for name, check in CHECKS.items():
         if name in checks:
-            for record in check(facts, tol, eps_eq):
-                if type(record) is Violation:
-                    violations.append(record)
-                else:
-                    interesting.append(record)
-    return violations, interesting
+            records += check(facts, tol, eps_eq)
+    return records
 
 
 def bound_report(g: Graph) -> BoundReport:
@@ -414,76 +405,71 @@ def equality_case_verdict(g: Graph) -> EqualityVerdict:
     return facts.verdict()
 
 
-def _evaluate_chunk(args) -> tuple[int, list[Violation], list[Interesting], list[Diagnostic]]:
-    chunk, checks, tol, eps_eq = args
+def _evaluate_chunk(args) -> tuple[int, list[Record | Diagnostic]]:
+    """(graphs checked, records in line order); in strict mode the chunk
+    stops at its first malformed line, whose diagnostic comes last."""
+    chunk, config = args
     count = 0
-    violations: list[Violation] = []
-    interesting: list[Interesting] = []
-    diagnostics: list[Diagnostic] = []
+    records: list[Record | Diagnostic] = []
     for lineno, line in chunk:
         try:
             g = parse_graph6(line)
         except FormatError as exc:
-            diagnostics.append(Diagnostic(lineno, str(exc)))
+            records.append(Diagnostic(lineno, str(exc)))
+            if config.strict:
+                break
             continue
-        v, i = evaluate_graph(graph6_record(line), g, checks, tol, eps_eq)
-        violations += v
-        interesting += i
+        records += evaluate_graph(graph6_record(line), g, config.checks, config.tol, config.eps_eq)
         count += 1
-    return count, violations, interesting, diagnostics
+    return count, records
 
 
-def _chunked(lines: Iterable[tuple[int, str]], size: int) -> Iterator[list[tuple[int, str]]]:
-    chunk: list[tuple[int, str]] = []
-    for item in lines:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def sweep(config: SweepConfig, lines: Iterable[tuple[int, str]]) -> SweepReport:
+def sweep(config: SweepConfig, lines: Iterable[tuple[int, str]],
+          emit: Callable[[Record | Diagnostic], object]) -> SweepReport:
     """Evaluate every graph6 record in ``lines`` against the enabled checks.
 
-    ``lines`` yields (line number, text).  Malformed records become
-    diagnostics and the sweep continues, unless strict mode is on, in which
-    case the first one, by line number, raises FormatError.  Records are
-    sorted before the report is assembled, so the outcome does not depend on
-    worker scheduling.
+    ``lines`` yields (line number, text).  Each violation, interesting
+    record and diagnostic goes to ``emit`` as soon as its 256-line chunk is
+    done, in input order at any ``jobs``.  Malformed records become
+    diagnostics and the sweep continues, unless strict mode is on: then the
+    records of the lines before the first malformed one are emitted and
+    FormatError is raised for that line.  The report holds only counts.
     """
     config.validate()
     start = time.perf_counter()
     count = 0
-    violations: list[Violation] = []
-    interesting: list[Interesting] = []
-    diagnostics: list[Diagnostic] = []
+    counts: Counter[type] = Counter()
 
     nonblank = ((lineno, text) for lineno, text in lines if text.strip())
-    payload = ((chunk, config.checks, config.tol, config.eps_eq)
-               for chunk in _chunked(nonblank, 256))
+    chunks = iter(lambda: list(islice(nonblank, 256)), [])
+    payload = ((chunk, config) for chunk in chunks)
     with ExitStack() as stack:
         run = map
-        if config.jobs > 1:
-            # imap keeps chunk order, so strict mode stops at the lowest bad line
-            run = stack.enter_context(get_context().Pool(config.jobs)).imap
-        for c, v, i, d in run(_evaluate_chunk, payload):
+        workers = min(config.jobs, _usable_cpus())
+        if workers > 1:
+            # imap keeps chunk order, so records and the strict-mode line
+            # do not depend on worker scheduling
+            run = stack.enter_context(get_context().Pool(workers)).imap
+        for c, records in run(_evaluate_chunk, payload):
             count += c
-            violations += v
-            interesting += i
-            diagnostics += d
-            if config.strict and d:
-                raise FormatError(f"line {d[0].lineno}: {d[0].message}")
+            for record in records:
+                if config.strict and type(record) is Diagnostic:
+                    raise FormatError(f"line {record.lineno}: {record.message}")
+                counts[type(record)] += 1
+                emit(record)
 
-    violations.sort()
-    interesting.sort()
-    diagnostics.sort()
     return SweepReport(
         corpus_id=config.corpus_id,
         graphs_checked=count,
-        violations=tuple(violations),
-        interesting=tuple(interesting),
-        diagnostics=tuple(diagnostics),
+        violations=counts[Violation],
+        interesting=counts[Interesting],
+        diagnostics=counts[Diagnostic],
         wall_time=time.perf_counter() - start,
     )

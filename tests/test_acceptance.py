@@ -31,7 +31,7 @@ from toughlab import (
     write_graph6,
 )
 from toughlab.formats import enumerate_labeled, enumerate_labeled_connected
-from toughlab.sweep import SweepConfig, sweep
+from toughlab.sweep import SweepConfig, Violation, sweep
 
 from _oracles import brute_alpha, brute_kappa, brute_toughness
 
@@ -56,6 +56,17 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+def swept(config, lines):
+    """The sweep's report and the violation records it emitted."""
+    violations = []
+
+    def keep(record):
+        if type(record) is Violation:
+            violations.append(record)
+
+    return sweep(config, lines, keep), violations
+
+
 def connected_corpus_lines():
     lineno = 0
     for n in range(1, 7):
@@ -68,7 +79,7 @@ def connected_corpus_lines():
 def master_report():
     config = SweepConfig(checks=MASTER_CHECKS, jobs=JOBS,
                          corpus_id="gen:n<=6:connected")
-    return sweep(config, connected_corpus_lines())
+    return swept(config, connected_corpus_lines())
 
 
 @pytest.fixture(scope="session")
@@ -81,26 +92,26 @@ def alpha_report():
                 yield lineno, write_graph6(g)
 
     config = SweepConfig(checks=("alpha-bounds",), jobs=JOBS, corpus_id="gen:n<=6")
-    return sweep(config, lines())
+    return swept(config, lines())
 
 
-def violations_for(report_obj, prefixes):
-    return [v for v in report_obj.violations
-            if any(v.check.startswith(p) for p in prefixes)]
+def violations_for(swept_report, prefixes):
+    return [v for v in swept_report[1] if any(v.check.startswith(p) for p in prefixes)]
 
 
 def test_criterion_1_toughness_lower_terms_sweep(master_report):
     bad = violations_for(master_report, ("tough-lower", "regular"))
+    rep = master_report[0]
     ok = (
         not bad
-        and master_report.graphs_checked == sum(CONNECTED_COUNTS.values())
-        and master_report.wall_time < 600.0
+        and rep.graphs_checked == sum(CONNECTED_COUNTS.values())
+        and rep.wall_time < 600.0
     )
     report(
         "three-term lower bound sweep, n <= 6",
         ok,
-        f"{master_report.graphs_checked} graphs, {len(bad)} violations, "
-        f"{master_report.wall_time:.1f}s wall",
+        f"{rep.graphs_checked} graphs, {len(bad)} violations, "
+        f"{rep.wall_time:.1f}s wall",
     )
 
 
@@ -163,18 +174,18 @@ def test_criterion_6_mixing_sweep():
                 lineno += 1
                 yield lineno, write_graph6(g)
 
-    rep = sweep(SweepConfig(checks=("mixing",), jobs=JOBS, corpus_id="gen:n<=5"),
-                lines())
+    rep, violations = swept(SweepConfig(checks=("mixing",), jobs=JOBS, corpus_id="gen:n<=5"),
+                            lines())
     g = petersen_graph()
     witness = independence_number(g).witness
     lhs, rhs = mixing_gap_single(g, witness, spectral_summary(g))
     ok = (
-        not rep.violations
+        not violations
         and abs(lhs - 4.8) <= 1e-8
         and abs(rhs - 4.8) <= 1e-8
     )
     report("mixing inequalities over all subset pairs, n <= 5", ok,
-           f"{rep.graphs_checked} graphs, {len(rep.violations)} violations, "
+           f"{rep.graphs_checked} graphs, {len(violations)} violations, "
            f"Petersen single-set {lhs:.9f} = {rhs:.9f}")
 
 
@@ -205,7 +216,7 @@ def test_criterion_8_independence_bound_sweep(alpha_report):
                for v in range(10) if not witness >> v & 1}
     ok = not bad and biregular and inside == {3} and outside == {2}
     report("independence bounds with equality structure, n <= 6", ok,
-           f"{alpha_report.graphs_checked} graphs, {len(bad)} violations, "
+           f"{alpha_report[0].graphs_checked} graphs, {len(bad)} violations, "
            f"Petersen biregular degrees {sorted(inside)}/{sorted(outside)}")
 
 

@@ -60,11 +60,11 @@ CORPORA = {
 
 # (argv, corpus) -> (exit code, sha256 of stdout)
 GOLDEN = {
-    (("verify",), "all-5"): (0, "180e3fbcecbcbac8d89adfc0d6f4117b7cb704cdecbf878fe81bd7babad2ec3d"),
-    (("verify", "--checks", "all"), "all-le4"): (0, "d5cfe16a178ccfce0e52b92ea25e193a930231349d5bd37174c0d0aeec87cac6"),
-    (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): (0, "d5cfe16a178ccfce0e52b92ea25e193a930231349d5bd37174c0d0aeec87cac6"),
-    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): (1, "18e6f08e21af9b3c54bb26930db1d21d5897d87cb188059774239253eb7c6875"),
-    (("verify", "--checks", "tough-lower,cut-partition"), "all-5"): (0, "38bf4ae1aaad85d5c83f1dc56aaa4064d51d1c5cd9bc0c931cd47bd8282a3906"),
+    (("verify",), "all-5"): (0, "977005d70ec343c5947dd97f5aec02bdb27771f052853ce5c14df7d82f0077e9"),
+    (("verify", "--checks", "all"), "all-le4"): (0, "48a839fd852bc912ceadd140c00057ed2a54dcf11f4ab24db44813756a4a4d36"),
+    (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): (0, "48a839fd852bc912ceadd140c00057ed2a54dcf11f4ab24db44813756a4a4d36"),
+    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): (1, "7b2fed727d346994a3501e90f23bd7d93fb7de98a7ac9223c17cdd4824a4dc6f"),
+    (("verify", "--checks", "tough-lower,cut-partition"), "all-5"): (0, "27abe4fae213acb17a47bb023c55a9c8abf86fed4e3b57a32cab2f92d80f1e1d"),
     (("bounds",), "conn-le5"): (0, "5205b2ef8ebf2e7fb3bffb036d94a7c988ca170d9225fac8e863ef8b91ca51c1"),
     (("bounds", "--csv"), "conn-le5"): (0, "d603aa7757d9d38a791f54b24a8b46865f8c55a178cf5ba81873fa217845b35f"),
     (("extremal",), "conn-le5"): (0, "cfe264bc41607e6dbc556b0f2a8b582695ec65ba8f12e024f67edde0f97a6b0d"),
@@ -75,12 +75,12 @@ GOLDEN = {
     (("alpha",), "all-le4"): (0, "007278ecb280013572716b2d48d6ba8dfe022bb9bceec6476cbcce1bd6e060d1"),
     (("gen", "--n", "5"), "none"): (0, "4ac9156f6af83aee1229b9eb4bd9cd3427c1fe25a0d0eb9f642eb054b3e857b0"),
     (("gen", "--n", "5", "--connected"), "none"): (0, "ef02b50d51d63e411f9036bb8042acbf9c1035b29aefc909246d366bfb9e6ff3"),
-    (("verify", "--gen", "5", "--connected"), "none"): (0, "180e3fbcecbcbac8d89adfc0d6f4117b7cb704cdecbf878fe81bd7babad2ec3d"),
+    (("verify", "--gen", "5", "--connected"), "none"): (0, "977005d70ec343c5947dd97f5aec02bdb27771f052853ce5c14df7d82f0077e9"),
     (("extremal", "--h-graph6", "A_", "--n", "5"), "none"): (0, "47a52d2c2e7d554bcea3d80c2e7b8d28f96f460b2bd4e463cbf78910d1c5ea3a"),
     (("extremal", "--h-graph6", "Bw", "--n", "6", "--table"), "none"): (0, "09ed204d7ab949956a22b6ebe4f14aab3892693d5ceb6ffbb3d2677bb16aed4d"),
     (("tough", "--format", "edges"), "petersen-edges"): (0, "c352397627b0d1f61a2989884e8ca41a9e3f63db7119d84f602bf7b9805cb108"),
     (("bounds", "--format", "edges", "--table"), "petersen-edges"): (0, "6338e6ae74086ee0e62bf5e82af73785f04126f69879fb7ad463878e19748fc8"),
-    (("verify",), "sample-7"): (0, "0d03fef82fc6cc3934d73cd8c6be699f7e347ebe7f22d9d1e1d5bcbd90e392b2"),
+    (("verify",), "sample-7"): (0, "82ee3bac04d6dd676a442807cb4eb2a1dca1a987fd10913bba3bdc65fdd4511f"),
     (("bounds",), "sample-7"): (0, "41aae9bb37a6393e73df3273e44312943642257df6a52fcdc7a315cd7532c0fb"),
     (("spectra",), "sample-7"): (0, "d458ecea3439679925d355832407bcc9cf3a698086be5495e59b1b568cb1de0e"),
 }

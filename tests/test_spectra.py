@@ -110,6 +110,13 @@ def test_summary_solves_adjacency_only_for_regular_graphs(monkeypatch, claw, c4)
     calls.clear()
     assert spectral_summary(c4).lambda_reg is not None
     assert calls.count("solve") == 3 and calls.count("adjacency") == 1
+    # `toughlab spectra` prints the full adjacency list with no extra solve
+    for g in (claw, c4):
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(g) + "\n"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["spectra"]) == 0
+        assert calls.count("solve") == 3, write_graph6(g)
 
 
 def test_cli_spectra_prints_the_adjacency_spectrum(monkeypatch, claw, c4):

@@ -1,12 +1,16 @@
 """Sweep engine determinism and the command-line interface."""
 
 import contextlib
+import importlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,12 +18,18 @@ import toughlab
 from toughlab import FormatError, path_graph, write_graph6
 from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, enumerate_labeled_connected
+from toughlab.graphs import is_complete
 from toughlab.sweep import (
     CHECK_NAMES,
+    Diagnostic,
+    Interesting,
     SweepConfig,
     SweepConfigError,
     sweep,
 )
+
+# the package exports the function `sweep` under the submodule's name
+SWEEP_MODULE = importlib.import_module("toughlab.sweep")
 
 
 def corpus_lines(n, connected=True):
@@ -27,34 +37,40 @@ def corpus_lines(n, connected=True):
     return [(i + 1, write_graph6(g)) for i, g in enumerate(graphs)]
 
 
+def swept(config, lines):
+    """(report, every record the sweep emitted, in order)."""
+    records = []
+    return sweep(config, lines, records.append), records
+
+
 def test_sweep_clean_corpus_all_checks():
-    report = sweep(SweepConfig(checks=CHECK_NAMES, corpus_id="gen:n=4:connected"),
-                   corpus_lines(4))
+    report, records = swept(SweepConfig(checks=CHECK_NAMES, corpus_id="gen:n=4:connected"),
+                            corpus_lines(4))
     assert report.graphs_checked == 38
-    assert report.violations == ()
-    assert report.diagnostics == ()
-    assert any(tag == "lap-product-equality" for _, tag in report.interesting)
+    assert report.violations == report.diagnostics == 0
+    assert report.interesting == len(records)
+    assert all(type(r) is Interesting for r in records)
+    assert any(r.tag == "lap-product-equality" for r in records)
 
 
 def test_sweep_single_complete_graph():
-    report = sweep(SweepConfig(corpus_id="k4"), [(1, "C~")])
+    report, _ = swept(SweepConfig(corpus_id="k4"), [(1, "C~")])
     assert report.graphs_checked == 1
-    assert report.violations == ()
+    assert report.violations == 0
 
 
 def test_sweep_reports_bad_lines_and_continues():
     lines = [(1, "C~"), (2, "!!"), (3, "Cl")]
-    report = sweep(SweepConfig(corpus_id="mixed"), lines)
+    report, records = swept(SweepConfig(corpus_id="mixed"), lines)
     assert report.graphs_checked == 2
-    assert len(report.diagnostics) == 1
-    assert report.diagnostics[0].lineno == 2
+    assert report.diagnostics == 1
+    assert [r.lineno for r in records if type(r) is Diagnostic] == [2]
 
 
 def test_sweep_strict_mode_raises():
-    from toughlab import FormatError
     lines = [(1, "C~"), (2, "!!")]
     with pytest.raises(FormatError, match="line 2"):
-        sweep(SweepConfig(corpus_id="mixed", strict=True), lines)
+        swept(SweepConfig(corpus_id="mixed", strict=True), lines)
 
 
 def test_sweep_config_validation():
@@ -69,14 +85,70 @@ def test_sweep_config_validation():
 def test_mixing_gate_rejects_large_graphs():
     lines = [(1, write_graph6(next(iter(enumerate_labeled_connected(7)))))]
     with pytest.raises(SweepConfigError, match="mixing"):
-        sweep(SweepConfig(checks=("mixing",)), lines)
+        swept(SweepConfig(checks=("mixing",)), lines)
 
 
 def test_parallel_sweep_is_deterministic():
-    lines = corpus_lines(5)
-    rep1 = sweep(SweepConfig(checks=CHECK_NAMES, jobs=1, corpus_id="c"), lines)
-    rep2 = sweep(SweepConfig(checks=CHECK_NAMES, jobs=2, corpus_id="c"), lines)
-    assert json.dumps(rep1.records_dict()) == json.dumps(rep2.records_dict())
+    lines = corpus_lines(5) + [(729, "!!")]
+    rep1, records1 = swept(SweepConfig(checks=CHECK_NAMES, jobs=1, corpus_id="c"), lines)
+    rep2, records2 = swept(SweepConfig(checks=CHECK_NAMES, jobs=2, corpus_id="c"), lines)
+    assert records1 and records1 == records2
+    assert rep1.diagnostics == 1
+    assert replace(rep1, wall_time=0) == replace(rep2, wall_time=0)
+
+
+def test_sweep_emits_each_chunk_before_reading_the_next():
+    # every one of these 1,000 graphs yields a tough-lower violation at tol -5
+    graphs = (g for n in (5, 6) for g in enumerate_labeled_connected(n) if not is_complete(g))
+    read = 0
+    seen_at_emit = []
+
+    def lines():
+        nonlocal read
+        for lineno, g in enumerate(itertools.islice(graphs, 1000), 1):
+            read += 1
+            yield lineno, write_graph6(g)
+
+    report = sweep(SweepConfig(checks=("tough-lower",), tol=-5), lines(),
+                   lambda record: seen_at_emit.append(read))
+    assert report.graphs_checked == report.violations == len(seen_at_emit) == 1000
+    assert seen_at_emit[0] <= 256
+
+
+def test_strict_mode_emits_the_records_before_the_bad_line():
+    # the bad line sits inside the second chunk, with good lines after it
+    # in that chunk and in the next one
+    good = corpus_lines(5)[:700]
+    config = SweepConfig(checks=("tough-lower", "alpha-bounds"), tol=-5)
+    _, before = swept(config, good[:300])
+    lines = good[:300] + [(301, "!!")] + [(lineno + 1, g6) for lineno, g6 in good[300:]]
+    assert len({r.graph6 for r in before}) == 300
+    for jobs in (1, 2):
+        records = []
+        with pytest.raises(FormatError, match="^line 301:"):
+            sweep(SweepConfig(checks=config.checks, tol=-5, jobs=jobs, strict=True),
+                  lines, records.append)
+        assert records == before
+
+
+def test_pool_size_is_capped_by_the_usable_cpus(monkeypatch):
+    requested = []
+
+    class FakeContext:
+        def Pool(self, size):
+            requested.append(size)
+            return contextlib.nullcontext(SimpleNamespace(imap=map))
+
+    monkeypatch.setattr(SWEEP_MODULE, "get_context", FakeContext)
+    lines = corpus_lines(4)
+    _, want = swept(SweepConfig(jobs=1), lines)
+    for cpus, jobs, pool in ((4, 2, [2]), (4, 100_000, [4]), (1, 100_000, [])):
+        monkeypatch.setattr(SWEEP_MODULE, "_usable_cpus", lambda: cpus)
+        requested.clear()
+        assert swept(SweepConfig(jobs=jobs), lines)[1] == want
+        assert requested == pool
+    monkeypatch.undo()
+    assert 1 <= SWEEP_MODULE._usable_cpus() <= (os.cpu_count() or 1)
 
 
 # the child interpreter imports the same toughlab as the tests, installed or not
@@ -150,6 +222,8 @@ def test_cli_verify_bad_line_modes():
     assert "line 2" in proc.stderr
     strict = run_cli(["verify", "--strict"], "C~\n!!\n")
     assert strict.returncode == 1
+    # the records of the lines before the bad one are already printed
+    assert strict.stdout == proc.stdout != ""
 
 
 def test_cli_usage_errors():
@@ -182,7 +256,7 @@ def test_strict_mode_reports_lowest_bad_line_with_jobs():
     lines = corpus_lines(6)[:255] + [(256, "!!"), (257, "!!")]
     for jobs in (1, 2):
         with pytest.raises(FormatError, match="^line 256:"):
-            sweep(SweepConfig(jobs=jobs, strict=True), lines)
+            swept(SweepConfig(jobs=jobs, strict=True), lines)
 
 
 def test_records_carry_the_graph6_record_without_its_header(monkeypatch):

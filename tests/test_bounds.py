@@ -1,6 +1,9 @@
 """Bound evaluators against hand-derived and oracle-derived values."""
 
+import itertools
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,8 @@ from toughlab import (
     toughness_lower_terms,
 )
 from toughlab.bounds import CSV_COLUMNS
-from toughlab.formats import enumerate_labeled_connected, write_graph6
+from toughlab.formats import enumerate_labeled, enumerate_labeled_connected, write_graph6
+from toughlab.graphs import Graph, edge_boundary, volume
 from toughlab.sweep import Violation, evaluate_graph
 
 
@@ -95,6 +99,53 @@ def test_mixing_requires_an_edge():
         mixing_gap(g, 1, 2, s)
     with pytest.raises(ValueError):
         mixing_gap_single(g, 1, s)
+
+
+def _seeded_graphs(n, count, seed):
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(count):
+        mask = rng.getrandbits(len(pairs))
+        yield Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
+def _reference_mixing(g, xi):
+    """(check, lhs, rhs) for every subset pair in the check's order, each
+    side computed from its definition with ``volume`` and ``edge_boundary``."""
+    nu_v = 2.0 * g.m
+    vol = [volume(g, x) for x in range(g.full_mask + 1)]
+    sides = []
+    for x, nu_x in enumerate(vol):
+        lhs = abs(edge_boundary(g, x, x) - nu_x * nu_x / nu_v)
+        sides.append(("mixing-single", lhs, xi * nu_x * (1.0 - nu_x / nu_v)))
+        for y, nu_y in enumerate(vol):
+            lhs = abs(edge_boundary(g, x, y) - nu_x * nu_y / nu_v)
+            rhs = xi * math.sqrt(nu_x * nu_y * (1.0 - nu_x / nu_v) * (1.0 - nu_y / nu_v))
+            sides.append(("mixing-pair", lhs, rhs))
+    return sides
+
+
+def test_mixing_records_match_the_per_pair_definition():
+    # every labeled graph with n <= 5 and 300 seeded 6-vertex graphs;
+    # order, count and the bits of both sides must agree
+    corpus = itertools.chain(
+        (g for n in range(1, 6) for g in enumerate_labeled(n)),
+        _seeded_graphs(6, 300, seed=6),
+    )
+    graphs = violations = 0
+    for g in corpus:
+        g6 = write_graph6(g)
+        sides = _reference_mixing(g, spectral_summary(g).xi) if g.m else []
+        for tol in (1e-7, -0.5):
+            want = [(check, lhs.hex(), rhs.hex())
+                    for check, lhs, rhs in sides if lhs > rhs + tol]
+            got = [(r.check, r.lhs.hex(), r.rhs.hex())
+                   for r in evaluate_graph(g6, g, ("mixing",), tol, 1e-7)]
+            assert got == want, (g6, tol)
+            violations += len(got)
+        graphs += 1
+    assert graphs == 1 + 2 + 8 + 64 + 1024 + 300
+    assert violations > 90_000
 
 
 def test_independence_bound_values(petersen, c4, k4):

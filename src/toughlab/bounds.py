@@ -3,7 +3,10 @@ per-graph report record.
 
 All evaluators are pure formulas returning plain bound values; callers (the
 sweep engine, the acceptance suite) compare them against the exact
-invariants.  EPS_EQ is the default equality detection window (per-graph
+invariants.  The two mixing evaluators take integers (an edge count, two
+volumes, 2m) and the normalized deviation rather than a graph and vertex
+sets, so the sweep can feed them from per-graph subset tables and evaluate
+each distinct triple once.  EPS_EQ is the default equality detection window (per-graph
 report, equality verdict): 1e-7, wide enough for the eigensolver's residual
 and tight enough to separate genuine equality cases on the small corpora.
 
@@ -27,7 +30,6 @@ from .graphs import (
     degree_profile,
     edge_boundary,
     iter_bits,
-    volume,
 )
 from .invariants import ToughnessCertificate
 from .spectra import SpectralSummary
@@ -93,31 +95,31 @@ def algebraic_connectivity_cap(summary: SpectralSummary, tau: Fraction) -> float
 
 
 def mixing_gap(
-    g: Graph, x: VertexSet, y: VertexSet, summary: SpectralSummary
+    e: int, nu_x: int, nu_y: int, two_m: int, xi: float
 ) -> tuple[float, float]:
-    """Two-set mixing inequality sides: (deviation of e(X,Y) from its
-    volume-expected value, xi times the variance-style envelope)."""
-    if g.m < 1:
+    """Two-set mixing inequality sides for sets X, Y with e = e(X, Y)
+    (edge_boundary) and volumes nu_x, nu_y in a graph of 2m = two_m and
+    normalized deviation xi: (deviation of e from its volume-expected value,
+    xi times the variance-style envelope)."""
+    if two_m < 1:
         raise ValueError("mixing needs at least one edge")
-    nu_v = 2.0 * g.m
-    nu_x = volume(g, x)
-    nu_y = volume(g, y)
-    lhs = abs(edge_boundary(g, x, y) - nu_x * nu_y / nu_v)
-    rhs = summary.xi * math.sqrt(
+    nu_v = float(two_m)
+    lhs = abs(e - nu_x * nu_y / nu_v)
+    rhs = xi * math.sqrt(
         nu_x * nu_y * (1.0 - nu_x / nu_v) * (1.0 - nu_y / nu_v))
     return lhs, rhs
 
 
 def mixing_gap_single(
-    g: Graph, x: VertexSet, summary: SpectralSummary
+    e: int, nu_x: int, two_m: int, xi: float
 ) -> tuple[float, float]:
-    """Single-set mixing inequality sides for X against itself."""
-    if g.m < 1:
+    """Single-set mixing inequality sides for X against itself, with
+    e = e(X, X) and nu_x as in mixing_gap."""
+    if two_m < 1:
         raise ValueError("mixing needs at least one edge")
-    nu_v = 2.0 * g.m
-    nu_x = volume(g, x)
-    lhs = abs(edge_boundary(g, x, x) - nu_x * nu_x / nu_v)
-    rhs = summary.xi * nu_x * (1.0 - nu_x / nu_v)
+    nu_v = float(two_m)
+    lhs = abs(e - nu_x * nu_x / nu_v)
+    rhs = xi * nu_x * (1.0 - nu_x / nu_v)
     return lhs, rhs
 
 

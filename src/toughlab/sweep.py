@@ -11,7 +11,9 @@ Violations record (graph6, check, lhs, rhs) where the failed comparison was
 "lhs within tolerance of rhs".  ``sweep`` hands each 256-line chunk's
 records to its caller as soon as the chunk is done, in input order, and
 keeps only counts: the record stream is the same at any parallelism degree,
-and memory does not grow with the input.
+and memory does not grow with the input.  With more than one worker it
+starts a process pool only when the input has a second chunk, and keeps at
+most two chunks per worker in flight, so a slow caller stops the reading.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ import json
 import math
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice, repeat
 from multiprocessing import get_context
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import (
@@ -47,7 +50,7 @@ from .graphs import Graph, component_masks, degree_profile, is_complete, is_conn
 from .invariants import ToughnessCertificate, independence_number, toughness
 from .spectra import spectral_summary
 
-MIXING_MAX_N = 6
+MIXING_MAX_N = 7
 
 
 class SweepConfigError(ValueError):
@@ -214,19 +217,38 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
 
 
 def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    """Both mixing inequalities over every subset pair."""
-    g, summary = f.g, f.summary
+    """Both mixing inequalities over every subset pair.
+
+    The volumes ``vol[x]`` and the ordered-pair edge counts
+    ``e[x][y] = edge_boundary(g, x, y)`` come from the lowest-set-bit
+    recurrence, one list operation per subset; each distinct
+    (e, vol[x], vol[y]) triple is evaluated once.
+    """
+    g = f.g
     if g.m < 1:
         return
-    full = g.full_mask
-    for x in range(full + 1):
-        lhs, rhs = mixing_gap_single(g, x, summary)
+    two_m, xi = 2 * g.m, f.summary.xi
+    subsets = range(g.full_mask + 1)
+    # into[v][y] = |N(v) & y|
+    into = [[(row & y).bit_count() for y in subsets] for row in g.rows]
+    vol = [0] * len(subsets)
+    e = [[0] * len(subsets)]
+    for x in subsets[1:]:
+        low = x & -x
+        v = low.bit_length() - 1
+        vol[x] = vol[x ^ low] + g.rows[v].bit_count()
+        e.append(list(map(add, e[x ^ low], into[v])))
+    gaps: dict[tuple[int, int, int], tuple[float, float]] = {}
+    for x in subsets:
+        lhs, rhs = mixing_gap_single(e[x][x], vol[x], two_m, xi)
         if lhs > rhs + tol:
             yield Violation(f.g6, "mixing-single", lhs, rhs)
-        for y in range(full + 1):
-            lhs, rhs = mixing_gap(g, x, y, summary)
-            if lhs > rhs + tol:
-                yield Violation(f.g6, "mixing-pair", lhs, rhs)
+        for triple in zip(e[x], repeat(vol[x]), vol):
+            sides = gaps.get(triple)
+            if sides is None:
+                sides = gaps[triple] = mixing_gap(*triple, two_m, xi)
+            if sides[0] > sides[1] + tol:
+                yield Violation(f.g6, "mixing-pair", *sides)
 
 
 def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
@@ -431,13 +453,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _in_order(pool, payload: Iterable, depth: int) -> Iterator[tuple[int, list]]:
+    """``_evaluate_chunk`` over ``payload`` on ``pool``, results in input
+    order, with at most ``depth`` chunks submitted and not yet taken.
+
+    Unlike ``Pool.imap``, which keeps collecting finished chunks while the
+    caller is busy, this bounds the records held in the parent: a slow
+    ``emit`` stops the reading of more input.
+    """
+    pending: deque = deque()
+    for args in payload:
+        pending.append(pool.apply_async(_evaluate_chunk, (args,)))
+        if len(pending) == depth:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
+
+
 def sweep(config: SweepConfig, lines: Iterable[tuple[int, str]],
           emit: Callable[[Record | Diagnostic], object]) -> SweepReport:
     """Evaluate every graph6 record in ``lines`` against the enabled checks.
 
     ``lines`` yields (line number, text).  Each violation, interesting
     record and diagnostic goes to ``emit`` as soon as its 256-line chunk is
-    done, in input order at any ``jobs``.  Malformed records become
+    done, in input order at any ``jobs``.  A pool of ``min(jobs, usable
+    CPUs)`` workers starts only when there are at least two chunks, and
+    holds at most two chunks per worker.  Malformed records become
     diagnostics and the sweep continues, unless strict mode is on: then the
     records of the lines before the first malformed one are emitted and
     FormatError is raised for that line.  The report holds only counts.
@@ -449,15 +490,21 @@ def sweep(config: SweepConfig, lines: Iterable[tuple[int, str]],
 
     nonblank = ((lineno, text) for lineno, text in lines if text.strip())
     chunks = iter(lambda: list(islice(nonblank, 256)), [])
+    workers = min(config.jobs, _usable_cpus())
+    if workers > 1:
+        # a pool does not pay for one chunk: read two before starting one
+        ahead = list(islice(chunks, 2))
+        chunks = chain(ahead, chunks)
+        if len(ahead) < 2:
+            workers = 1
     payload = ((chunk, config) for chunk in chunks)
     with ExitStack() as stack:
-        run = map
-        workers = min(config.jobs, _usable_cpus())
         if workers > 1:
-            # imap keeps chunk order, so records and the strict-mode line
-            # do not depend on worker scheduling
-            run = stack.enter_context(get_context().Pool(workers)).imap
-        for c, records in run(_evaluate_chunk, payload):
+            pool = stack.enter_context(get_context().Pool(workers))
+            results = _in_order(pool, payload, 2 * workers)
+        else:
+            results = map(_evaluate_chunk, payload)
+        for c, records in results:
             count += c
             for record in records:
                 if config.strict and type(record) is Diagnostic:

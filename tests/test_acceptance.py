@@ -15,6 +15,7 @@ from toughlab import (
     balanced_component_split,
     components,
     disjoint_union,
+    edge_boundary,
     independence_number,
     join,
     join_laplacian_spectrum,
@@ -28,6 +29,7 @@ from toughlab import (
     toughness,
     toughness_lower_terms,
     vertex_connectivity,
+    volume,
     write_graph6,
 )
 from toughlab.formats import enumerate_labeled, enumerate_labeled_connected
@@ -178,7 +180,8 @@ def test_criterion_6_mixing_sweep():
                             lines())
     g = petersen_graph()
     witness = independence_number(g).witness
-    lhs, rhs = mixing_gap_single(g, witness, spectral_summary(g))
+    lhs, rhs = mixing_gap_single(edge_boundary(g, witness, witness), volume(g, witness),
+                                 2 * g.m, spectral_summary(g).xi)
     ok = (
         not violations
         and abs(lhs - 4.8) <= 1e-8

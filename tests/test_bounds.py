@@ -81,24 +81,27 @@ def test_connectivity_cap(petersen, c4, claw):
 
 
 def test_mixing_values(c4, petersen):
-    s = spectral_summary(c4)
-    lhs, rhs = mixing_gap(c4, 1 << 0, 1 << 2, s)
+    xi = spectral_summary(c4).xi
+    x, y, full = 1 << 0, 1 << 2, c4.full_mask
+    lhs, rhs = mixing_gap(edge_boundary(c4, x, y), volume(c4, x), volume(c4, y), 2 * c4.m, xi)
     assert abs(lhs - 0.5) <= 1e-9 and abs(rhs - 1.5) <= 1e-8
-    lhs, rhs = mixing_gap(c4, c4.full_mask, c4.full_mask, s)
+    lhs, rhs = mixing_gap(edge_boundary(c4, full, full), volume(c4, full), volume(c4, full),
+                          2 * c4.m, xi)
     assert abs(lhs) <= 1e-9 and abs(rhs) <= 1e-9
-    s = spectral_summary(petersen)
-    lhs, rhs = mixing_gap_single(petersen, mask_of([0, 1, 2, 3]), s)
+    x = mask_of([0, 1, 2, 3])
+    lhs, rhs = mixing_gap_single(edge_boundary(petersen, x, x), volume(petersen, x),
+                                 2 * petersen.m, spectral_summary(petersen).xi)
     assert abs(lhs - 4.8) <= 1e-8 and abs(rhs - 4.8) <= 1e-8
 
 
 def test_mixing_requires_an_edge():
     from toughlab import empty_graph
     g = empty_graph(3)
-    s = spectral_summary(g)
+    xi = spectral_summary(g).xi
     with pytest.raises(ValueError):
-        mixing_gap(g, 1, 2, s)
+        mixing_gap(edge_boundary(g, 1, 2), volume(g, 1), volume(g, 2), 2 * g.m, xi)
     with pytest.raises(ValueError):
-        mixing_gap_single(g, 1, s)
+        mixing_gap_single(edge_boundary(g, 1, 1), volume(g, 1), 2 * g.m, xi)
 
 
 def _seeded_graphs(n, count, seed):
@@ -126,11 +129,12 @@ def _reference_mixing(g, xi):
 
 
 def test_mixing_records_match_the_per_pair_definition():
-    # every labeled graph with n <= 5 and 300 seeded 6-vertex graphs;
-    # order, count and the bits of both sides must agree
+    # every labeled graph with n <= 5, 300 seeded 6-vertex graphs and a few
+    # 7-vertex ones; order, count and the bits of both sides must agree
     corpus = itertools.chain(
         (g for n in range(1, 6) for g in enumerate_labeled(n)),
         _seeded_graphs(6, 300, seed=6),
+        _seeded_graphs(7, 4, seed=7),
     )
     graphs = violations = 0
     for g in corpus:
@@ -144,7 +148,7 @@ def test_mixing_records_match_the_per_pair_definition():
             assert got == want, (g6, tol)
             violations += len(got)
         graphs += 1
-    assert graphs == 1 + 2 + 8 + 64 + 1024 + 300
+    assert graphs == 1 + 2 + 8 + 64 + 1024 + 300 + 4
     assert violations > 90_000
 
 

@@ -83,7 +83,7 @@ def test_sweep_config_validation():
 
 
 def test_mixing_gate_rejects_large_graphs():
-    lines = [(1, write_graph6(next(iter(enumerate_labeled_connected(7)))))]
+    lines = [(1, write_graph6(path_graph(8)))]
     with pytest.raises(SweepConfigError, match="mixing"):
         swept(SweepConfig(checks=("mixing",)), lines)
 
@@ -131,24 +131,63 @@ def test_strict_mode_emits_the_records_before_the_bad_line():
         assert records == before
 
 
-def test_pool_size_is_capped_by_the_usable_cpus(monkeypatch):
+@pytest.fixture
+def pools(monkeypatch):
+    """The pool sizes a sweep asks for; its tasks run in-process, so no
+    pool starts."""
     requested = []
 
     class FakeContext:
         def Pool(self, size):
             requested.append(size)
-            return contextlib.nullcontext(SimpleNamespace(imap=map))
+            return contextlib.nullcontext(SimpleNamespace(
+                apply_async=lambda fn, args: SimpleNamespace(get=lambda: fn(*args))))
 
     monkeypatch.setattr(SWEEP_MODULE, "get_context", FakeContext)
-    lines = corpus_lines(4)
-    _, want = swept(SweepConfig(jobs=1), lines)
+    return requested
+
+
+def test_pool_size_is_capped_by_the_usable_cpus(monkeypatch, pools):
+    lines = corpus_lines(5)  # 728 lines, three chunks
+    _, want = swept(SweepConfig(checks=CHECK_NAMES, jobs=1), lines)
     for cpus, jobs, pool in ((4, 2, [2]), (4, 100_000, [4]), (1, 100_000, [])):
         monkeypatch.setattr(SWEEP_MODULE, "_usable_cpus", lambda: cpus)
-        requested.clear()
-        assert swept(SweepConfig(jobs=jobs), lines)[1] == want
-        assert requested == pool
+        pools.clear()
+        assert swept(SweepConfig(checks=CHECK_NAMES, jobs=jobs), lines)[1] == want
+        assert pools == pool
     monkeypatch.undo()
     assert 1 <= SWEEP_MODULE._usable_cpus() <= (os.cpu_count() or 1)
+
+
+def test_one_chunk_starts_no_pool(monkeypatch, pools):
+    monkeypatch.setattr(SWEEP_MODULE, "_usable_cpus", lambda: 2)
+    lines = corpus_lines(5)[:256]
+    _, want = swept(SweepConfig(checks=CHECK_NAMES, jobs=1), lines)
+    assert want and swept(SweepConfig(checks=CHECK_NAMES, jobs=2), lines)[1] == want
+    assert pools == []
+    swept(SweepConfig(jobs=2), corpus_lines(5)[:257])
+    assert pools == [2]
+
+
+def test_parallel_sweep_holds_a_bounded_number_of_chunks(monkeypatch):
+    # every line yields a tough-lower violation at tol -5; with two workers
+    # at most 2 x 2 chunks are in flight, so emit fires before the fifth
+    # chunk has been read past
+    monkeypatch.setattr(SWEEP_MODULE, "_usable_cpus", lambda: 2)
+    g6 = write_graph6(path_graph(4))
+    read = 0
+    seen_at_emit = []
+
+    def lines():
+        nonlocal read
+        for lineno in range(1, 3001):
+            read += 1
+            yield lineno, g6
+
+    report = sweep(SweepConfig(checks=("tough-lower",), tol=-5, jobs=2), lines(),
+                   lambda record: seen_at_emit.append(read))
+    assert report.graphs_checked == report.violations == len(seen_at_emit) == 3000
+    assert seen_at_emit[0] <= (2 * 2 + 1) * 256
 
 
 # the child interpreter imports the same toughlab as the tests, installed or not

@@ -3,12 +3,14 @@ per-graph report record.
 
 All evaluators are pure formulas returning plain bound values; callers (the
 sweep engine, the acceptance suite) compare them against the exact
-invariants.  The two mixing evaluators take integers (an edge count, two
-volumes, 2m) and the normalized deviation rather than a graph and vertex
-sets, so the sweep can feed them from per-graph subset tables and evaluate
-each distinct triple once.  EPS_EQ is the default equality detection window (per-graph
+invariants.  EPS_EQ is the default equality detection window (per-graph
 report, equality verdict): 1e-7, wide enough for the eigensolver's residual
 and tight enough to separate genuine equality cases on the small corpora.
+
+The two mixing evaluators take integers (an edge count, two volumes, 2m)
+and the normalized deviation rather than a graph and vertex sets, so the
+sweep can feed them from per-graph subset tables and evaluate each distinct
+triple once.
 
 Division guards: the normalized deviation xi cannot vanish for a graph with
 an edge (the eigenvalue trace forbids it), but the spectral term guards the

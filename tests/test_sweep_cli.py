@@ -149,11 +149,11 @@ def pools(monkeypatch):
 
 def test_pool_size_is_capped_by_the_usable_cpus(monkeypatch, pools):
     lines = corpus_lines(5)  # 728 lines, three chunks
-    _, want = swept(SweepConfig(checks=CHECK_NAMES, jobs=1), lines)
+    _, want = swept(SweepConfig(jobs=1), lines)
     for cpus, jobs, pool in ((4, 2, [2]), (4, 100_000, [4]), (1, 100_000, [])):
         monkeypatch.setattr(SWEEP_MODULE, "_usable_cpus", lambda: cpus)
         pools.clear()
-        assert swept(SweepConfig(checks=CHECK_NAMES, jobs=jobs), lines)[1] == want
+        assert swept(SweepConfig(jobs=jobs), lines)[1] == want
         assert pools == pool
     monkeypatch.undo()
     assert 1 <= SWEEP_MODULE._usable_cpus() <= (os.cpu_count() or 1)
@@ -162,17 +162,17 @@ def test_pool_size_is_capped_by_the_usable_cpus(monkeypatch, pools):
 def test_one_chunk_starts_no_pool(monkeypatch, pools):
     monkeypatch.setattr(SWEEP_MODULE, "_usable_cpus", lambda: 2)
     lines = corpus_lines(5)[:256]
-    _, want = swept(SweepConfig(checks=CHECK_NAMES, jobs=1), lines)
-    assert want and swept(SweepConfig(checks=CHECK_NAMES, jobs=2), lines)[1] == want
+    _, want = swept(SweepConfig(jobs=1), lines)
+    assert want and swept(SweepConfig(jobs=2), lines)[1] == want
     assert pools == []
     swept(SweepConfig(jobs=2), corpus_lines(5)[:257])
     assert pools == [2]
 
 
 def test_parallel_sweep_holds_a_bounded_number_of_chunks(monkeypatch):
-    # every line yields a tough-lower violation at tol -5; with two workers
-    # at most 2 x 2 chunks are in flight, so emit fires before the fifth
-    # chunk has been read past
+    # every line yields a tough-lower violation at tol -5; two workers hold
+    # at most 2 x 2 chunks in flight, so emit fires before a sixth chunk is
+    # read
     monkeypatch.setattr(SWEEP_MODULE, "_usable_cpus", lambda: 2)
     g6 = write_graph6(path_graph(4))
     read = 0

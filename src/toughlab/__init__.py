@@ -2,11 +2,10 @@
 
 from .graphs import (
     MAX_VERTICES,
-    ComponentPartition,
     Graph,
     VertexSet,
     complete_graph,
-    components,
+    component_masks,
     cycle_graph,
     degree_profile,
     disjoint_union,
@@ -27,7 +26,6 @@ from .graphs import (
 from .formats import (
     FormatError,
     enumerate_labeled,
-    enumerate_labeled_connected,
     parse_edge_list,
     parse_graph6,
     write_edge_list,
@@ -37,7 +35,6 @@ from .spectra import (
     ConvergenceError,
     SpectralSummary,
     adjacency_spectrum,
-    join_laplacian_spectrum,
     laplacian_spectrum,
     normalized_laplacian_spectrum,
     spectral_summary,
@@ -47,9 +44,7 @@ from .invariants import (
     ConnectivityCertificate,
     IndependenceCertificate,
     ToughnessCertificate,
-    balanced_component_split,
     independence_number,
-    subset_with_sum,
     toughness,
     vertex_connectivity,
 )
@@ -57,7 +52,6 @@ from .bounds import (
     EPS_EQ,
     BoundReport,
     algebraic_connectivity_cap,
-    cut_partition_bounds,
     independence_upper_bounds,
     laplacian_toughness_bounds,
     mixing_gap,
@@ -70,7 +64,6 @@ from .extremal import (
     ExtremalWitness,
     build_extremal,
     detect_join_form,
-    fiedler_structure_check,
 )
 from .sweep import (
     CHECK_NAMES,

@@ -20,19 +20,11 @@ anomaly instead of crashing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .graphs import (
-    Graph,
-    VertexSet,
-    components,
-    degree_profile,
-    edge_boundary,
-    iter_bits,
-)
+from .graphs import Graph, VertexSet, degree_profile, iter_bits
 from .invariants import ToughnessCertificate
 from .spectra import SpectralSummary
 
@@ -175,37 +167,14 @@ def semiregular_equality_check(
     return True
 
 
-def cut_partition_bounds(
-    g: Graph, s: VertexSet, x: VertexSet, y: VertexSet, summary: SpectralSummary
-) -> tuple[float, float]:
-    """Bounds tying a cut set S and a two-sided grouping X | Y of what it
-    separates to the Laplacian spectrum.
-
-    Returns (cap on |X|, floor on |S|): |X| <= (mu_1 - mu_{n-1})/(2 mu_1) * n
-    and |S| >= 2 mu_{n-1}/(mu_1 - mu_{n-1}) * |X|.  Validates that S is a
-    cut set, that X and Y partition the rest with no crossing edges, and
-    that |X| <= |Y|.
-    """
-    if x & y:
-        raise ValueError("X and Y must be disjoint")
-    if (s | x | y) != g.full_mask or s & (x | y):
-        raise ValueError("S, X, Y must partition the vertex set")
-    if not x or not y:
-        raise ValueError("X and Y must both be nonempty")
-    if components(g, s).omega < 2:
-        raise ValueError("S is not a cut set")
-    if edge_boundary(g, x, y):
-        raise ValueError("X and Y must have no crossing edges")
-    size_x = x.bit_count()
-    if size_x > y.bit_count():
-        raise ValueError("|X| must not exceed |Y|")
-    cap_ratio, floor_ratio = cut_partition_ratios(summary)
-    return cap_ratio * g.n, floor_ratio * size_x
-
-
 def cut_partition_ratios(summary: SpectralSummary) -> tuple[float, float]:
-    """(cap on |X| over n, floor on |S| over |X|) for cut_partition_bounds:
-    (mu_1 - mu_{n-1})/(2 mu_1) and 2 mu_{n-1}/(mu_1 - mu_{n-1})."""
+    """Bounds tying a cut set S, and a grouping X | Y of the components it
+    leaves with |X| <= |Y|, to the Laplacian spectrum.
+
+    Returns (cap on |X| over n, floor on |S| over |X|):
+    |X| <= (mu_1 - mu_{n-1})/(2 mu_1) * n and
+    |S| >= 2 mu_{n-1}/(mu_1 - mu_{n-1}) * |X|.
+    """
     mu1 = summary.laplacian_radius
     mu_second = summary.algebraic_connectivity
     return (mu1 - mu_second) / (2.0 * mu1), 2.0 * mu_second / (mu1 - mu_second)
@@ -248,9 +217,6 @@ class BoundReport:
             out[col] = None if isinstance(value, float) and not math.isfinite(value) else value
         out["tau"] = self.tau_text()
         return out
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def to_csv_row(self) -> list[str]:
         d = self.to_json_dict()

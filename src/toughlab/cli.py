@@ -5,8 +5,9 @@ Graphs come from --file or standard input, as graph6 lines (default) or a
 single whitespace edge list (--format edges).  Results stream as JSON lines
 on stdout; human-readable tables with --table; summaries go to stderr.
 
-Exit codes: 0 clean, 1 sweep violations (or a strict-mode parse failure),
-2 usage or I/O errors.
+Exit codes: 0 clean, 1 sweep violations (or the diagnostic that stops a
+strict-mode sweep), 2 usage, input or I/O errors, including a per-graph
+command whose eigensolver does not converge.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .formats import (
 )
 from .graphs import Graph, vertices_of
 from .invariants import independence_number, toughness, vertex_connectivity
-from .spectra import adjacency_spectrum, spectral_summary
+from .spectra import ConvergenceError, adjacency_spectrum, spectral_summary
 from .sweep import (
     CHECK_NAMES,
     DEFAULT_CHECKS,
@@ -261,9 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default=",".join(DEFAULT_CHECKS),
                    help="comma-separated check names, or 'all'")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--tol", type=float, default=1e-7, help="inequality slack")
-    p.add_argument("--eq-tol", type=float, default=1e-7, help="equality detection window")
-    p.add_argument("--strict", action="store_true", help="abort on malformed corpus lines")
+    p.add_argument("--tol", type=float, default=SweepConfig.tol, help="inequality slack")
+    p.add_argument("--eq-tol", type=float, default=SweepConfig.eps_eq,
+                   help="equality detection window")
+    p.add_argument("--strict", action="store_true",
+                   help="stop at the first line that cannot be parsed or evaluated")
     p.set_defaults(fn=_cmd_verify)
     return parser
 
@@ -273,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, SweepConfigError, ValueError) as exc:
+    except (FormatError, SweepConfigError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

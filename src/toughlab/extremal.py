@@ -4,34 +4,25 @@ The graphs attaining both Laplacian toughness bounds are exactly the joins
 of an arbitrary base graph H on delta vertices with n - delta isolated
 vertices, subject to an eigenvalue floor on H: the second-smallest
 Laplacian eigenvalue of H must be at least 2*delta - n.  This module builds
-members of the family, detects the decomposition in arbitrary graphs, and
-checks the companion structure forced when the algebraic connectivity
-equals the vertex connectivity.  The verdict that compares the detected
-structure with numeric equality lives with the other per-graph facts in
-``sweep``.
+members of the family and detects the decomposition in arbitrary graphs.
+The verdict that compares the detected structure with numeric equality
+lives with the other per-graph facts in ``sweep``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .bounds import EPS_EQ
 from .graphs import (
     Graph,
     VertexSet,
-    components,
     degree_profile,
     empty_graph,
     induced_subgraph,
-    is_complete,
-    is_connected,
     iter_bits,
     join,
-    mask_of,
 )
-from .invariants import vertex_connectivity
-from .spectra import SpectralSummary, laplacian_spectrum, spectral_summary
+from .spectra import laplacian_spectrum
 
 EIGEN_SLACK = 1e-7
 
@@ -100,34 +91,3 @@ def detect_join_form(g: Graph) -> ExtremalWitness | None:
             return ExtremalWitness(base, part, delta, _eigen_condition(base, delta, n))
     return None
 
-
-def fiedler_structure_check(g: Graph, summary: SpectralSummary | None = None) -> bool:
-    """Verify the structure forced when algebraic connectivity equals vertex
-    connectivity.
-
-    Requires that equality as a precondition (ValueError otherwise).  Then
-    for every minimum cut set S, every vertex of S must be adjacent to all
-    vertices outside S, and the induced G[S] must clear the eigenvalue floor
-    2*kappa - n (vacuous for kappa = 1).  Exhaustive over all size-kappa
-    subsets; meant for desk-scale graphs.
-    """
-    if not is_connected(g) or is_complete(g):
-        raise ValueError("check requires a connected non-complete graph")
-    if summary is None:
-        summary = spectral_summary(g)
-    kappa = vertex_connectivity(g).kappa
-    if abs(summary.algebraic_connectivity - kappa) > EPS_EQ:
-        raise ValueError(
-            f"algebraic connectivity {summary.algebraic_connectivity} != kappa {kappa}")
-    n = g.n
-    for combo in itertools.combinations(range(n), kappa):
-        s = mask_of(combo)
-        if components(g, s).omega < 2:
-            continue
-        outside = g.full_mask & ~s
-        for v in combo:
-            if g.rows[v] & outside != outside:
-                return False
-        if not _eigen_condition(induced_subgraph(g, s), kappa, n):
-            return False
-    return True

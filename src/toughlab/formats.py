@@ -148,10 +148,6 @@ def enumerate_labeled(n: int, connected_only: bool = False) -> Iterator[Graph]:
     return _labeled_graphs(n, connected_only)
 
 
-def enumerate_labeled_connected(n: int) -> Iterator[Graph]:
-    return enumerate_labeled(n, connected_only=True)
-
-
 def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
     # lexicographic (i, j) order defines the edge-mask bits
     pairs = list(itertools.combinations(range(n), 2))

@@ -101,24 +101,6 @@ class Graph:
                 yield (i, j)
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Connected components of an induced subgraph, as disjoint bitmasks.
-
-    Blocks are ordered ascending by (size, mask) so certificates are
-    deterministic.
-    """
-
-    blocks: tuple[VertexSet, ...]
-
-    @property
-    def omega(self) -> int:
-        return len(self.blocks)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(b.bit_count() for b in self.blocks)
-
-
 def component_masks(rows: tuple[int, ...], remaining: VertexSet) -> list[VertexSet]:
     """Connected components of the subgraph induced on ``remaining``."""
     comps = []
@@ -163,20 +145,6 @@ def edge_boundary(g: Graph, x: VertexSet, y: VertexSet) -> int:
     _check_set(g, x)
     _check_set(g, y)
     return sum((g.rows[v] & y).bit_count() for v in iter_bits(x))
-
-
-def components(g: Graph, removed: VertexSet) -> ComponentPartition:
-    """Partition the vertices outside ``removed`` into connected components.
-
-    Raises ValueError when the removal leaves no vertices behind.
-    """
-    _check_set(g, removed)
-    remaining = g.full_mask & ~removed
-    if remaining == 0:
-        raise ValueError("removal leaves an empty remainder")
-    blocks = component_masks(g.rows, remaining)
-    blocks.sort(key=lambda b: (b.bit_count(), b))
-    return ComponentPartition(tuple(blocks))
 
 
 def is_connected(g: Graph) -> bool:

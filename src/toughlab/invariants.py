@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
-    ComponentPartition,
     Graph,
     VertexSet,
     component_masks,
@@ -251,104 +250,3 @@ def _min_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, VertexSet]:
             sep |= 1 << v
     return flow, sep
 
-
-def subset_with_sum(sizes: list[int], target: int) -> set[int]:
-    """Indices of a sub-multiset of ``sizes`` summing exactly to ``target``.
-
-    Requires positive entries with total at most 2 * len(sizes) - 1 (the
-    regime in which every target 0 <= target <= total is attainable) and
-    refuses anything outside it, since existence is otherwise not
-    guaranteed.
-    """
-    p = len(sizes)
-    if any(s < 1 for s in sizes):
-        raise ValueError("sizes must be positive integers")
-    if target == 0:
-        return set()  # trivially attainable for any sizes
-    total = sum(sizes)
-    if total >= 2 * p:
-        raise ValueError(f"total {total} exceeds 2p - 1 = {2 * p - 1}; existence not guaranteed")
-    if not 0 <= target <= total:
-        raise ValueError(f"target {target} outside 0..{total}")
-    # parent[s] = index used to first reach sum s
-    parent: dict[int, int | None] = {0: None}
-    sums = [0]
-    for idx, val in enumerate(sizes):
-        new = []
-        for s in sums:
-            t = s + val
-            if t not in parent:
-                parent[t] = idx
-                new.append(t)
-        sums += new
-    if target not in parent:
-        raise RuntimeError("unreachable: guaranteed subset sum not found")
-    out: set[int] = set()
-    s = target
-    while s:
-        idx = parent[s]
-        assert idx is not None
-        out.add(idx)
-        s -= sizes[idx]
-    return out
-
-
-def balanced_component_split(
-    partition: ComponentPartition, omega: int
-) -> tuple[VertexSet, VertexSet]:
-    """Split component blocks into two sides R, T with no crossing edges and
-    both sides of size at least omega.
-
-    Follows the constructive argument: if the largest block already has
-    omega vertices it becomes one side on its own; otherwise a subset-sum
-    selection over the smaller blocks (truncated to total 2*omega - 3 when
-    necessary) tops the largest block up to exactly omega.
-
-    Requires blocks in ascending size order, total size >= 2*omega + 1, and
-    the smaller blocks summing to at least omega.
-    """
-    blocks = partition.blocks
-    if omega != len(blocks):
-        raise ValueError(f"partition has {len(blocks)} blocks, expected {omega}")
-    if omega < 2:
-        raise ValueError("split needs at least two blocks")
-    sizes = [b.bit_count() for b in blocks]
-    if any(a > b for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("block sizes must be ascending")
-    total = sum(sizes)
-    if total < 2 * omega + 1:
-        raise ValueError(f"total size {total} below 2*omega + 1 = {2 * omega + 1}")
-    small_total = total - sizes[-1]
-    if small_total < omega:
-        raise ValueError(
-            f"smaller blocks sum to {small_total} < omega = {omega}; split not guaranteed")
-
-    if sizes[-1] >= omega:
-        chosen = set(range(omega - 1))
-    else:
-        ell = omega - sizes[-1]
-        small = sizes[:-1]
-        if small_total <= 2 * omega - 3:
-            chosen = subset_with_sum(small, ell)
-        else:
-            # truncate the smaller blocks to total 2*omega - 3, keeping each
-            # nonempty, then select against the truncated sizes
-            trunc = [1] * (omega - 1)
-            slack = (2 * omega - 3) - (omega - 1)
-            for i in range(omega - 1):
-                take = min(small[i] - 1, slack)
-                trunc[i] += take
-                slack -= take
-                if not slack:
-                    break
-            chosen = subset_with_sum(trunc, ell)
-        chosen.add(omega - 1)
-
-    r = 0
-    t = 0
-    for i, b in enumerate(blocks):
-        if i in chosen:
-            r |= b
-        else:
-            t |= b
-    return r, t

@@ -202,30 +202,3 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     adj = tuple(adjacency_spectrum(g)) if dmax == dmin else None
     return SpectralSummary(tuple(lap), tuple(norm), xi, adj)
 
-
-def join_laplacian_spectrum(
-    mu_g: list[float], mu_h: list[float], n_g: int, n_h: int
-) -> list[float]:
-    """Laplacian spectrum of a join from the spectra of the two sides.
-
-    The result is {n_g + n_h} with the interior of each spectrum shifted by
-    the opposite order, plus the trailing zero, sorted descending.
-    """
-    _check_spectrum(mu_g, n_g, "first")
-    _check_spectrum(mu_h, n_h, "second")
-    vals = [float(n_g + n_h)]
-    vals += [x + n_h for x in mu_g[:-1]]
-    vals += [n_g + y for y in mu_h[:-1]]
-    vals.append(0.0)
-    vals.sort(reverse=True)
-    return vals
-
-
-def _check_spectrum(mu: list[float], n: int, which: str) -> None:
-    if n < 1 or len(mu) != n:
-        raise ValueError(f"{which} spectrum must list exactly its graph order")
-    for a, b in zip(mu, mu[1:]):
-        if a < b - 1e-8:
-            raise ValueError(f"{which} spectrum must be sorted descending")
-    if abs(mu[-1]) > 1e-8:
-        raise ValueError(f"{which} spectrum must end in zero")

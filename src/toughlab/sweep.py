@@ -48,7 +48,7 @@ from .extremal import ExtremalWitness, detect_join_form
 from .formats import FormatError, graph6_record, parse_graph6, write_graph6
 from .graphs import Graph, component_masks, degree_profile, is_complete, is_connected
 from .invariants import ToughnessCertificate, independence_number, toughness
-from .spectra import spectral_summary
+from .spectra import ConvergenceError, spectral_summary
 
 MIXING_MAX_N = 7
 
@@ -314,7 +314,7 @@ DEFAULT_CHECKS = tuple(name for name in CHECKS if name not in ("mixing", "cut-pa
 class SweepConfig:
     checks: tuple[str, ...] = DEFAULT_CHECKS
     tol: float = 1e-7
-    eps_eq: float = 1e-7
+    eps_eq: float = EPS_EQ
     jobs: int = 1
     strict: bool = False
     corpus_id: str = "<corpus>"
@@ -358,7 +358,10 @@ def evaluate_graph(
 
     Checks whose preconditions the graph does not meet (disconnected or
     complete input for toughness checks, edgeless graphs for mixing) are
-    skipped, not failed.
+    skipped, not failed.  A graph the checks cannot evaluate raises:
+    SweepConfigError for mixing above MIXING_MAX_N vertices, and
+    ConvergenceError from the eigensolver; ``sweep`` turns either into a
+    diagnostic for its line.
     """
     checks = set(checks)
     if "mixing" in checks and g.n > MIXING_MAX_N:
@@ -428,20 +431,22 @@ def equality_case_verdict(g: Graph) -> EqualityVerdict:
 
 
 def _evaluate_chunk(args) -> tuple[int, list[Record | Diagnostic]]:
-    """(graphs checked, records in line order); in strict mode the chunk
-    stops at its first malformed line, whose diagnostic comes last."""
+    """(graphs checked, records in line order).  A line that does not parse
+    or whose graph the checks cannot evaluate yields a diagnostic and no
+    records; in strict mode the chunk stops there, its diagnostic last."""
     chunk, config = args
     count = 0
     records: list[Record | Diagnostic] = []
     for lineno, line in chunk:
         try:
             g = parse_graph6(line)
-        except FormatError as exc:
+            records += evaluate_graph(graph6_record(line), g, config.checks, config.tol,
+                                      config.eps_eq)
+        except (FormatError, SweepConfigError, ConvergenceError) as exc:
             records.append(Diagnostic(lineno, str(exc)))
             if config.strict:
                 break
             continue
-        records += evaluate_graph(graph6_record(line), g, config.checks, config.tol, config.eps_eq)
         count += 1
     return count, records
 
@@ -478,10 +483,11 @@ def sweep(config: SweepConfig, lines: Iterable[tuple[int, str]],
     record and diagnostic goes to ``emit`` as soon as its 256-line chunk is
     done, in input order at any ``jobs``.  A pool of ``min(jobs, usable
     CPUs)`` workers starts only when there are at least two chunks, and
-    holds at most two chunks per worker.  Malformed records become
-    diagnostics and the sweep continues, unless strict mode is on: then the
-    records of the lines before the first malformed one are emitted and
-    FormatError is raised for that line.  The report holds only counts.
+    holds at most two chunks per worker.  Malformed records, and graphs the
+    checks cannot evaluate (see ``evaluate_graph``), become diagnostics and
+    the sweep continues, unless strict mode is on: then the records of the
+    lines before the first such line are emitted and FormatError is raised
+    for that line.  The report holds only counts.
     """
     config.validate()
     start = time.perf_counter()

@@ -12,7 +12,6 @@ from toughlab import (
     algebraic_connectivity_cap,
     bound_report,
     complete_graph,
-    cut_partition_bounds,
     independence_number,
     independence_upper_bounds,
     laplacian_toughness_bounds,
@@ -24,8 +23,8 @@ from toughlab import (
     spectral_summary,
     toughness_lower_terms,
 )
-from toughlab.bounds import CSV_COLUMNS
-from toughlab.formats import enumerate_labeled, enumerate_labeled_connected, write_graph6
+from toughlab.bounds import CSV_COLUMNS, cut_partition_ratios
+from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.graphs import Graph, edge_boundary, volume
 from toughlab.sweep import Violation, evaluate_graph
 
@@ -173,44 +172,22 @@ def test_semiregular_structure(petersen, c4, claw):
 
 
 def test_cut_partition_values(c4, claw, petersen):
-    s = spectral_summary(c4)
-    cap, floor = cut_partition_bounds(c4, mask_of([0, 2]), 1 << 1, 1 << 3, s)
-    assert abs(cap - 1) <= 1e-8 and abs(floor - 2) <= 1e-8
-    s = spectral_summary(claw)
-    cap, floor = cut_partition_bounds(claw, 1 << 0, 1 << 1, mask_of([2, 3]), s)
-    assert abs(cap - 1.5) <= 1e-8 and abs(floor - 2 / 3) <= 1e-8
-    s = spectral_summary(petersen)
-    cut = mask_of([0, 1, 2, 3])
-    from toughlab import components
-    blocks = components(petersen, cut).blocks
-    x, y = blocks[0], blocks[1] | blocks[2]
-    cap, floor = cut_partition_bounds(petersen, cut, x, y, s)
-    assert abs(cap - 3) <= 1e-7
-    assert abs(floor - 4 / 3 * x.bit_count()) <= 1e-7
-
-
-def test_cut_partition_validation(c4):
-    s = spectral_summary(c4)
-    with pytest.raises(ValueError, match="disjoint"):
-        cut_partition_bounds(c4, mask_of([0, 2]), 1 << 1, 1 << 1, s)
-    with pytest.raises(ValueError, match="partition"):
-        cut_partition_bounds(c4, mask_of([0, 2]), 1 << 1, 0, s)
-    with pytest.raises(ValueError, match="not a cut"):
-        cut_partition_bounds(c4, 1 << 0, 1 << 1, mask_of([2, 3]), s)
-    from toughlab import path_graph
-    p4 = path_graph(4)
-    sp = spectral_summary(p4)
-    with pytest.raises(ValueError, match="crossing"):
-        cut_partition_bounds(p4, 1 << 1, 1 << 2, mask_of([0, 3]), sp)
-    with pytest.raises(ValueError, match="exceed"):
-        cut_partition_bounds(p4, 1 << 1, mask_of([2, 3]), 1 << 0, sp)
+    # (cap on |X|, floor on |S|) = (cap ratio * n, floor ratio * |X|)
+    cap_ratio, floor_ratio = cut_partition_ratios(spectral_summary(c4))
+    assert abs(cap_ratio * 4 - 1) <= 1e-8 and abs(floor_ratio * 1 - 2) <= 1e-8
+    cap_ratio, floor_ratio = cut_partition_ratios(spectral_summary(claw))
+    assert abs(cap_ratio * 4 - 1.5) <= 1e-8 and abs(floor_ratio * 1 - 2 / 3) <= 1e-8
+    # the cut {0, 1, 2, 3} leaves three 2-vertex blocks; X is one of them
+    cap_ratio, floor_ratio = cut_partition_ratios(spectral_summary(petersen))
+    assert abs(cap_ratio * 10 - 3) <= 1e-7
+    assert abs(floor_ratio * 2 - 8 / 3) <= 1e-7
 
 
 def test_report_fields_and_serialization(c4, k4):
     rep = bound_report(c4)
     assert rep.equality_lap_product and rep.equality_lap_gap
     assert rep.tau_text() == "1"
-    data = json.loads(rep.to_json_line())
+    data = json.loads(json.dumps(rep.to_json_dict()))
     assert list(data.keys()) == list(CSV_COLUMNS)
     assert data["graph6"] == write_graph6(c4)
     row = rep.to_csv_row()
@@ -234,7 +211,7 @@ def test_master_inequalities_quick():
     checks = ("tough-lower", "lap-product", "lap-gap", "conn-cap", "regular",
               "alpha-bounds", "mixing", "cut-partition", "extremal-iff")
     for n in range(1, 5):
-        for g in enumerate_labeled_connected(n):
+        for g in enumerate_labeled(n, connected_only=True):
             g6 = write_graph6(g)
             records = evaluate_graph(g6, g, checks, 1e-7, 1e-7)
             violations = [r for r in records if type(r) is Violation]
@@ -242,7 +219,7 @@ def test_master_inequalities_quick():
 
 
 def test_slack_is_nonnegative_for_finite_toughness():
-    for g in enumerate_labeled_connected(5):
+    for g in enumerate_labeled(5, connected_only=True):
         rep = bound_report(g)
         if rep.tau.infinite:
             continue

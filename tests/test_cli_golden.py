@@ -19,18 +19,13 @@ import sys
 import pytest
 
 from toughlab.cli import main
-from toughlab.formats import (
-    enumerate_labeled,
-    enumerate_labeled_connected,
-    write_edge_list,
-    write_graph6,
-)
+from toughlab.formats import enumerate_labeled, write_edge_list, write_graph6
 from toughlab.graphs import Graph, cycle_graph, is_connected, petersen_graph
 
 
 def _lines(ns, connected):
-    enum = enumerate_labeled_connected if connected else enumerate_labeled
-    return "".join(write_graph6(g) + "\n" for n in ns for g in enum(n))
+    return "".join(write_graph6(g) + "\n" for n in ns
+                   for g in enumerate_labeled(n, connected_only=connected))
 
 
 def _sample7_lines():

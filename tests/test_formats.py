@@ -10,7 +10,6 @@ from toughlab import (
     Graph,
     complete_graph,
     enumerate_labeled,
-    enumerate_labeled_connected,
     is_connected,
     parse_edge_list,
     parse_graph6,
@@ -137,15 +136,15 @@ def test_edge_list_fuzz_raises_format_error_or_validates():
 def test_enumeration_counts_match_recurrence():
     expected = {1: 1, 3: 4, 4: 38}
     for n, want in expected.items():
-        assert sum(1 for _ in enumerate_labeled_connected(n)) == want
+        assert sum(1 for _ in enumerate_labeled(n, connected_only=True)) == want
     for n in range(1, 6):
-        got = sum(1 for _ in enumerate_labeled_connected(n))
+        got = sum(1 for _ in enumerate_labeled(n, connected_only=True))
         assert got == connected_labeled_count(n)
 
 
 def test_enumeration_is_deterministic_and_filtered():
-    first = [write_graph6(g) for g in enumerate_labeled_connected(4)]
-    second = [write_graph6(g) for g in enumerate_labeled_connected(4)]
+    first = [write_graph6(g) for g in enumerate_labeled(4, connected_only=True)]
+    second = [write_graph6(g) for g in enumerate_labeled(4, connected_only=True)]
     assert first == second
     assert all(is_connected(parse_graph6(s)) for s in first)
     full = sum(1 for _ in enumerate_labeled(4))
@@ -163,7 +162,7 @@ def test_enumeration_rejects_out_of_range():
 def test_enumeration_is_pull_based_at_the_top_size():
     # pulling a few records from the 2**21-mask stream must be instant
     import itertools as it
-    head = list(it.islice(iter(enumerate_labeled_connected(7)), 3))
+    head = list(it.islice(iter(enumerate_labeled(7, connected_only=True)), 3))
     assert len(head) == 3
     assert all(g.n == 7 and is_connected(g) for g in head)
 

@@ -8,7 +8,7 @@ import pytest
 from toughlab import (
     Graph,
     complete_graph,
-    components,
+    component_masks,
     cycle_graph,
     degree_profile,
     disjoint_union,
@@ -86,25 +86,18 @@ def test_edge_boundary_self_is_double_internal_count():
 
 
 def test_components(c4, petersen):
-    part = components(c4, mask_of([0, 2]))
-    assert part.sizes() == (1, 1)
-    assert part.blocks == (1 << 1, 1 << 3)
+    assert component_masks(c4.rows, c4.full_mask & ~mask_of([0, 2])) == [1 << 1, 1 << 3]
     closed = (1 << 0) | petersen.rows[0]
-    part = components(petersen, closed)
-    assert part.sizes() == (6,)
+    (block,) = component_masks(petersen.rows, petersen.full_mask & ~closed)
+    assert block.bit_count() == 6
     # the remainder is a 6-cycle: connected and 2-regular
-    ring = induced_subgraph(petersen, part.blocks[0])
+    ring = induced_subgraph(petersen, block)
     assert is_connected(ring) and degree_profile(ring)[:2] == (2, 2)
 
 
 def test_components_empty_removal_matches_connectivity():
     for g in enumerate_labeled(4):
-        assert (components(g, 0).omega == 1) == is_connected(g)
-
-
-def test_components_rejects_full_removal(c4):
-    with pytest.raises(ValueError):
-        components(c4, c4.full_mask)
+        assert (len(component_masks(g.rows, g.full_mask)) == 1) == is_connected(g)
 
 
 def test_join_small_cases(c4):
@@ -134,9 +127,9 @@ def test_disjoint_union():
     k1 = complete_graph(1)
     assert disjoint_union(k1, k1) == empty_graph(2)
     twok2 = disjoint_union(complete_graph(2), complete_graph(2))
-    assert twok2.m == 2 and components(twok2, 0).omega == 2
+    assert twok2.m == 2 and len(component_masks(twok2.rows, twok2.full_mask)) == 2
     mixed = disjoint_union(cycle_graph(4), k1)
-    assert components(mixed, 0).sizes() == (1, 4)
+    assert component_masks(mixed.rows, mixed.full_mask) == [0b01111, 0b10000]
 
 
 def test_connected_complete_flags(petersen):

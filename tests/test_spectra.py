@@ -15,8 +15,6 @@ from toughlab import (
     cycle_graph,
     disjoint_union,
     degree_profile,
-    join,
-    join_laplacian_spectrum,
     laplacian_spectrum,
     adjacency_spectrum,
     normalized_laplacian_spectrum,
@@ -157,35 +155,6 @@ def test_top_normalized_eigenvalue_detects_bipartite_parts():
                 continue
             top = normalized_laplacian_spectrum(g)[0]
             assert (abs(top - 2) <= 1e-7) == has_nontrivial_bipartite_component(g)
-
-
-def test_join_spectrum_formula_examples():
-    assert close(join_laplacian_spectrum([0.0], [0.0], 1, 1), [2, 0])
-    got = join_laplacian_spectrum([2.0, 0.0], [0.0, 0.0, 0.0], 2, 3)
-    assert close(got, [5, 5, 2, 2, 0])
-    got = join_laplacian_spectrum([0.0, 0.0], [0.0, 0.0], 2, 2)
-    assert close(got, [4, 2, 2, 0])
-
-
-def test_join_spectrum_matches_numeric_small():
-    for ng in range(1, 4):
-        for g in enumerate_labeled(ng):
-            mu_g = laplacian_spectrum(g)
-            for nh in range(1, 4):
-                for h in enumerate_labeled(nh):
-                    mu_h = laplacian_spectrum(h)
-                    want = laplacian_spectrum(join(g, h))
-                    got = join_laplacian_spectrum(mu_g, mu_h, ng, nh)
-                    assert close(got, want)
-
-
-def test_join_spectrum_rejects_malformed():
-    with pytest.raises(ValueError, match="end in zero"):
-        join_laplacian_spectrum([2.0, 1.0], [0.0], 2, 1)
-    with pytest.raises(ValueError, match="descending"):
-        join_laplacian_spectrum([0.0, 2.0], [0.0], 2, 1)
-    with pytest.raises(ValueError, match="exactly"):
-        join_laplacian_spectrum([0.0], [0.0], 2, 1)
 
 
 def test_eigenvalue_counts_with_multiplicity():

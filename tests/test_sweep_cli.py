@@ -15,9 +15,9 @@ from types import SimpleNamespace
 import pytest
 
 import toughlab
-from toughlab import FormatError, path_graph, write_graph6
+from toughlab import FormatError, path_graph, spectra, star_graph, write_graph6
 from toughlab.cli import main
-from toughlab.formats import enumerate_labeled, enumerate_labeled_connected
+from toughlab.formats import enumerate_labeled
 from toughlab.graphs import is_complete
 from toughlab.sweep import (
     CHECK_NAMES,
@@ -83,9 +83,40 @@ def test_sweep_config_validation():
 
 
 def test_mixing_gate_rejects_large_graphs():
-    lines = [(1, write_graph6(path_graph(8)))]
-    with pytest.raises(SweepConfigError, match="mixing"):
-        swept(SweepConfig(checks=("mixing",)), lines)
+    # P8 on line 5, between the four connected 3-vertex graphs twice over
+    good = corpus_lines(3)
+    lines = good + [(5, write_graph6(path_graph(8)))] + [(i + 5, g6) for i, g6 in good]
+    config = SweepConfig(checks=("mixing",), tol=-0.5)
+    _, want = swept(config, good + good)
+    assert want
+    for jobs in (1, 2):
+        report, records = swept(replace(config, jobs=jobs), lines)
+        diagnostics = [r for r in records if type(r) is Diagnostic]
+        assert [d.lineno for d in diagnostics] == [5]
+        assert diagnostics[0].message.startswith("mixing check caps at n = 7")
+        assert [r for r in records if type(r) is not Diagnostic] == want
+        assert report.graphs_checked == 8 and report.diagnostics == 1
+        with pytest.raises(FormatError, match="^line 5: mixing check caps"):
+            swept(replace(config, jobs=jobs, strict=True), lines)
+
+
+def test_an_eigensolver_failure_becomes_a_diagnostic(monkeypatch):
+    real = spectra.laplacian_spectrum
+    bad = path_graph(4)
+
+    def laplacian_spectrum(g):
+        if g == bad:
+            raise spectra.ConvergenceError("no convergence after 100 sweeps")
+        return real(g)
+
+    monkeypatch.setattr(spectra, "laplacian_spectrum", laplacian_spectrum)
+    good = [write_graph6(star_graph(3)), "Cl"]
+    lines = [(1, good[0]), (2, write_graph6(bad)), (3, good[1])]
+    report, records = swept(SweepConfig(tol=-5), lines)
+    assert report.graphs_checked == 2 and report.diagnostics == 1
+    assert [r for r in records if type(r) is Diagnostic] == [
+        Diagnostic(2, "no convergence after 100 sweeps")]
+    assert {r.graph6 for r in records if type(r) is not Diagnostic} == set(good)
 
 
 def test_parallel_sweep_is_deterministic():
@@ -99,7 +130,7 @@ def test_parallel_sweep_is_deterministic():
 
 def test_sweep_emits_each_chunk_before_reading_the_next():
     # every one of these 1,000 graphs yields a tough-lower violation at tol -5
-    graphs = (g for n in (5, 6) for g in enumerate_labeled_connected(n) if not is_complete(g))
+    graphs = (g for n in (5, 6) for g in enumerate_labeled(n, connected_only=True) if not is_complete(g))
     read = 0
     seen_at_emit = []
 
@@ -274,6 +305,22 @@ def test_cli_usage_errors():
     assert proc.returncode == 2
     proc = run_cli(["extremal", "--h-graph6", "A_"])
     assert proc.returncode == 2
+
+
+def test_cli_reports_an_eigensolver_failure(monkeypatch, capsys):
+    def symmetric_eigenvalues(matrix):
+        raise spectra.ConvergenceError("no convergence after 100 sweeps")
+
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues", symmetric_eigenvalues)
+    for argv in (["spectra"], ["bounds"], ["extremal"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "error: no convergence after 100 sweeps\n")
+    # in a sweep the graph is a diagnostic, which leaves the exit status alone
+    monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))
+    assert main(["verify"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("line 1: no convergence after 100 sweeps\n")
 
 
 def test_cli_spectra_table(c4):

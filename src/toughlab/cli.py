@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from typing import Iterator
@@ -220,7 +221,10 @@ def _print_sweep_record(record: Record | Diagnostic) -> None:
         print(json.dumps({"kind": kind, **record._asdict()}))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every ``main``
+    call; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="toughlab",
         description="Exact toughness, spectra, and spectral-bound certification for small graphs.")

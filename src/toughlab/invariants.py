@@ -20,7 +20,6 @@ from .graphs import (
     is_complete,
     is_connected,
     iter_bits,
-    mask_of,
     vertices_of,
 )
 
@@ -63,40 +62,58 @@ class ConnectivityCertificate:
     separator: VertexSet | None  # None exactly for complete graphs
 
 
-def toughness(g: Graph) -> ToughnessCertificate:
+def toughness(g: Graph, *, alpha: int | None = None) -> ToughnessCertificate:
     """Exact toughness with an optimal cut witness.
 
-    Enumerates cut candidates by increasing size s, stopping once
-    s / (n - s) can no longer beat the incumbent (component counts are
-    bounded by n - s).  Among optimal cuts the certificate reports the one
-    of minimum size, and among those the numerically smallest bitmask.
+    Walks the cuts S by increasing size s, and within a size in increasing
+    bitmask order (Gosper's hack).  For each S it grows only the component
+    of the lowest vertex of V - S; when that component is all of V - S, S
+    is not a cut and is skipped, otherwise the rest is split into its
+    components to count omega(G - S).  Every component of G - S gives one
+    vertex to an independent set, so omega(G - S) <= min(alpha, n - s), and
+    the walk stops at the first size s where s / min(alpha, n - s) cannot
+    beat the incumbent.  Only a strictly smaller ratio replaces the
+    incumbent, so among optimal cuts the certificate reports the one of
+    minimum size, and among those the numerically smallest bitmask.
+    ``alpha`` is the independence number of ``g``, computed when not given.
     Raises ValueError on disconnected input.
     """
     if not is_connected(g):
         raise ValueError("toughness requires a connected graph")
     if is_complete(g):
         return ToughnessCertificate(None, None, None, None, True)
+    if alpha is None:
+        alpha = independence_number(g).alpha
     n = g.n
+    rows = g.rows
     full = g.full_mask
-    best_num = best_den = 0
-    best_cut = -1
+    # 1/0 stands for an infinite ratio until the first cut is found; a
+    # non-complete graph has one of size n - 2
+    best_num, best_den, best_cut = 1, 0, -1
     for size in range(1, n - 1):
-        # ratio at this size is at least size/(n-size); nothing left to win
-        if best_cut >= 0 and size * best_den >= best_num * (n - size):
+        # ratio at this size is at least size/min(alpha, n-size); nothing left to win
+        if size * best_den >= best_num * min(alpha, n - size):
             break
-        for combo in itertools.combinations(range(n), size):
-            cut = mask_of(combo)
-            comps = component_masks(g.rows, full & ~cut)
-            omega = len(comps)
-            if omega < 2:
-                continue
-            if (
-                best_cut < 0
-                or size * best_den < best_num * omega
-                or (size * best_den == best_num * omega
-                    and size == best_num and cut < best_cut)
-            ):
-                best_num, best_den, best_cut = size, omega, cut
+        cut = (1 << size) - 1
+        while not cut >> n:
+            rest = full & ~cut
+            comp = frontier = rest & -rest
+            while frontier:
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= rows[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grown & rest & ~comp
+                comp |= frontier
+            if comp != rest:
+                omega = 1 + len(component_masks(rows, rest & ~comp))
+                if size * best_den < best_num * omega:
+                    best_num, best_den, best_cut = size, omega, cut
+            # Gosper's hack: the next larger mask with the same bit count
+            low = cut & -cut
+            step = cut + low
+            cut = (((step ^ cut) >> 2) // low) | step
     return ToughnessCertificate(best_num, best_den, best_cut, best_den, False)
 
 

@@ -47,7 +47,12 @@ from .bounds import (
 from .extremal import ExtremalWitness, detect_join_form
 from .formats import FormatError, graph6_record, parse_graph6, write_graph6
 from .graphs import Graph, component_masks, degree_profile, is_complete, is_connected
-from .invariants import ToughnessCertificate, independence_number, toughness
+from .invariants import (
+    IndependenceCertificate,
+    ToughnessCertificate,
+    independence_number,
+    toughness,
+)
 from .spectra import ConvergenceError, spectral_summary
 
 MIXING_MAX_N = 7
@@ -86,8 +91,9 @@ class GraphFacts:
 
     The cheap facts are set on construction.  ``bounded`` marks the graphs
     the toughness bounds speak about: connected and not complete (so
-    n >= 2).  The toughness certificate, the two Laplacian bounds and the
-    join witness are computed on first read and kept.
+    n >= 2).  The independence and toughness certificates, the two
+    Laplacian bounds and the join witness are computed on first read and
+    kept; toughness reads the independence number for its stopping rule.
     """
 
     def __init__(self, g6: str, g: Graph) -> None:
@@ -99,9 +105,14 @@ class GraphFacts:
         self.bounded = self.connected and not self.complete
 
     @cached_property
+    def alpha_cert(self) -> IndependenceCertificate:
+        """Exact independence number with a witness; needs n >= 1."""
+        return independence_number(self.g)
+
+    @cached_property
     def cert(self) -> ToughnessCertificate:
         """Exact toughness certificate; requires a connected graph."""
-        return toughness(self.g)
+        return toughness(self.g, alpha=self.alpha_cert.alpha)
 
     @cached_property
     def tau(self) -> float:
@@ -199,8 +210,7 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
     """Independence number under its three bounds, biregular at equality."""
     if f.g.m < 1:
         return
-    alpha_cert = independence_number(f.g)
-    alpha = alpha_cert.alpha
+    alpha = f.alpha_cert.alpha
     degree_b, mixing_b, laplacian_b = independence_upper_bounds(f.g, f.summary)
     for name, value in (
         ("alpha-degree", degree_b),
@@ -210,7 +220,7 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
         if alpha > value + tol:
             yield Violation(f.g6, name, float(alpha), value)
     if abs(alpha - laplacian_b) <= eps_eq:
-        if semiregular_equality_check(f.g, alpha_cert.witness, f.summary):
+        if semiregular_equality_check(f.g, f.alpha_cert.witness, f.summary):
             yield Interesting(f.g6, "alpha-laplacian-equality")
         else:
             yield Violation(f.g6, "alpha-semiregular", float(alpha), laplacian_b)

@@ -55,6 +55,22 @@ def brute_toughness(graph) -> Fraction | None:
     return best
 
 
+def brute_toughness_certificate(graph) -> tuple[Fraction, int, int] | None:
+    """(tau, |S|, bitmask of S) for the optimal cut of minimum size, and
+    among those the numerically smallest mask; None for complete graphs."""
+    adj = to_adj(graph)
+    n = graph.n
+    best = None
+    for mask in range(1, 1 << n):
+        cut = {v for v in range(n) if mask >> v & 1}
+        comps = component_sets(adj, cut)
+        if len(comps) >= 2:
+            key = (Fraction(len(cut), len(comps)), len(cut), mask)
+            if best is None or key < best:
+                best = key
+    return best
+
+
 def brute_alpha(graph) -> int:
     adj = to_adj(graph)
     n = graph.n

@@ -24,7 +24,7 @@ from toughlab import (
 )
 from toughlab.formats import enumerate_labeled
 
-from _oracles import to_adj
+from _oracles import component_sets, to_adj
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -96,8 +96,9 @@ def test_components(c4, petersen):
 
 
 def test_components_empty_removal_matches_connectivity():
-    for g in enumerate_labeled(4):
-        assert (len(component_masks(g.rows, g.full_mask)) == 1) == is_connected(g)
+    for n in range(1, 6):
+        for g in enumerate_labeled(n):
+            assert is_connected(g) == (len(component_sets(to_adj(g), set())) == 1)
 
 
 def test_join_small_cases(c4):

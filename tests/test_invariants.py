@@ -9,17 +9,21 @@ from toughlab import (
     Graph,
     complete_graph,
     component_masks,
+    cycle_graph,
     degree_profile,
     disjoint_union,
+    empty_graph,
     independence_number,
     is_connected,
+    join,
     mask_of,
+    petersen_graph,
     toughness,
     vertex_connectivity,
 )
 from toughlab.formats import enumerate_labeled
 
-from _oracles import brute_alpha, brute_kappa, brute_toughness
+from _oracles import brute_alpha, brute_kappa, brute_toughness, brute_toughness_certificate
 
 
 def test_toughness_examples(petersen, c4, claw):
@@ -50,15 +54,37 @@ def test_toughness_rejects_disconnected():
         toughness(disjoint_union(complete_graph(2), complete_graph(2)))
 
 
+def assert_certificate_matches_oracle(g):
+    """τ, |S|, the cut and ω equal the oracle's minimum-size, minimum-mask cut."""
+    want = brute_toughness_certificate(g)
+    cert = toughness(g)
+    if want is None:
+        assert cert.infinite
+        return
+    tau, size, cut = want
+    assert (cert.value, cert.tau_num, cert.cut) == (tau, size, cut)
+    assert cert.omega == cert.tau_den == len(component_masks(g.rows, g.full_mask & ~cut))
+
+
 def test_toughness_matches_exhaustive_oracle():
-    for n in range(2, 6):
+    for n in range(2, 7):
         for g in enumerate_labeled(n, connected_only=True):
-            want = brute_toughness(g)
-            cert = toughness(g)
-            if want is None:
-                assert cert.infinite
-            else:
-                assert cert.value == want
+            assert_certificate_matches_oracle(g)
+
+
+def test_toughness_certificate_matches_oracle_on_larger_graphs():
+    rng = random.Random(1012)
+    graphs = [petersen_graph(), cycle_graph(12), join(empty_graph(7), empty_graph(7))]
+    for n in (10, 11, 12):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(7):
+            p = rng.choice((0.3, 0.5, 0.7))
+            g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+            while not is_connected(g):
+                g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+            graphs.append(g)
+    for g in graphs:
+        assert_certificate_matches_oracle(g)
 
 
 def test_invariants_match_oracles_on_random_graphs_7_to_10():

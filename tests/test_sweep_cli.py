@@ -356,6 +356,41 @@ def test_records_carry_the_graph6_record_without_its_header(monkeypatch):
         assert records and {r["graph6"] for r in records} == {"Cl"}, argv
 
 
+def test_the_cached_parser_carries_nothing_between_calls(monkeypatch):
+    from toughlab import cli
+
+    text = "".join(g6 + "\n" for _, g6 in corpus_lines(4))
+    calls = (
+        ["tough", "--table"],
+        ["tough"],
+        ["tough", "--format", "nope"],
+        ["verify", "--checks", "alpha-bounds", "--tol", "-0.5"],
+        ["verify"],
+    )
+
+    def outputs():
+        """(exit code, stdout) of each call, in one process and in order."""
+        results = []
+        for argv in calls:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+            results.append((code, out.getvalue()))
+        return results
+
+    cached = outputs()
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cached == outputs()
+    table, plain, invalid, custom, default = cached
+    assert invalid == (("exit", 2), "")
+    assert table[1] != plain[1] and custom[1] != default[1] != ""
+
+
 def test_cut_partition_equality_follows_eq_tol():
     # P4: the strict grouping {0} | {2, 3} of the cut {1} has |X| = 1 against
     # a cap of about 1.66, inside a window of 1 but not of 1e-7

@@ -63,7 +63,17 @@ def assert_certificate_matches_oracle(g):
         return
     tau, size, cut = want
     assert (cert.value, cert.tau_num, cert.cut) == (tau, size, cut)
-    assert cert.omega == cert.tau_den == len(component_masks(g.rows, g.full_mask & ~cut))
+    assert cert.omega == cert.tau_den == size / tau
+
+
+def connected_gnp(rng, n):
+    """A connected G(n, p) draw, p from {0.3, 0.5, 0.7}."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = rng.choice((0.3, 0.5, 0.7))
+    g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+    while not is_connected(g):
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+    return g
 
 
 def test_toughness_matches_exhaustive_oracle():
@@ -74,28 +84,16 @@ def test_toughness_matches_exhaustive_oracle():
 
 def test_toughness_certificate_matches_oracle_on_larger_graphs():
     rng = random.Random(1012)
-    graphs = [petersen_graph(), cycle_graph(12), join(empty_graph(7), empty_graph(7))]
-    for n in (10, 11, 12):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for _ in range(7):
-            p = rng.choice((0.3, 0.5, 0.7))
-            g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
-            while not is_connected(g):
-                g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
-            graphs.append(g)
-    for g in graphs:
+    graphs = [connected_gnp(rng, n) for n in (10, 11, 12) for _ in range(7)]
+    for g in graphs + [petersen_graph(), cycle_graph(12), join(empty_graph(7), empty_graph(7))]:
         assert_certificate_matches_oracle(g)
 
 
 def test_invariants_match_oracles_on_random_graphs_7_to_10():
     rng = random.Random(710)
     for n in range(7, 11):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for _ in range(25):
-            p = rng.choice((0.3, 0.5, 0.7))
-            g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
-            while not is_connected(g):
-                g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+            g = connected_gnp(rng, n)
             want = brute_toughness(g)
             cert = toughness(g)
             assert cert.infinite if want is None else cert.value == want

@@ -188,6 +188,9 @@ def _cmd_verify(args) -> int:
         checks = CHECK_NAMES
     else:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    if args.connected and args.gen is None:
+        print("error: --connected needs --gen", file=sys.stderr)
+        return 2
     if args.gen is not None:
         graphs = enumerate_labeled(args.gen, connected_only=args.connected)
         corpus_id = f"gen:n={args.gen}" + (":connected" if args.connected else "")
@@ -259,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("verify", help="sweep a corpus against the inequality checks")
-    p.add_argument("--file", help="graph6 corpus path (default: standard input)")
-    p.add_argument("--gen", type=int, help="sweep a generated corpus of this order instead")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--file", help="graph6 corpus path (default: standard input)")
+    source.add_argument("--gen", type=int, help="sweep a generated corpus of this order instead")
     p.add_argument("--connected", action="store_true",
                    help="with --gen: connected graphs only")
     p.add_argument("--checks", default=",".join(DEFAULT_CHECKS),

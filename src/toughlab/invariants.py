@@ -2,6 +2,9 @@
 
 Toughness is computed as an exact rational (integer cut size over integer
 component count, compared by cross multiplication, never through floats).
+Its cut walk grows the components of G - S a frontier at a time, taking the
+union of the frontier's neighbour rows from two per-graph lookup tables of
+at most 1,024 entries each (the "four Russians" trick).
 Independence goes through a bitset branch and bound, vertex connectivity
 through vertex-split max flow.  Certificates carry the witnessing sets so
 tests and reports can re-check optimality independently.
@@ -16,7 +19,6 @@ from fractions import Fraction
 from .graphs import (
     Graph,
     VertexSet,
-    component_masks,
     is_complete,
     is_connected,
     iter_bits,
@@ -62,21 +64,58 @@ class ConnectivityCertificate:
     separator: VertexSet | None  # None exactly for complete graphs
 
 
+# Vertices with labels below this reach their neighbour rows through the two
+# subset-union tables of toughness, half of them in each table, so a graph
+# never builds more than 2 * 2**10 table entries.  Higher labels fall back
+# to a per-vertex loop.
+UNION_TABLE_VERTICES = 20
+
+
+def _subset_unions(rows: tuple[int, ...]) -> list[int]:
+    """``table[x]`` is the union of ``rows[v]`` over the bits v of x.
+
+    Doubles the table once per row: the upper half is the lower half with
+    that row added, one list comprehension per row.
+    """
+    table = [0]
+    for row in rows:
+        table += [t | row for t in table]
+    return table
+
+
+def _union_tables(rows: tuple[int, ...]) -> tuple[list[int], list[int], int, int]:
+    """``(lo, hi, split, top)``: the subset-union tables of toughness.
+
+    With top = min(n, UNION_TABLE_VERTICES) and split = ceil(top / 2), the
+    union of ``rows[v]`` over the bits v of a mask is ``lo[mask & (len(lo)
+    - 1)] | hi[mask >> split & (len(hi) - 1)]`` plus ``rows[v]`` for each
+    bit v >= top.
+    """
+    top = min(len(rows), UNION_TABLE_VERTICES)
+    split = (top + 1) // 2
+    return _subset_unions(rows[:split]), _subset_unions(rows[split:top]), split, top
+
+
 def toughness(g: Graph, *, alpha: int | None = None) -> ToughnessCertificate:
     """Exact toughness with an optimal cut witness.
 
     Walks the cuts S by increasing size s, and within a size in increasing
-    bitmask order (Gosper's hack).  For each S it grows only the component
-    of the lowest vertex of V - S; when that component is all of V - S, S
-    is not a cut and is skipped, otherwise the rest is split into its
-    components to count omega(G - S).  Every component of G - S gives one
-    vertex to an independent set, so omega(G - S) <= min(alpha, n - s), and
-    the walk stops at the first size s where s / min(alpha, n - s) cannot
-    beat the incumbent.  Only a strictly smaller ratio replaces the
-    incumbent, so among optimal cuts the certificate reports the one of
-    minimum size, and among those the numerically smallest bitmask.
-    ``alpha`` is the independence number of ``g``, computed when not given.
-    Raises ValueError on disconnected input.
+    bitmask order (Gosper's hack).  For each S it grows the components of
+    G - S one at a time from the lowest vertex not yet reached, and a
+    component stops growing as soon as no vertex is left, so a set S that
+    is not a cut costs one search and omega(G - S) is counted by the same
+    growth.  Each growth step takes the union of the frontier's neighbour
+    rows from two tables built once per graph, the unions of every subset
+    of each half of the first min(n, 20) vertices (at most 2 * 1,024
+    entries); frontier vertices from label 20 up are looked up one at a
+    time.  Every component of G - S gives one vertex to an independent set,
+    so omega(G - S) <= min(alpha, n - s), and the walk stops at the first
+    size s where s / min(alpha, n - s) cannot beat the incumbent.  Only a
+    strictly smaller ratio replaces the incumbent, so among optimal cuts the
+    certificate reports the one of minimum size, and among those the
+    numerically smallest bitmask.  ``alpha`` is the independence number of
+    ``g``, computed when not given.  Raises ValueError on disconnected
+    input.
     """
     if not is_connected(g):
         raise ValueError("toughness requires a connected graph")
@@ -87,6 +126,9 @@ def toughness(g: Graph, *, alpha: int | None = None) -> ToughnessCertificate:
     n = g.n
     rows = g.rows
     full = g.full_mask
+    lo, hi, split, top = _union_tables(rows)
+    lo_mask, hi_mask = len(lo) - 1, len(hi) - 1
+    far_rows = rows[top:]
     # 1/0 stands for an infinite ratio until the first cut is found; a
     # non-complete graph has one of size n - 2
     best_num, best_den, best_cut = 1, 0, -1
@@ -96,20 +138,25 @@ def toughness(g: Graph, *, alpha: int | None = None) -> ToughnessCertificate:
             break
         cut = (1 << size) - 1
         while not cut >> n:
-            rest = full & ~cut
-            comp = frontier = rest & -rest
-            while frontier:
-                grown = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grown |= rows[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = grown & rest & ~comp
-                comp |= frontier
-            if comp != rest:
-                omega = 1 + len(component_masks(rows, rest & ~comp))
-                if size * best_den < best_num * omega:
-                    best_num, best_den, best_cut = size, omega, cut
+            todo = full & ~cut
+            omega = 0
+            while todo:
+                # grow the component of the lowest vertex left; what it does
+                # not reach is left for the next one
+                frontier = todo & -todo
+                todo ^= frontier
+                while frontier and todo:
+                    grown = lo[frontier & lo_mask] | hi[frontier >> split & hi_mask]
+                    far = frontier >> top
+                    while far:
+                        low = far & -far
+                        grown |= far_rows[low.bit_length() - 1]
+                        far ^= low
+                    frontier = grown & todo
+                    todo ^= frontier
+                omega += 1
+            if omega > 1 and size * best_den < best_num * omega:
+                best_num, best_den, best_cut = size, omega, cut
             # Gosper's hack: the next larger mask with the same bit count
             low = cut & -cut
             step = cut + low

@@ -20,8 +20,10 @@ from toughlab import (
     petersen_graph,
     toughness,
     vertex_connectivity,
+    vertices_of,
 )
 from toughlab.formats import enumerate_labeled
+from toughlab.invariants import UNION_TABLE_VERTICES, _union_tables
 
 from _oracles import brute_alpha, brute_kappa, brute_toughness, brute_toughness_certificate
 
@@ -87,6 +89,46 @@ def test_toughness_certificate_matches_oracle_on_larger_graphs():
     graphs = [connected_gnp(rng, n) for n in (10, 11, 12) for _ in range(7)]
     for g in graphs + [petersen_graph(), cycle_graph(12), join(empty_graph(7), empty_graph(7))]:
         assert_certificate_matches_oracle(g)
+
+
+def per_vertex_union(rows, mask):
+    grown = 0
+    for v in vertices_of(mask):
+        grown |= rows[v]
+    return grown
+
+
+def assert_table_union_matches(g, masks):
+    """The table lookups plus the per-vertex rows from label 20 up give the union."""
+    lo, hi, split, top = _union_tables(g.rows)
+    assert top == min(g.n, UNION_TABLE_VERTICES)
+    assert len(lo) == 1 << split and len(hi) == 1 << (top - split)
+    assert len(lo) + len(hi) <= 2 * 1024
+    for mask in masks:
+        far = per_vertex_union(g.rows, mask >> top << top)
+        got = lo[mask & len(lo) - 1] | hi[mask >> split & len(hi) - 1] | far
+        assert got == per_vertex_union(g.rows, mask), (g.n, mask)
+
+
+def test_union_tables_match_the_per_vertex_union():
+    rng = random.Random(3064)
+    for g in (petersen_graph(), cycle_graph(12), connected_gnp(rng, 11), connected_gnp(rng, 12)):
+        assert_table_union_matches(g, range(g.full_mask + 1))
+    for n in (30, 64):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.3])
+        assert_table_union_matches(g, [rng.getrandbits(n) for _ in range(3000)])
+
+
+def test_toughness_above_the_table_vertices_matches_closed_forms():
+    # K_{a,b} with the a-side on the top labels: the only cut of size a is that side
+    for a, b in ((2, 19), (3, 22), (4, 20), (2, 38)):
+        cert = toughness(join(empty_graph(b), empty_graph(a)))
+        assert (cert.value, cert.cut, cert.omega) == (Fraction(a, b), ((1 << a) - 1) << b, b)
+    # K_{1,k} centred on the last label
+    for k in (20, 40, 63):
+        cert = toughness(join(empty_graph(k), empty_graph(1)))
+        assert (cert.value, cert.cut, cert.omega) == (Fraction(1, k), 1 << k, k)
 
 
 def test_invariants_match_oracles_on_random_graphs_7_to_10():

@@ -286,6 +286,18 @@ def test_cli_verify_generated_corpus():
     assert summary["corpus_id"] == "gen:n=3:connected"
 
 
+def test_cli_verify_rejects_file_with_gen():
+    proc = run_cli(["verify", "--gen", "3", "--file", "x.g6"])
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "--file" in proc.stderr
+
+
+def test_cli_verify_rejects_connected_without_gen():
+    proc = run_cli(["verify", "--connected"], "C~\n")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "--connected needs --gen" in proc.stderr
+
+
 def test_cli_verify_bad_line_modes():
     proc = run_cli(["verify"], "C~\n!!\n")
     assert proc.returncode == 0  # diagnostics alone do not fail the sweep

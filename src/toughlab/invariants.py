@@ -6,8 +6,12 @@ Its cut walk grows the components of G - S a frontier at a time, taking the
 union of the frontier's neighbour rows from two per-graph lookup tables of
 at most 1,024 entries each (the "four Russians" trick).
 Independence goes through a bitset branch and bound, vertex connectivity
-through vertex-split max flow.  Certificates carry the witnessing sets so
-tests and reports can re-check optimality independently.
+through vertex-split max flow on one network per graph: a candidate pair is
+skipped when its common neighbors already match the best cut, and otherwise
+its flow starts from the paths through them and stops at the best cut, all
+without changing the reported separator (the one closest to the pair's
+first vertex, which every maximum flow gives).  Certificates carry the
+witnessing sets so tests and reports can re-check optimality independently.
 """
 
 from __future__ import annotations
@@ -224,73 +228,118 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
 
     Fixes a minimum-degree vertex v and takes the minimum cut over v against
     each of its non-neighbors, plus every nonadjacent pair of neighbors of
-    v.  Complete graphs return n - 1 with no separator.  Raises ValueError
-    on disconnected input.
+    v, in that order; only a strictly smaller cut replaces the incumbent,
+    which starts as deg(v) with the neighborhood of v.  The split network is
+    built once per graph.  The c common neighbors of a pair are c disjoint
+    paths between them, so a pair with c >= the incumbent cannot win and is
+    skipped; any other pair starts its flow from those c paths and stops as
+    soon as the flow reaches the incumbent.  A pair that does win reports
+    the minimum separator closest to its first vertex, which every maximum
+    flow gives, so neither the skip, the seeded paths nor the stop changes
+    the certificate.  Complete graphs return n - 1 with no separator.
+    Raises ValueError on disconnected input.
     """
     if not is_connected(g):
         raise ValueError("vertex connectivity requires a connected graph")
     n = g.n
     if is_complete(g):
         return ConnectivityCertificate(n - 1, None)
-    degrees = [r.bit_count() for r in g.rows]
+    rows = g.rows
+    degrees = [r.bit_count() for r in rows]
     v0 = min(range(n), key=lambda v: (degrees[v], v))
     best = degrees[v0]
-    best_sep = g.rows[v0]  # the open neighborhood separates v0 from a non-neighbor
+    best_sep = rows[v0]  # the open neighborhood separates v0 from a non-neighbor
     candidates = []
-    non_nbrs = g.full_mask & ~(g.rows[v0] | 1 << v0)
+    non_nbrs = g.full_mask & ~(rows[v0] | 1 << v0)
     for u in iter_bits(non_nbrs):
         candidates.append((v0, u))
-    nbrs = vertices_of(g.rows[v0])
+    nbrs = vertices_of(rows[v0])
     for a, b in itertools.combinations(nbrs, 2):
         if not g.has_edge(a, b):
             candidates.append((a, b))
+    network = _split_network(rows)
     for s, t in candidates:
-        value, sep = _min_vertex_cut(g, s, t)
-        if value < best:
-            best, best_sep = value, sep
+        cut = _min_vertex_cut(network, rows, s, t, best)
+        if cut is not None:
+            best, best_sep = cut
     return ConnectivityCertificate(best, best_sep)
 
 
-def _min_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, VertexSet]:
-    """Minimum s-t vertex cut for nonadjacent s, t via unit vertex capacities.
+def _split_network(rows: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
+    """``(adj, cap)``: the vertex-split flow network of a graph.
 
-    Each vertex v splits into nodes 2v (in) and 2v+1 (out) with capacity 1,
-    terminals get effectively unbounded capacity, and each edge contributes
-    unbounded arcs out->in both ways, so minimum cuts land on vertex arcs.
+    Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by an arc of
+    capacity 1, and each edge uv gives arcs out->in both ways of capacity
+    n + 1, more than any flow, so minimum cuts land on vertex arcs.
+    ``adj[a]`` lists the nodes joined to a by an arc either way and
+    ``cap[a][b]`` is the capacity of arc a->b, 0 where there is none.
     """
-    n = g.n
-    size = 2 * n
+    n = len(rows)
     inf = n + 1
-    cap = [[0] * size for _ in range(size)]
-    adj: list[list[int]] = [[] for _ in range(size)]
-
-    def arc(a: int, b: int, c: int) -> None:
-        if cap[a][b] == 0 and cap[b][a] == 0:
-            adj[a].append(b)
-            adj[b].append(a)
-        cap[a][b] += c
-
+    adj: list[list[int]] = []
+    cap = [[0] * (2 * n) for _ in range(2 * n)]
     for v in range(n):
-        arc(2 * v, 2 * v + 1, inf if v in (s, t) else 1)
-    for i, j in g.edges():
-        arc(2 * i + 1, 2 * j, inf)
-        arc(2 * j + 1, 2 * i, inf)
+        nbrs = vertices_of(rows[v])
+        adj.append([2 * v + 1] + [2 * u + 1 for u in nbrs])
+        adj.append([2 * v] + [2 * u for u in nbrs])
+        cap[2 * v][2 * v + 1] = 1
+        for u in nbrs:
+            cap[2 * v + 1][2 * u] = inf
+    return adj, cap
+
+
+def _min_vertex_cut(
+    network: tuple[list[list[int]], list[list[int]]],
+    rows: tuple[int, ...],
+    s: int,
+    t: int,
+    limit: int,
+) -> tuple[int, VertexSet] | None:
+    """Minimum s-t vertex cut for nonadjacent s, t when it is below ``limit``.
+
+    The c common neighbors of s and t are c disjoint s-t paths, so with c
+    >= ``limit`` it returns None at once.  Otherwise it works on a copy of
+    the capacities of ``network`` (see ``_split_network``) with the vertex
+    arcs of s and t made unbounded; the flow starts with one unit along
+    each path s-c-t and grows by shortest augmenting paths, and it returns
+    None as soon as the flow reaches ``limit``.  When no augmenting path is
+    left, the vertices whose in node the last search reached and whose out
+    node it did not form the minimum separator closest to s: the nodes
+    reachable in the residual network are the same for every maximum flow.
+    """
+    common = rows[s] & rows[t]
+    flow = common.bit_count()
+    if flow >= limit:
+        return None
+    adj, base = network
+    size = len(base)
+    cap = [row[:] for row in base]
+    cap[2 * s][2 * s + 1] = cap[2 * t][2 * t + 1] = len(rows) + 1
     source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while True:
+    for c in iter_bits(common):
+        for a, b in ((source, 2 * c), (2 * c, 2 * c + 1), (2 * c + 1, sink)):
+            cap[a][b] -= 1
+            cap[b][a] += 1
+    while flow < limit:
         parent = [-1] * size
         parent[source] = source
         queue = [source]
         while queue and parent[sink] == -1:
             nxt = []
             for a in queue:
+                row = cap[a]
                 for b in adj[a]:
-                    if parent[b] == -1 and cap[a][b] > 0:
+                    if parent[b] == -1 and row[b] > 0:
                         parent[b] = a
                         nxt.append(b)
             queue = nxt
         if parent[sink] == -1:
-            break
+            # the failed search reached every node the residual network reaches
+            sep = 0
+            for v in range(len(rows)):
+                if parent[2 * v] != -1 and parent[2 * v + 1] == -1:
+                    sep |= 1 << v
+            return flow, sep
         # bottleneck is always 1: every augmenting path crosses a unit vertex arc
         b = sink
         while b != source:
@@ -299,18 +348,4 @@ def _min_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, VertexSet]:
             cap[b][a] += 1
             b = a
         flow += 1
-    reach = [False] * size
-    reach[source] = True
-    queue = [source]
-    while queue:
-        a = queue.pop()
-        for b in adj[a]:
-            if not reach[b] and cap[a][b] > 0:
-                reach[b] = True
-                queue.append(b)
-    sep = 0
-    for v in range(n):
-        if reach[2 * v] and not reach[2 * v + 1]:
-            sep |= 1 << v
-    return flow, sep
-
+    return None

@@ -27,7 +27,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
-from multiprocessing import get_context
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -466,6 +465,17 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def get_context():
+    """The default multiprocessing context.
+
+    ``multiprocessing`` is imported here, when a pool starts, and not with
+    this module: most sweeps and every other command start no pool.
+    """
+    import multiprocessing
+
+    return multiprocessing.get_context()
 
 
 def _in_order(pool, payload: Iterable, depth: int) -> Iterator[tuple[int, list]]:

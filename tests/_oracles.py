@@ -95,6 +95,43 @@ def brute_kappa(graph) -> int:
     raise AssertionError("unreachable for non-complete graphs")
 
 
+def brute_kappa_certificate(graph) -> tuple[int, int | None]:
+    """(kappa, separator bitmask) as ``vertex_connectivity`` reports them.
+
+    v0 is the lowest-labelled vertex of minimum degree and the incumbent
+    starts as (deg v0, N(v0)).  The candidate pairs are v0 with each
+    non-neighbour, then each nonadjacent pair of neighbours of v0, both in
+    increasing label order.  A pair replaces the incumbent only when its
+    smallest s-t separator, found by trying every subset, is strictly
+    smaller; among the smallest it takes the one whose component of s is
+    contained in that of every other (minimum s-t separators form a
+    lattice, so exactly one is).  Complete graphs give (n - 1, None).
+    """
+    adj = to_adj(graph)
+    n = graph.n
+    if all(len(adj[v]) == n - 1 for v in range(n)):
+        return n - 1, None
+    v0 = min(range(n), key=lambda v: (len(adj[v]), v))
+    nbrs = sorted(adj[v0])
+    pairs = [(v0, u) for u in range(n) if u != v0 and u not in adj[v0]]
+    pairs += [(a, b) for a, b in itertools.combinations(nbrs, 2) if b not in adj[a]]
+    best, best_sep = len(nbrs), set(nbrs)
+    for s, t in pairs:
+        others = [v for v in range(n) if v not in (s, t)]
+        for size in range(best):
+            sides = []
+            for combo in itertools.combinations(others, size):
+                side = next(c for c in component_sets(adj, set(combo)) if s in c)
+                if t not in side:
+                    sides.append((side, set(combo)))
+            if sides:
+                side, sep = min(sides, key=lambda item: len(item[0]))
+                assert all(side <= other for other, _ in sides)
+                best, best_sep = size, sep
+                break
+    return best, sum(1 << v for v in best_sep)
+
+
 def connected_labeled_count(n: int) -> int:
     """Count of connected labeled graphs via the classical recurrence."""
     counts: dict[int, int] = {}

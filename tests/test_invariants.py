@@ -1,6 +1,7 @@
 """Exact invariants against independent brute-force oracles."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from toughlab import (
     join,
     mask_of,
     petersen_graph,
+    star_graph,
     toughness,
     vertex_connectivity,
     vertices_of,
@@ -25,7 +27,13 @@ from toughlab import (
 from toughlab.formats import enumerate_labeled
 from toughlab.invariants import UNION_TABLE_VERTICES, _union_tables
 
-from _oracles import brute_alpha, brute_kappa, brute_toughness, brute_toughness_certificate
+from _oracles import (
+    brute_alpha,
+    brute_kappa,
+    brute_kappa_certificate,
+    brute_toughness,
+    brute_toughness_certificate,
+)
 
 
 def test_toughness_examples(petersen, c4, claw):
@@ -167,15 +175,47 @@ def test_connectivity_examples(c4, k4, petersen):
     assert vertex_connectivity(petersen).kappa == 3
 
 
+def assert_valid_separator(g, cert):
+    assert cert.separator.bit_count() == cert.kappa
+    assert len(component_masks(g.rows, g.full_mask & ~cert.separator)) >= 2
+
+
+def assert_connectivity_matches_oracles(g):
+    """κ and the separator equal the pair-by-pair brute-force certificate."""
+    cert = vertex_connectivity(g)
+    assert (cert.kappa, cert.separator) == brute_kappa_certificate(g)
+    assert cert.kappa == brute_kappa(g)
+    assert cert.kappa <= degree_profile(g)[1]
+    if cert.separator is not None:
+        assert_valid_separator(g, cert)
+
+
 def test_connectivity_matches_oracle_with_valid_separator():
     for n in range(2, 6):
         for g in enumerate_labeled(n, connected_only=True):
-            cert = vertex_connectivity(g)
-            assert cert.kappa == brute_kappa(g)
-            assert cert.kappa <= degree_profile(g)[1]
-            if cert.separator is not None:
-                assert cert.separator.bit_count() == cert.kappa
-                assert len(component_masks(g.rows, g.full_mask & ~cert.separator)) >= 2
+            assert_connectivity_matches_oracles(g)
+
+
+def test_connectivity_certificate_matches_oracle_on_random_graphs_6_to_9():
+    rng = random.Random(609)
+    for n in range(6, 10):
+        for _ in range(50):
+            assert_connectivity_matches_oracles(connected_gnp(rng, n))
+
+
+def test_connectivity_at_large_n_matches_closed_forms():
+    start = time.perf_counter()
+    # K_{a,b} with the a-side on the top labels, K_{1,k} centred on label 0
+    cases = [(join(empty_graph(b), empty_graph(a)), a)
+             for a, b in ((2, 19), (3, 22), (1, 63), (7, 57), (20, 44))]
+    cases += [(star_graph(k), 1) for k in (20, 40, 63)]
+    cases += [(cycle_graph(n), 2) for n in (20, 41, 64)]
+    cases += [(petersen_graph(), 3)]
+    for g, kappa in cases:
+        cert = vertex_connectivity(g)
+        assert cert.kappa == kappa, (g.n, kappa)
+        assert_valid_separator(g, cert)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_connectivity_rejects_disconnected():

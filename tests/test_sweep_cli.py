@@ -233,6 +233,13 @@ def run_cli(args, stdin_text=""):
         env={**os.environ, "PYTHONPATH": CHILD_PATH})
 
 
+def test_importing_the_cli_loads_no_multiprocessing():
+    probe = "import sys, toughlab.cli; print('multiprocessing' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": CHILD_PATH})
+    assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+
+
 def test_cli_tough_on_edge_list(petersen):
     from toughlab.formats import write_edge_list
     proc = run_cli(["tough", "--format", "edges"], write_edge_list(petersen))

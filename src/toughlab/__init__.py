@@ -50,7 +50,6 @@ from .invariants import (
 )
 from .bounds import (
     EPS_EQ,
-    BoundReport,
     algebraic_connectivity_cap,
     independence_upper_bounds,
     laplacian_toughness_bounds,
@@ -74,8 +73,6 @@ from .sweep import (
     SweepConfig,
     SweepConfigError,
     SweepReport,
-    bound_report,
-    equality_case_verdict,
     evaluate_graph,
     sweep,
 )

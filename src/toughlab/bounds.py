@@ -1,11 +1,12 @@
-"""Evaluators for every toughness / independence inequality, and the
-per-graph report record.
+"""Evaluators for every toughness / independence inequality.
 
 All evaluators are pure formulas returning plain bound values; callers (the
-sweep engine, the acceptance suite) compare them against the exact
-invariants.  EPS_EQ is the default equality detection window (per-graph
-report, equality verdict): 1e-7, wide enough for the eigensolver's residual
-and tight enough to separate genuine equality cases on the small corpora.
+sweep engine, the ``bounds`` command, the acceptance suite) compare them
+against the exact invariants.  EPS_EQ is the default equality detection
+window: the equality flags of the ``bounds`` report, ``GraphFacts.verdict``
+and the default of ``verify --eq-tol``.  It is 1e-7, wide enough for the
+eigensolver's residual and tight enough to separate genuine equality cases
+on the small corpora.
 
 The two mixing evaluators take integers (an edge count, two volumes, 2m)
 and the normalized deviation rather than a graph and vertex sets, so the
@@ -21,11 +22,9 @@ anomaly instead of crashing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .graphs import Graph, VertexSet, degree_profile, iter_bits
-from .invariants import ToughnessCertificate
 from .spectra import SpectralSummary
 
 EPS_EQ = 1e-7
@@ -179,57 +178,3 @@ def cut_partition_ratios(summary: SpectralSummary) -> tuple[float, float]:
     mu_second = summary.algebraic_connectivity
     return (mu1 - mu_second) / (2.0 * mu1), 2.0 * mu_second / (mu1 - mu_second)
 
-
-# ---------------------------------------------------------------------------
-# Per-graph report
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Every bound value for one graph, with equality flags against exact tau."""
-
-    graph6: str
-    n: int
-    m: int
-    delta: int
-    Delta: int
-    tau: ToughnessCertificate
-    inv_max_degree: float
-    degree_sum_term: float
-    spectral_term: float
-    lap_product_bound: float
-    lap_gap_bound: float
-    brouwer_bound: float | None
-    brouwer_strict_bound: float | None
-    alon_bound: float | None
-    connectivity_cap: float | None
-    equality_lap_product: bool
-    equality_lap_gap: bool
-
-    def tau_text(self) -> str:
-        return "inf" if self.tau.infinite else str(self.tau.value)
-
-    def to_json_dict(self) -> dict:
-        """Fields in CSV_COLUMNS order; tau as text, undefined or infinite
-        bounds as None."""
-        out = {}
-        for col in CSV_COLUMNS:
-            value = getattr(self, col)
-            out[col] = None if isinstance(value, float) and not math.isfinite(value) else value
-        out["tau"] = self.tau_text()
-        return out
-
-    def to_csv_row(self) -> list[str]:
-        d = self.to_json_dict()
-        out = []
-        for col in CSV_COLUMNS:
-            v = d[col]
-            if v is None:
-                out.append("")
-            elif isinstance(v, bool):
-                out.append("1" if v else "0")
-            else:
-                out.append(str(v))
-        return out
-
-
-CSV_COLUMNS = tuple(f.name for f in fields(BoundReport))

@@ -17,10 +17,16 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import sys
 from typing import Iterator
 
-from .bounds import CSV_COLUMNS
+from .bounds import (
+    EPS_EQ,
+    algebraic_connectivity_cap,
+    regular_toughness_bounds,
+    toughness_lower_terms,
+)
 from .extremal import build_extremal
 from .formats import (
     GENERATED_MAX_N,
@@ -31,8 +37,13 @@ from .formats import (
     parse_graph6,
     write_graph6,
 )
-from .graphs import Graph, vertices_of
-from .invariants import independence_number, toughness, vertex_connectivity
+from .graphs import Graph, degree_profile, vertices_of
+from .invariants import (
+    ToughnessCertificate,
+    independence_number,
+    toughness,
+    vertex_connectivity,
+)
 from .spectra import ConvergenceError, adjacency_spectrum, spectral_summary
 from .sweep import (
     CHECK_NAMES,
@@ -43,9 +54,15 @@ from .sweep import (
     SweepConfig,
     SweepConfigError,
     Violation,
-    bound_report,
     sweep,
 )
+
+# the keys of a ``bounds`` record in order, and its CSV header
+BOUNDS_COLUMNS = (
+    "graph6", "n", "m", "delta", "Delta", "tau", "inv_max_degree", "degree_sum_term",
+    "spectral_term", "lap_product_bound", "lap_gap_bound", "brouwer_bound",
+    "brouwer_strict_bound", "alon_bound", "connectivity_cap",
+    "equality_lap_product", "equality_lap_gap")
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -95,10 +112,14 @@ def _vertex_list(mask: int | None) -> list[int] | None:
     return None if mask is None else vertices_of(mask)
 
 
+def _tau_text(cert: ToughnessCertificate) -> str:
+    return "inf" if cert.infinite else str(cert.value)
+
+
 def _tough_record(g: Graph) -> dict:
     cert = toughness(g)
     return {
-        "tau": "inf" if cert.infinite else str(cert.value),
+        "tau": _tau_text(cert),
         "tau_num": cert.tau_num,
         "tau_den": cert.tau_den,
         "cut": _vertex_list(cert.cut),
@@ -117,6 +138,10 @@ def _kappa_record(g: Graph) -> dict:
 
 
 def _spectra_record(g: Graph) -> dict:
+    if g.n == 1:
+        # xi and lambda read a second eigenvalue
+        return {"n": 1, "m": 0, "adjacency": [0.0], "laplacian": [0.0],
+                "normalized": [0.0], "xi": None, "lambda": None}
     summary = spectral_summary(g)
     return {
         "n": g.n,
@@ -130,8 +155,25 @@ def _spectra_record(g: Graph) -> dict:
 
 
 def _bounds_record(g: Graph) -> dict:
-    # the report carries its own graph6, written from the parsed graph
-    return bound_report(g).to_json_dict()
+    """Every bound value, with the equality flags against exact toughness.
+    Undefined and infinite bounds are None."""
+    facts = GraphFacts(write_graph6(g), g)
+    if not facts.connected:
+        raise ValueError("bound reports require a connected graph")
+    terms, lap, reg = (None,) * 3, (None,) * 2, (None,) * 3
+    cap, equalities = None, (False, False)
+    if facts.summary is not None:
+        terms = toughness_lower_terms(g, facts.summary)
+        lap = facts.lap_bounds
+        reg = regular_toughness_bounds(g, facts.summary) or reg
+    if facts.bounded:
+        cap = algebraic_connectivity_cap(facts.summary, facts.cert.value)
+        equalities = facts.lap_equalities(EPS_EQ)
+    dmax, dmin, _ = degree_profile(g)
+    values = (g.n, g.m, dmin, dmax, _tau_text(facts.cert), *terms, *lap, *reg, cap,
+              *equalities)
+    return {key: None if isinstance(v, float) and not math.isfinite(v) else v
+            for key, v in zip(BOUNDS_COLUMNS[1:], values)}
 
 
 def _extremal_record(g: Graph) -> dict:
@@ -155,22 +197,34 @@ def _cmd_records(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_bounds(args) -> int:
     if not args.csv:
         return _cmd_records(args)
+    if args.table:
+        return _usage_error("--csv and --table cannot be combined")
+    # the csv module writes None as an empty cell
     writer = csv.writer(sys.stdout)
-    writer.writerow(CSV_COLUMNS)
-    for _, g in _input_graphs(args):
-        writer.writerow(bound_report(g).to_csv_row())
+    writer.writerow(BOUNDS_COLUMNS)
+    for g6, g in _input_graphs(args):
+        record = {"graph6": g6, **_bounds_record(g)}
+        writer.writerow(int(v) if isinstance(v, bool) else v for v in record.values())
     return 0
 
 
 def _cmd_extremal(args) -> int:
     if not args.h_graph6:
+        if args.n is not None:
+            return _usage_error("--n needs --h-graph6")
         return _cmd_records(args)
     if args.n is None:
-        print("error: --n is required with --h-graph6", file=sys.stderr)
-        return 2
+        return _usage_error("--n is required with --h-graph6")
+    if args.file or args.format != "graph6":
+        return _usage_error("--h-graph6 builds its graph and reads no input")
     base = parse_graph6(args.h_graph6)
     g = build_extremal(base, args.n)
     _emit(args, {"graph6": write_graph6(g), "delta": base.n, "n": args.n, **_extremal_record(g)})
@@ -189,8 +243,7 @@ def _cmd_verify(args) -> int:
     else:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     if args.connected and args.gen is None:
-        print("error: --connected needs --gen", file=sys.stderr)
-        return 2
+        return _usage_error("--connected needs --gen")
     if args.gen is not None:
         graphs = enumerate_labeled(args.gen, connected_only=args.connected)
         corpus_id = f"gen:n={args.gen}" + (":connected" if args.connected else "")

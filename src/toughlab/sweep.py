@@ -1,7 +1,7 @@
 """Per-graph facts, the check table, and the corpus sweep engine.
 
 ``GraphFacts`` computes each fact about one graph once: ``verify`` (through
-``evaluate_graph``), ``bound_report`` and ``equality_case_verdict`` all read
+``evaluate_graph``) and the ``bounds`` and ``extremal`` commands all read
 it, so the Laplacian-bound equality and the join-structure decisions each
 live in one place.  ``CHECKS`` is the one list of check names; the README
 describes each.  ``sweep`` runs the enabled checks over a stream of graph6
@@ -19,7 +19,6 @@ most two chunks per worker in flight, so a slow caller stops the reading.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from collections import Counter, deque
@@ -32,7 +31,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import (
     EPS_EQ,
-    BoundReport,
     algebraic_connectivity_cap,
     cut_partition_ratios,
     independence_upper_bounds,
@@ -44,8 +42,8 @@ from .bounds import (
     toughness_lower_terms,
 )
 from .extremal import ExtremalWitness, detect_join_form
-from .formats import FormatError, graph6_record, parse_graph6, write_graph6
-from .graphs import Graph, component_masks, degree_profile, is_complete, is_connected
+from .formats import FormatError, graph6_record, parse_graph6
+from .graphs import Graph, component_masks, is_complete, is_connected
 from .invariants import (
     IndependenceCertificate,
     ToughnessCertificate,
@@ -382,61 +380,6 @@ def evaluate_graph(
         if name in checks:
             records += check(facts, tol, eps_eq)
     return records
-
-
-def bound_report(g: Graph) -> BoundReport:
-    """Assemble the full per-graph bound report. Requires a connected graph."""
-    facts = GraphFacts(write_graph6(g), g)
-    if not facts.connected:
-        raise ValueError("bound reports require a connected graph")
-    cert = facts.cert
-    dmax, dmin, _ = degree_profile(g)
-    summary = facts.summary
-    if summary is None:
-        # single vertex: complete by convention, nothing to bound
-        return BoundReport(
-            facts.g6, g.n, g.m, dmin, dmax, cert,
-            math.inf, math.inf, math.inf, math.inf, math.inf,
-            None, None, None, None, False, False)
-    terms = toughness_lower_terms(g, summary)
-    lap_product, lap_gap = facts.lap_bounds
-    reg = regular_toughness_bounds(g, summary)
-    if facts.bounded:
-        cap = algebraic_connectivity_cap(summary, cert.value)
-        eq_product, eq_gap = facts.lap_equalities(EPS_EQ)
-    else:
-        cap, eq_product, eq_gap = None, False, False
-    return BoundReport(
-        graph6=facts.g6,
-        n=g.n,
-        m=g.m,
-        delta=dmin,
-        Delta=dmax,
-        tau=cert,
-        inv_max_degree=terms[0],
-        degree_sum_term=terms[1],
-        spectral_term=terms[2],
-        lap_product_bound=lap_product,
-        lap_gap_bound=lap_gap,
-        brouwer_bound=reg[0] if reg else None,
-        brouwer_strict_bound=reg[1] if reg else None,
-        alon_bound=reg[2] if reg else None,
-        connectivity_cap=cap,
-        equality_lap_product=eq_product,
-        equality_lap_gap=eq_gap,
-    )
-
-
-def equality_case_verdict(g: Graph) -> EqualityVerdict:
-    """Compare numeric equality in the two Laplacian toughness bounds with
-    the structural join-decomposition test.  Requires connected non-complete
-    input."""
-    facts = GraphFacts(write_graph6(g), g)
-    if not facts.connected:
-        raise ValueError("equality verdict requires a connected graph")
-    if facts.complete:
-        raise ValueError("equality verdict requires a non-complete graph")
-    return facts.verdict()
 
 
 def _evaluate_chunk(args) -> tuple[int, list[Record | Diagnostic]]:

@@ -1,9 +1,14 @@
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the checkout's package is the fallback: an installed one or a PYTHONPATH
+# entry that holds one is imported instead
+if importlib.util.find_spec("toughlab") is None:
+    sys.path.append(str(Path(__file__).parents[1] / "src"))
 
 from toughlab import (
     Graph,

@@ -1,5 +1,6 @@
 """Bound evaluators against hand-derived and oracle-derived values."""
 
+import io
 import itertools
 import json
 import math
@@ -10,7 +11,6 @@ import pytest
 
 from toughlab import (
     algebraic_connectivity_cap,
-    bound_report,
     complete_graph,
     independence_number,
     independence_upper_bounds,
@@ -23,10 +23,11 @@ from toughlab import (
     spectral_summary,
     toughness_lower_terms,
 )
-from toughlab.bounds import CSV_COLUMNS, cut_partition_ratios
+from toughlab.bounds import cut_partition_ratios
+from toughlab.cli import BOUNDS_COLUMNS, main
 from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.graphs import Graph, edge_boundary, volume
-from toughlab.sweep import Violation, evaluate_graph
+from toughlab.sweep import GraphFacts, Violation, evaluate_graph
 
 
 def test_lower_terms(petersen, p3, c4):
@@ -183,27 +184,60 @@ def test_cut_partition_values(c4, claw, petersen):
     assert abs(floor_ratio * 2 - 8 / 3) <= 1e-7
 
 
-def test_report_fields_and_serialization(c4, k4):
-    rep = bound_report(c4)
-    assert rep.equality_lap_product and rep.equality_lap_gap
-    assert rep.tau_text() == "1"
-    data = json.loads(json.dumps(rep.to_json_dict()))
-    assert list(data.keys()) == list(CSV_COLUMNS)
-    assert data["graph6"] == write_graph6(c4)
-    row = rep.to_csv_row()
-    assert len(row) == len(CSV_COLUMNS)
-    rep = bound_report(k4)
-    assert rep.tau_text() == "inf"
-    assert not rep.equality_lap_product
-    data = rep.to_json_dict()
-    assert data["lap_gap_bound"] is None  # infinite sentinel maps to null
-    assert data["connectivity_cap"] is None
+def cli_output(monkeypatch, capsys, argv, graphs):
+    """(exit code, stdout, stderr) of one in-process CLI call on the graphs."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(write_graph6(g) + "\n" for g in graphs)))
+    code = main(argv)
+    return (code, *capsys.readouterr())
 
 
-def test_report_requires_connected():
+def test_report_fields_and_serialization(c4, k4, monkeypatch, capsys):
+    code, out, _ = cli_output(monkeypatch, capsys, ["bounds"], [c4, k4])
+    assert code == 0
+    rec_c4, rec_k4 = map(json.loads, out.splitlines())
+    assert list(rec_c4) == list(BOUNDS_COLUMNS)
+    assert rec_c4["graph6"] == write_graph6(c4) and rec_c4["tau"] == "1"
+    assert rec_c4["equality_lap_product"] and rec_c4["equality_lap_gap"]
+    assert rec_k4["tau"] == "inf" and not rec_k4["equality_lap_product"]
+    assert rec_k4["lap_gap_bound"] is None  # infinite bound maps to null
+    assert rec_k4["connectivity_cap"] is None
+    # the CSV rows hold the same values: null empty, booleans 0/1
+    code, out, _ = cli_output(monkeypatch, capsys, ["bounds", "--csv"], [c4, k4])
+    header, *rows = out.splitlines()
+    assert code == 0 and header.split(",") == list(BOUNDS_COLUMNS)
+    for row, rec in zip(rows, (rec_c4, rec_k4), strict=True):
+        assert row.split(",") == ["" if v is None else str(int(v) if isinstance(v, bool) else v)
+                                  for v in rec.values()]
+
+
+def test_report_requires_connected(monkeypatch, capsys):
     from toughlab import disjoint_union
-    with pytest.raises(ValueError):
-        bound_report(disjoint_union(complete_graph(2), complete_graph(1)))
+    g = disjoint_union(complete_graph(2), complete_graph(1))
+    assert cli_output(monkeypatch, capsys, ["bounds"], [g]) == (
+        2, "", "error: bound reports require a connected graph\n")
+
+
+def test_bounds_csv_on_empty_input_prints_the_header(monkeypatch, capsys):
+    assert cli_output(monkeypatch, capsys, ["bounds", "--csv"], []) == (
+        0, ",".join(BOUNDS_COLUMNS) + "\r\n", "")
+
+
+def test_bounds_equality_flags_match_verify_tags(monkeypatch, capsys):
+    # every connected labeled graph with n <= 5, at the default windows
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled(n, connected_only=True)]
+    code, out, _ = cli_output(monkeypatch, capsys, ["bounds"], graphs)
+    assert code == 0
+    flags = {r["graph6"]: (r["equality_lap_product"], r["equality_lap_gap"])
+             for r in map(json.loads, out.splitlines())}
+    code, out, _ = cli_output(monkeypatch, capsys, ["verify", "--checks", "lap-product,lap-gap"],
+                              graphs)
+    assert code == 0
+    tags = {(r["graph6"], r["tag"]) for r in map(json.loads, out.splitlines())}
+    assert len(flags) == len(graphs) == 772
+    for g6, flag in flags.items():
+        assert flag == ((g6, "lap-product-equality") in tags,
+                        (g6, "lap-gap-equality") in tags), g6
+    assert sum(map(any, flags.values())) > 0
 
 
 def test_master_inequalities_quick():
@@ -220,10 +254,8 @@ def test_master_inequalities_quick():
 
 def test_slack_is_nonnegative_for_finite_toughness():
     for g in enumerate_labeled(5, connected_only=True):
-        rep = bound_report(g)
-        if rep.tau.infinite:
+        facts = GraphFacts(write_graph6(g), g)
+        if facts.cert.infinite:
             continue
-        tau_f = rep.tau.as_float()
-        for value in (rep.inv_max_degree, rep.degree_sum_term, rep.spectral_term,
-                      rep.lap_product_bound, rep.lap_gap_bound):
-            assert tau_f + 1e-7 >= value
+        for value in (*toughness_lower_terms(g, facts.summary), *facts.lap_bounds):
+            assert facts.tau + 1e-7 >= value

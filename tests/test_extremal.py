@@ -13,7 +13,6 @@ from toughlab import (
     detect_join_form,
     disjoint_union,
     empty_graph,
-    equality_case_verdict,
     induced_subgraph,
     is_complete,
     is_connected,
@@ -24,7 +23,12 @@ from toughlab import (
     toughness,
     vertex_connectivity,
 )
-from toughlab.formats import enumerate_labeled
+from toughlab.formats import enumerate_labeled, write_graph6
+from toughlab.sweep import GraphFacts
+
+
+def verdict_of(g):
+    return GraphFacts(write_graph6(g), g).verdict()
 
 
 def test_build_examples(claw, c4):
@@ -75,12 +79,13 @@ def test_detect_matches_the_definition_exhaustively():
 
 
 def test_verdict_examples(c4, petersen):
-    assert equality_case_verdict(c4) == (True, True, True, True)
-    assert equality_case_verdict(petersen) == (False, False, False, True)
+    assert verdict_of(c4) == (True, True, True, True)
+    assert verdict_of(petersen) == (False, False, False, True)
     split = join(complete_graph(2), empty_graph(3))
-    assert equality_case_verdict(split) == (True, True, True, True)
-    with pytest.raises(ValueError):
-        equality_case_verdict(complete_graph(3))
+    assert verdict_of(split) == (True, True, True, True)
+    # the checks read a verdict only for connected non-complete graphs
+    k3 = complete_graph(3)
+    assert not GraphFacts(write_graph6(k3), k3).bounded
 
 
 def test_joins_with_a_disconnected_side_have_connectivity_k():
@@ -116,7 +121,7 @@ def test_constructive_family_sweep():
                 assert abs(s.algebraic_connectivity - delta) <= 1e-8
                 cert = toughness(g)
                 assert cert.value == Fraction(delta, n - delta)
-                verdict = equality_case_verdict(g)
+                verdict = verdict_of(g)
                 assert verdict.product_equality and verdict.gap_equality
                 assert verdict.structural and verdict.consistent
                 wit = detect_join_form(g)
@@ -129,7 +134,7 @@ def test_near_miss_joins_fail_the_equalities():
     # for n = 6; the resulting join must not satisfy either equality
     base = Graph.from_edges(4, [(0, 1), (2, 3)])
     g = join(base, empty_graph(2))
-    verdict = equality_case_verdict(g)
+    verdict = verdict_of(g)
     assert not verdict.structural
     assert not verdict.product_equality and not verdict.gap_equality
     assert verdict.consistent

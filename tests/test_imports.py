@@ -1,10 +1,15 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and the test run
+imports the package that PYTHONPATH names.
 
 The package re-exports its API from ``__init__``, so that module is left
 out; ``from __future__`` imports are directives, not names.
 """
 
 import ast
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,21 @@ def test_module_has_no_unused_import(path):
 def test_unused_imports_are_found():
     source = "import json\nfrom .graphs import Graph, components\n\ndef f(g: Graph): ...\n"
     assert unused_imports(source) == ["line 1: json", "line 2: components"]
+
+
+def test_a_pythonpath_entry_holding_the_package_is_imported(tmp_path):
+    # a copy of the package on PYTHONPATH wins over the checkout's src
+    # when pytest runs from the checkout with its configuration
+    checkout = Path(__file__).resolve().parents[1]
+    copy = tmp_path / "src" / "toughlab"
+    shutil.copytree(Path(toughlab.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(f"import toughlab\n\ndef test_probe():\n"
+                     f"    assert toughlab.__file__ == {str(copy / '__init__.py')!r}\n")
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--rootdir", str(checkout), "-c", str(checkout / "pyproject.toml"), str(probe)],
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tmp_path / "src")})
+    assert child.returncode == 0, child.stdout + child.stderr

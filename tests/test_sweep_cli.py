@@ -348,6 +348,32 @@ def test_cli_spectra_table(c4):
     assert "xi: 1" in proc.stdout
 
 
+def test_cli_spectra_of_one_vertex(monkeypatch, capsys):
+    # the one-vertex graph does not end the stream
+    monkeypatch.setattr("sys.stdin", io.StringIO("@\nCl\n"))
+    assert main(["spectra"]) == 0
+    out, err = capsys.readouterr()
+    single, c4 = map(json.loads, out.splitlines())
+    assert err == ""
+    assert single == {"graph6": "@", "n": 1, "m": 0, "adjacency": [0.0], "laplacian": [0.0],
+                      "normalized": [0.0], "xi": None, "lambda": None}
+    assert (c4["graph6"], c4["n"], c4["lambda"]) == ("Cl", 4, pytest.approx(2.0))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extremal", "--n", "5"], "--n needs --h-graph6"),
+    (["extremal", "--h-graph6", "A_", "--n", "5", "--file", "x.g6"], "reads no input"),
+    (["extremal", "--h-graph6", "A_", "--n", "5", "--format", "edges"], "reads no input"),
+    (["bounds", "--csv", "--table"], "--csv and --table cannot be combined"),
+], ids=["extremal-n-alone", "extremal-build-file", "extremal-build-edges", "bounds-csv-table"])
+def test_cli_rejects_options_it_would_ignore(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_cli_alpha_kappa(petersen):
     text = write_graph6(petersen) + "\n"
     alpha = json.loads(run_cli(["alpha"], text).stdout.strip())

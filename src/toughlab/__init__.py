@@ -9,7 +9,6 @@ from .graphs import (
     cycle_graph,
     degree_profile,
     disjoint_union,
-    edge_boundary,
     empty_graph,
     induced_subgraph,
     is_complete,
@@ -21,7 +20,6 @@ from .graphs import (
     petersen_graph,
     star_graph,
     vertices_of,
-    volume,
 )
 from .formats import (
     FormatError,

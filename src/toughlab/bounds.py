@@ -4,9 +4,10 @@ All evaluators are pure formulas returning plain bound values; callers (the
 sweep engine, the ``bounds`` command, the acceptance suite) compare them
 against the exact invariants.  EPS_EQ is the default equality detection
 window: the equality flags of the ``bounds`` report, ``GraphFacts.verdict``
-and the default of ``verify --eq-tol``.  It is 1e-7, wide enough for the
-eigensolver's residual and tight enough to separate genuine equality cases
-on the small corpora.
+and the default of ``verify --eq-tol``.  It is 1e-7: the Householder and QL
+eigensolver leaves each eigenvalue within about 1e-15 times the matrix norm
+of the exact one, far inside the window, while the nearest non-equality
+case on the small corpora sits 0.0238 away.
 
 The two mixing evaluators take integers (an edge count, two volumes, 2m)
 and the normalized deviation rather than a graph and vertex sets, so the

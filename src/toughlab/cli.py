@@ -146,7 +146,7 @@ def _spectra_record(g: Graph) -> dict:
     return {
         "n": g.n,
         "m": g.m,
-        "adjacency": list(summary.regular_adjacency_eigs or adjacency_spectrum(g)),
+        "adjacency": adjacency_spectrum(g),
         "laplacian": list(summary.laplacian_eigs),
         "normalized": list(summary.normalized_eigs),
         "xi": summary.xi,

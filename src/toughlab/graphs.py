@@ -130,23 +130,6 @@ def degree_profile(g: Graph) -> tuple[int, int, list[int]]:
     return max(degrees), min(degrees), degrees
 
 
-def volume(g: Graph, x: VertexSet) -> int:
-    """Sum of degrees over the vertices in ``x``."""
-    _check_set(g, x)
-    return sum(g.rows[v].bit_count() for v in iter_bits(x))
-
-
-def edge_boundary(g: Graph, x: VertexSet, y: VertexSet) -> int:
-    """Edges between ``x`` and ``y``, counting edges inside the overlap twice.
-
-    Equivalently the number of ordered adjacent pairs (u, v) with u in x and
-    v in y; hence edge_boundary(g, x, x) is twice the edge count inside x.
-    """
-    _check_set(g, x)
-    _check_set(g, y)
-    return sum((g.rows[v] & y).bit_count() for v in iter_bits(x))
-
-
 def is_connected(g: Graph) -> bool:
     """True iff the graph has one connected component. Requires n >= 1."""
     if g.n < 1:

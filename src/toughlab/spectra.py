@@ -1,18 +1,21 @@
 """Dense symmetric eigensolver and the three graph spectra.
 
-The solver is a cyclic-rotation (Jacobi) diagonalizer kept in-repo so the
-package has no numeric dependency and every run is bit-for-bit
-deterministic.  Convergence: off-diagonal Frobenius norm <= 1e-12 times the
-initial Frobenius norm plus an absolute floor of 1e-300, capped at
-JACOBI_MAX_SWEEPS full sweeps.  Before each sweep a scan of the upper
-triangle looks for one entry above the target; since the off-norm is at
-least sqrt(2) times any entry, such an entry proves the sweep is needed,
-and the exact sum of squares runs only when the scan finds none.
+The solver computes eigenvalues only: Householder reduction to tridiagonal
+form, then implicit QL with Wilkinson shifts (the tred2/tql1 pair of
+Bowdler, Martin, Reinsch and Wilkinson, 1968).  An eigenvalue splits off
+once its sub-diagonal coupling is at most machine epsilon times its two
+diagonal neighbours; a 2x2 block that splits off is solved in closed form.
+ConvergenceError reports an eigenvalue that needs more than
+QL_MAX_ITERATIONS QL steps.  Results lie within a small multiple of machine
+epsilon times the matrix norm of the exact eigenvalues.  The solver is
+in-repo, so the package has no numeric dependency, and uses only double
+arithmetic, ``math.sqrt``, ``math.hypot`` and the correctly rounded
+``math.fsum``, so every machine gets the same bits.
 
 ``spectral_summary`` solves the Laplacian and normalized Laplacian, which
-every bound reads, and the adjacency matrix only for regular graphs, where
-``lambda_reg`` needs it; it keeps that adjacency spectrum.
-``adjacency_spectrum`` gives the full adjacency spectrum of any graph.
+every bound reads; a regular graph's ``lambda_reg`` comes from the
+Laplacian spectrum, as L = dI - A.  ``adjacency_spectrum`` gives the full
+adjacency spectrum of any graph.
 
 Eigenvalue order conventions: all spectra are returned descending.  The
 normalized Laplacian uses the isolated-vertex convention of zeroing the
@@ -22,26 +25,27 @@ eigenvalue.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .graphs import Graph, degree_profile, iter_bits
 
-JACOBI_MAX_SWEEPS = 100
+QL_MAX_ITERATIONS = 30
 SYMMETRY_TOL = 1e-12
+_EPS = 2.0 ** -52
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the rotation loop fails to reach the target off-norm."""
+    """Raised when QL exceeds its per-eigenvalue iteration cap."""
 
 
 def symmetric_eigenvalues(matrix: list[list[float]]) -> list[float]:
     """Eigenvalues of a symmetric real matrix, sorted descending.
 
-    Raises ValueError for non-square or non-symmetric input (tolerance
-    SYMMETRY_TOL) and ConvergenceError if JACOBI_MAX_SWEEPS sweeps do not
-    reach the convergence target.
+    Raises ValueError for non-square, non-finite or non-symmetric input
+    (tolerance SYMMETRY_TOL) and ConvergenceError if an eigenvalue needs
+    more than QL_MAX_ITERATIONS QL steps.
     """
     n = len(matrix)
     if n == 0:
@@ -50,65 +54,117 @@ def symmetric_eigenvalues(matrix: list[list[float]]) -> list[float]:
     for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
+        if not all(map(math.isfinite, row)):
+            raise ValueError("matrix entries must be finite")
     for i in range(n):
         for j in range(i + 1, n):
             if abs(a[i][j] - a[j][i]) > SYMMETRY_TOL:
                 raise ValueError(f"matrix not symmetric at ({i}, {j})")
     if n == 1:
         return [a[0][0]]
+    diag, off = _tridiagonalize(a)
+    _tridiagonal_ql(diag, off)
+    return sorted(diag, reverse=True)
 
-    fro = math.sqrt(math.fsum(x * x for row in a for x in row))
-    target = 1e-12 * fro + 1e-300
-    plan = _rotation_plan(n)
 
-    def converged() -> bool:
-        # off_norm >= sqrt(2) |a_pq|, so one entry above target settles it
-        # without the sum, whose squares can also underflow to zero
-        for p, q, _ in plan:
-            if abs(a[p][q]) > target:
-                return False
-        return math.sqrt(2.0 * math.fsum(
-            a[p][q] * a[p][q] for p, q, _ in plan)) <= target
+def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Householder reduction of the symmetric ``a`` (overwritten) to the
+    diagonal and sub-diagonal of a similar tridiagonal matrix.
 
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if converged():
-            return sorted((a[i][i] for i in range(n)), reverse=True)
-        for p, q, others in plan:
-            ap = a[p]
-            apq = ap[q]
-            if apq == 0.0:
-                continue
-            aq = a[q]
-            app, aqq = ap[p], aq[q]
-            diff = aqq - app
-            if abs(apq) < 1e-36 * abs(diff):
-                t = apq / diff
+    Row i, from the last down to row 2, is reflected onto its entry i - 1,
+    after division by its 1-norm if its squares could overflow or
+    underflow.  The leading block stays full and symmetric, so each
+    product reads a row.
+    """
+    n = len(a)
+    fsum, sqrt = math.fsum, math.sqrt
+    off = [0.0] * n
+    for i in range(n - 1, 1, -1):
+        u = a[i][:i]
+        h = fsum(map(mul, u, u))
+        scale = 1.0
+        if not 1e-150 < h < 1e150:
+            scale = fsum(map(abs, u))
+            if scale == 0.0:
+                continue  # row i is already reduced
+            u = [x / scale for x in u]
+            h = fsum(map(mul, u, u))
+        f = u[-1]
+        g = -sqrt(h) if f >= 0.0 else sqrt(h)
+        off[i - 1] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        p = [fsum(map(mul, a[j], u)) / h for j in range(i)]
+        k = fsum(map(mul, u, p)) / (h + h)
+        q = [pj - k * uj for pj, uj in zip(p, u)]
+        for j in range(i):
+            aj, uj, qj = a[j], u[j], q[j]
+            aj[:i] = [x - (uj * qk + qj * uk) for x, uk, qk in zip(aj, u, q)]
+    off[0] = a[1][0]
+    return [a[i][i] for i in range(n)], off
+
+
+def _eigenvalues_2x2(a: float, b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues of [[a, b], [b, c]]: the one of larger magnitude from
+    the trace and discriminant, the other from the determinant over it, so
+    neither cancels (as LAPACK's dlae2)."""
+    sm = a + c
+    rt = math.hypot(a - c, 2.0 * b)
+    if sm == 0.0:
+        return 0.5 * rt, -0.5 * rt
+    rt1 = 0.5 * (sm + rt) if sm > 0.0 else 0.5 * (sm - rt)
+    big, small = (a, c) if abs(a) > abs(c) else (c, a)
+    return rt1, (big / rt1) * small - (b / rt1) * b
+
+
+def _tridiagonal_ql(d: list[float], e: list[float]) -> None:
+    """Overwrite d with the eigenvalues of the symmetric tridiagonal matrix
+    with diagonal d and sub-diagonal e (e[i] couples i and i + 1), which
+    is destroyed."""
+    n = len(d)
+    hypot = math.hypot
+    for lo in range(n):
+        steps = 0
+        while True:
+            m = lo
+            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == lo:
+                break  # d[lo] has split off
+            if m == lo + 1:
+                d[lo], d[m] = _eigenvalues_2x2(d[lo], e[lo], d[m])
+                e[lo] = 0.0
+                break
+            if steps == QL_MAX_ITERATIONS:
+                raise ConvergenceError(
+                    f"no convergence after {QL_MAX_ITERATIONS} QL iterations")
+            steps += 1
+            # the shift: the eigenvalue of the leading 2x2 block nearer d[lo]
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = hypot(g, 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + (r if g >= 0.0 else -r))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = e[i + 1] = hypot(f, g)
+                if r == 0.0:
+                    # the rotation underflowed: deflate here and restart
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
             else:
-                theta = diff / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            tau = s / (1.0 + c)
-            ap[p] = app - t * apq
-            aq[q] = aqq + t * apq
-            ap[q] = aq[p] = 0.0
-            for i in others:
-                ai = a[i]
-                aip, aiq = ai[p], ai[q]
-                ai[p] = ap[i] = aip - s * (aiq + tau * aip)
-                ai[q] = aq[i] = aiq + s * (aip - tau * aiq)
-    if converged():
-        return sorted((a[i][i] for i in range(n)), reverse=True)
-    raise ConvergenceError(f"no convergence after {JACOBI_MAX_SWEEPS} sweeps")
-
-
-@functools.cache
-def _rotation_plan(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Cyclic sweep order: each pair p < q with the indices other than p, q."""
-    return tuple((p, q, tuple(i for i in range(n) if i != p and i != q))
-                 for p in range(n - 1) for q in range(p + 1, n))
+                d[lo] -= p
+                e[lo] = g
+                e[m] = 0.0
 
 
 def adjacency_matrix(g: Graph) -> list[list[float]]:
@@ -159,9 +215,8 @@ def normalized_laplacian_spectrum(g: Graph) -> list[float]:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """The Laplacian and normalized spectra of one graph, the adjacency
-    spectrum if the graph is regular (else None), and the derived scalar
-    quantities.
+    """The Laplacian and normalized spectra of one graph and the derived
+    scalar quantities.
 
     ``xi`` is the normalized-Laplacian deviation max(|1 - top|, |1 - second
     smallest|).  ``lambda_reg`` is max(|second largest|, |smallest|) of the
@@ -171,12 +226,7 @@ class SpectralSummary:
     laplacian_eigs: tuple[float, ...]
     normalized_eigs: tuple[float, ...]
     xi: float
-    regular_adjacency_eigs: tuple[float, ...] | None
-
-    @property
-    def lambda_reg(self) -> float | None:
-        adj = self.regular_adjacency_eigs
-        return None if adj is None else max(abs(adj[1]), abs(adj[-1]))
+    lambda_reg: float | None
 
     @property
     def laplacian_radius(self) -> float:
@@ -190,8 +240,9 @@ class SpectralSummary:
 def spectral_summary(g: Graph) -> SpectralSummary:
     """Compute the spectra the bounds read and the derived quantities.
 
-    The adjacency spectrum is solved only for regular graphs, where it
-    gives ``lambda_reg``.  Requires n >= 2.
+    Two solves: for a d-regular graph the adjacency eigenvalues are d minus
+    the Laplacian ones, so ``lambda_reg`` is max(|d - mu_{n-1}|, |mu_1 - d|).
+    Requires n >= 2.
     """
     if g.n < 2:
         raise ValueError("spectral summary needs at least two vertices")
@@ -199,6 +250,5 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     norm = normalized_laplacian_spectrum(g)
     xi = max(abs(1.0 - norm[0]), abs(1.0 - norm[-2]))
     dmax, dmin, _ = degree_profile(g)
-    adj = tuple(adjacency_spectrum(g)) if dmax == dmin else None
-    return SpectralSummary(tuple(lap), tuple(norm), xi, adj)
-
+    lam = max(abs(dmax - lap[-2]), abs(lap[0] - dmax)) if dmax == dmin else None
+    return SpectralSummary(tuple(lap), tuple(norm), xi, lam)

@@ -226,8 +226,8 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
 def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Both mixing inequalities over every subset pair.
 
-    The volumes ``vol[x]`` and the ordered-pair edge counts
-    ``e[x][y] = edge_boundary(g, x, y)`` come from the lowest-set-bit
+    The volumes ``vol[x]`` and the counts ``e[x][y]`` of ordered adjacent
+    pairs (u, v) with u in x and v in y come from the lowest-set-bit
     recurrence, one list operation per subset; each distinct
     (e, vol[x], vol[y]) triple is evaluated once.
     """

@@ -1,8 +1,13 @@
-"""Independent brute-force oracles for the exact invariants.
+"""Independent oracles for the exact invariants and the eigensolver.
 
-Deliberately implemented on dict-of-sets adjacency with plain BFS, sharing
-no code with the package's bitmask machinery, so oracle agreement is a real
-cross-check and not a tautology.
+The invariant oracles are deliberately implemented on dict-of-sets
+adjacency with plain BFS, sharing no code with the package's bitmask
+machinery, so oracle agreement is a real cross-check and not a tautology.
+``volume`` and ``edge_boundary`` give the mixing definitions' set
+quantities straight from the adjacency rows.  ``jacobi_eigenvalues`` is a
+cyclic Jacobi diagonalizer, an eigenvalue algorithm that shares nothing
+with the package's Householder and QL solver; tests hold both it and
+numpy's ``eigvalsh`` against that solver.
 """
 
 from __future__ import annotations
@@ -168,3 +173,75 @@ def has_nontrivial_bipartite_component(graph) -> bool:
         if ok:
             return True
     return False
+
+
+def volume(graph, x: int) -> int:
+    """Sum of degrees over the vertices in the bitmask ``x``."""
+    return sum(graph.rows[v].bit_count() for v in range(graph.n) if x >> v & 1)
+
+
+def edge_boundary(graph, x: int, y: int) -> int:
+    """Edges between ``x`` and ``y``, counting edges inside the overlap twice.
+
+    Equivalently the number of ordered adjacent pairs (u, v) with u in x and
+    v in y; hence edge_boundary(g, x, x) is twice the edge count inside x.
+    """
+    return sum((graph.rows[v] & y).bit_count() for v in range(graph.n) if x >> v & 1)
+
+
+JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_eigenvalues(matrix) -> list[float]:
+    """Eigenvalues of a symmetric matrix, sorted descending, by cyclic
+    Jacobi rotations.
+
+    Converged when the off-diagonal Frobenius norm is at most 1e-12 times
+    the initial Frobenius norm plus 1e-300.  Before each sweep a scan looks
+    for one entry above that target: the off-norm is at least sqrt(2) times
+    any entry, so such an entry proves the sweep is needed, and entries
+    whose squares underflow to zero are still rotated away.
+    """
+    a = [[float(x) for x in row] for row in matrix]
+    n = len(a)
+    fro = math.sqrt(math.fsum(x * x for row in a for x in row))
+    target = 1e-12 * fro + 1e-300
+    plan = [(p, q, [i for i in range(n) if i != p and i != q])
+            for p in range(n - 1) for q in range(p + 1, n)]
+
+    def converged() -> bool:
+        if any(abs(a[p][q]) > target for p, q, _ in plan):
+            return False
+        return math.sqrt(2.0 * math.fsum(a[p][q] * a[p][q] for p, q, _ in plan)) <= target
+
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if converged():
+            return sorted((a[i][i] for i in range(n)), reverse=True)
+        for p, q, others in plan:
+            ap, aq = a[p], a[q]
+            apq = ap[q]
+            if apq == 0.0:
+                continue
+            app, aqq = ap[p], aq[q]
+            diff = aqq - app
+            if abs(apq) < 1e-36 * abs(diff):
+                t = apq / diff
+            else:
+                theta = diff / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            ap[p] = app - t * apq
+            aq[q] = aqq + t * apq
+            ap[q] = aq[p] = 0.0
+            for i in others:
+                ai = a[i]
+                aip, aiq = ai[p], ai[q]
+                ai[p] = ap[i] = aip - s * (aiq + tau * aip)
+                ai[q] = aq[i] = aiq + s * (aip - tau * aiq)
+    if converged():
+        return sorted((a[i][i] for i in range(n)), reverse=True)
+    raise AssertionError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from toughlab import (
-    edge_boundary,
     independence_number,
     join,
     laplacian_spectrum,
@@ -25,13 +24,12 @@ from toughlab import (
     toughness,
     toughness_lower_terms,
     vertex_connectivity,
-    volume,
     write_graph6,
 )
 from toughlab.formats import enumerate_labeled
 from toughlab.sweep import SweepConfig, Violation, sweep
 
-from _oracles import brute_alpha, brute_kappa, brute_toughness
+from _oracles import brute_alpha, brute_kappa, brute_toughness, edge_boundary, volume
 
 JOBS = 2
 MASTER_CHECKS = (

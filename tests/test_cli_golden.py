@@ -6,21 +6,28 @@ so refactors can prove they changed nothing.  For ``verify`` the digest of
 the sorted stdout lines is pinned as well: it holds the record multiset
 fixed whatever order the records are printed in.
 ``python tests/test_cli_golden.py`` prints the current digests for a
-deliberate output change.
+deliberate output change.  The streams whose floats depend on the
+eigensolver's rounding are also rebuilt with the Jacobi oracle in place of
+the solver: only those floats may differ, each within 1e-12.
 """
 
 import contextlib
 import hashlib
 import io
 import itertools
+import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
+from toughlab import spectra
 from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, write_edge_list, write_graph6
 from toughlab.graphs import Graph, cycle_graph, is_connected, petersen_graph
+
+from _oracles import jacobi_eigenvalues
 
 
 def _lines(ns, connected):
@@ -58,15 +65,15 @@ GOLDEN = {
     (("verify",), "all-5"): (0, "977005d70ec343c5947dd97f5aec02bdb27771f052853ce5c14df7d82f0077e9"),
     (("verify", "--checks", "all"), "all-le4"): (0, "48a839fd852bc912ceadd140c00057ed2a54dcf11f4ab24db44813756a4a4d36"),
     (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): (0, "48a839fd852bc912ceadd140c00057ed2a54dcf11f4ab24db44813756a4a4d36"),
-    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): (1, "7b2fed727d346994a3501e90f23bd7d93fb7de98a7ac9223c17cdd4824a4dc6f"),
+    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): (1, "eb4a2dfab592985a8309f02330286b6712a7b7d0c0d128f7637e266d107a96b5"),
     (("verify", "--checks", "tough-lower,cut-partition"), "all-5"): (0, "27abe4fae213acb17a47bb023c55a9c8abf86fed4e3b57a32cab2f92d80f1e1d"),
-    (("bounds",), "conn-le5"): (0, "5205b2ef8ebf2e7fb3bffb036d94a7c988ca170d9225fac8e863ef8b91ca51c1"),
-    (("bounds", "--csv"), "conn-le5"): (0, "d603aa7757d9d38a791f54b24a8b46865f8c55a178cf5ba81873fa217845b35f"),
+    (("bounds",), "conn-le5"): (0, "24b3e5d9b65829941afeafb2ee08a28e563ad6697f62b321c8ee11bb6a8df46c"),
+    (("bounds", "--csv"), "conn-le5"): (0, "166e4f713356770a77afacfce1b2193937ff3bbd509dd07f816ad2d273023edd"),
     (("extremal",), "conn-le5"): (0, "cfe264bc41607e6dbc556b0f2a8b582695ec65ba8f12e024f67edde0f97a6b0d"),
     (("tough",), "conn-2to5"): (0, "62c5ace1ae9f35312c0cabbf75fd7b451b094a516ad44f28f250fc718d22456d"),
     (("kappa",), "conn-2to5"): (0, "9ab9eb411f813ee6e69b5df4caf96d41f604f289b02e81c3a24476f6705af9ce"),
-    (("spectra",), "conn-2to5"): (0, "6bce4efd20c0ef5bada8ccb8f5d22368d0da047ea1d72fb8e93cdbac2f3284eb"),
-    (("spectra", "--table"), "conn-2to5"): (0, "e7c3be37fdd25b4d5ad27fabf789f1cc283c3433947113c296e7c0fea27b8ecb"),
+    (("spectra",), "conn-2to5"): (0, "54947daca2f2b494b4cb488f3b538dd7dc6edd307deca2037a04ab738ea8d26d"),
+    (("spectra", "--table"), "conn-2to5"): (0, "e4af9d1a1ea330ee8001037bf2e55b16e8f318b666e195a28603de6e7e45a67e"),
     (("alpha",), "all-le4"): (0, "007278ecb280013572716b2d48d6ba8dfe022bb9bceec6476cbcce1bd6e060d1"),
     (("gen", "--n", "5"), "none"): (0, "4ac9156f6af83aee1229b9eb4bd9cd3427c1fe25a0d0eb9f642eb054b3e857b0"),
     (("gen", "--n", "5", "--connected"), "none"): (0, "ef02b50d51d63e411f9036bb8042acbf9c1035b29aefc909246d366bfb9e6ff3"),
@@ -76,8 +83,8 @@ GOLDEN = {
     (("tough", "--format", "edges"), "petersen-edges"): (0, "c352397627b0d1f61a2989884e8ca41a9e3f63db7119d84f602bf7b9805cb108"),
     (("bounds", "--format", "edges", "--table"), "petersen-edges"): (0, "6338e6ae74086ee0e62bf5e82af73785f04126f69879fb7ad463878e19748fc8"),
     (("verify",), "sample-7"): (0, "82ee3bac04d6dd676a442807cb4eb2a1dca1a987fd10913bba3bdc65fdd4511f"),
-    (("bounds",), "sample-7"): (0, "41aae9bb37a6393e73df3273e44312943642257df6a52fcdc7a315cd7532c0fb"),
-    (("spectra",), "sample-7"): (0, "d458ecea3439679925d355832407bcc9cf3a698086be5495e59b1b568cb1de0e"),
+    (("bounds",), "sample-7"): (0, "d82adae4c61ef64c2e387997eddf6b738658168433b56dc04e48f8f7d0c10c29"),
+    (("spectra",), "sample-7"): (0, "de71b2ca1fe9d22a4cdb743e83a3e91280ca74c2f5bad0bf4581976377384aec"),
 }
 
 # verify entries: sha256 of the sorted stdout lines
@@ -85,7 +92,7 @@ SORTED_GOLDEN = {
     (("verify",), "all-5"): "180e3fbcecbcbac8d89adfc0d6f4117b7cb704cdecbf878fe81bd7babad2ec3d",
     (("verify", "--checks", "all"), "all-le4"): "d5cfe16a178ccfce0e52b92ea25e193a930231349d5bd37174c0d0aeec87cac6",
     (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): "d5cfe16a178ccfce0e52b92ea25e193a930231349d5bd37174c0d0aeec87cac6",
-    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): "8390593ecdf884f5bf1e0afa91ee24b0cc51a6bea6aa456b12b2ead99955a15f",
+    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): "ea975d76524d864cda4918dca793fb91236b26a36d9761b8416866772d5e46bc",
     (("verify", "--checks", "tough-lower,cut-partition"), "all-5"): "38bf4ae1aaad85d5c83f1dc56aaa4064d51d1c5cd9bc0c931cd47bd8282a3906",
     (("verify", "--gen", "5", "--connected"), "none"): "180e3fbcecbcbac8d89adfc0d6f4117b7cb704cdecbf878fe81bd7babad2ec3d",
     (("verify",), "sample-7"): "0d03fef82fc6cc3934d73cd8c6be699f7e347ebe7f22d9d1e1d5bcbd90e392b2",
@@ -125,6 +132,73 @@ def test_cli_output_is_unchanged(argv, corpus):
 @pytest.mark.parametrize("argv, corpus", list(SORTED_GOLDEN), ids=_ids(SORTED_GOLDEN))
 def test_verify_record_multiset_is_unchanged(argv, corpus):
     assert sorted_lines_sha256(run(argv, corpus)[1]) == SORTED_GOLDEN[argv, corpus]
+
+
+# the JSON streams that print eigensolver floats on the golden corpora
+SOLVER_FLOATS = [
+    (("spectra",), "conn-2to5"),
+    (("spectra",), "sample-7"),
+    (("bounds",), "conn-le5"),
+    (("bounds",), "sample-7"),
+]
+
+
+def assert_equal_but_floats(got, want, where):
+    """Equal structure and non-float values; floats within 1e-12, relative
+    to their magnitude or absolute below magnitude 1."""
+    if type(got) is float and type(want) is float and got != want:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want)), (where, got, want)
+    elif type(got) is list and type(want) is list:
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_equal_but_floats(a, b, (where, i))
+    elif type(got) is dict and type(want) is dict:
+        assert list(got) == list(want), where
+        for key in got:
+            assert_equal_but_floats(got[key], want[key], (where, key))
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+@pytest.mark.parametrize("argv, corpus", SOLVER_FLOATS, ids=_ids(SOLVER_FLOATS))
+def test_only_solver_floats_differ_from_the_jacobi_oracle(monkeypatch, argv, corpus):
+    code, out = run(argv, corpus)
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues", jacobi_eigenvalues)
+    want_code, want = run(argv, corpus)
+    assert code == want_code
+    got, want = out.splitlines(), want.splitlines()
+    assert len(got) == len(want) > 0
+    for lineno, (a, b) in enumerate(zip(got, want), 1):
+        assert_equal_but_floats(json.loads(a), json.loads(b), lineno)
+
+
+def test_verify_records_move_only_on_the_tolerance_boundary(monkeypatch):
+    """With --tol -0.5 some mixing and cut-partition sides sit exactly on
+    lhs = rhs - 0.5, where the last bit of an eigenvalue decides the
+    record; every record in only one of the two streams is such a case."""
+    argv, corpus = ("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"
+
+    def key(r):
+        if r["kind"] == "interesting":
+            return r["graph6"], r["tag"]
+        return r["graph6"], r["check"], round(r["lhs"], 9), round(r["rhs"], 9)
+
+    def records(out):
+        """Records keyed with violation sides to 9 digits, and the raw sides."""
+        raw = [json.loads(line) for line in out.splitlines()]
+        return Counter(map(key, raw)), {key(r): (r.get("lhs"), r.get("rhs")) for r in raw}
+
+    code, out = run(argv, corpus)
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues", jacobi_eigenvalues)
+    want_code, want = run(argv, corpus)
+    assert code == want_code == 1
+    (got, got_sides), (want, want_sides) = records(out), records(want)
+    moved = (got - want) + (want - got)
+    assert sum(moved.values()) < sum(got.values()) // 100
+    for k in moved:
+        assert len(k) == 4, k  # interesting records never move
+        lhs, rhs = got_sides.get(k) or want_sides[k]
+        assert abs(lhs - rhs + 0.5) <= 1e-12, k
 
 
 if __name__ == "__main__":

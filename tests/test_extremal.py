@@ -1,6 +1,8 @@
 """The extremal join family: construction, detection, equality structure."""
 
+import io
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,9 @@ from toughlab import (
     toughness,
     vertex_connectivity,
 )
-from toughlab.formats import enumerate_labeled, write_graph6
+from toughlab import extremal
+from toughlab.cli import main
+from toughlab.formats import enumerate_labeled, parse_graph6, write_graph6
 from toughlab.sweep import GraphFacts
 
 
@@ -138,3 +142,32 @@ def test_near_miss_joins_fail_the_equalities():
     assert not verdict.structural
     assert not verdict.product_equality and not verdict.gap_equality
     assert verdict.consistent
+
+
+def test_floor_witnesses_stay_structural(monkeypatch, capsys):
+    """Joins whose base sits exactly on the eigenvalue floor 2*delta - n.
+    FFzfw and Fs~v_ are two labelings of K1,3 v 3K1 (floor 1), G}r~vo a
+    5-vertex base joined with 3K1 (floor 2).  The floating-point base
+    spectrum can land a few ulps below the floor, and EIGEN_SLACK keeps
+    such a join in the family; verify gives each the four equality tags
+    and no violation."""
+    cases = {"FFzfw": (1, [1, 1, 1, 3]), "Fs~v_": (1, [1, 1, 1, 3]),
+             "G}r~vo": (2, [2, 2, 2, 4, 4])}
+    g6s = list(cases)
+    for g6, (floor, base_degrees) in cases.items():
+        facts = GraphFacts(g6, parse_graph6(g6))
+        base = facts.witness.base_h
+        assert sorted(degree_profile(base)[2]) == base_degrees
+        assert 2 * base.n - facts.g.n == floor
+        assert abs(laplacian_spectrum(base)[-2] - floor) <= 1e-12
+        assert facts.structural and facts.verdict().consistent
+    # the slack decides at least one of them
+    monkeypatch.setattr(extremal, "EIGEN_SLACK", 0.0)
+    assert not all(GraphFacts(g6, parse_graph6(g6)).structural for g6 in g6s)
+    monkeypatch.undo()
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(g6 + "\n" for g6 in g6s)))
+    assert main(["verify"]) == 0
+    tags = ["lap-product-equality", "lap-gap-equality", "conn-cap-equality",
+            "alpha-laplacian-equality"]
+    want = [{"kind": "interesting", "graph6": g6, "tag": tag} for g6 in g6s for tag in tags]
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == want

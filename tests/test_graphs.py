@@ -12,7 +12,6 @@ from toughlab import (
     cycle_graph,
     degree_profile,
     disjoint_union,
-    edge_boundary,
     empty_graph,
     induced_subgraph,
     is_complete,
@@ -20,11 +19,10 @@ from toughlab import (
     join,
     mask_of,
     vertices_of,
-    volume,
 )
 from toughlab.formats import enumerate_labeled
 
-from _oracles import component_sets, to_adj
+from _oracles import component_sets, edge_boundary, to_adj, volume
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

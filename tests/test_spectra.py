@@ -1,4 +1,5 @@
-"""Eigensolver against the numpy oracle, plus the spectrum conventions."""
+"""Eigensolver against the numpy and Jacobi oracles, plus the spectrum
+conventions."""
 
 import contextlib
 import io
@@ -10,23 +11,27 @@ import numpy as np
 import pytest
 
 from toughlab import (
+    ConvergenceError,
     Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
     degree_profile,
+    empty_graph,
+    join,
     laplacian_spectrum,
     adjacency_spectrum,
     normalized_laplacian_spectrum,
+    petersen_graph,
     spectral_summary,
     symmetric_eigenvalues,
 )
 from toughlab import spectra
 from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, write_graph6
-from toughlab.spectra import laplacian_matrix
+from toughlab.spectra import adjacency_matrix, laplacian_matrix, normalized_laplacian_matrix
 
-from _oracles import has_nontrivial_bipartite_component
+from _oracles import has_nontrivial_bipartite_component, jacobi_eigenvalues
 
 
 def close(xs, ys, tol=1e-8):
@@ -54,9 +59,15 @@ def test_solver_against_numpy_oracle():
 
 
 def test_solver_rotates_entries_whose_squares_underflow():
-    # 1e-170 squared underflows to zero, so the sum of squares alone would
-    # call the matrix diagonal before any rotation
-    assert symmetric_eigenvalues([[0, 1e-170], [1e-170, 0]]) == [1e-170, -1e-170]
+    # 1e-170 squared underflows to zero, so a test on a sum of squares
+    # would call these matrices diagonal and return zeros; 1e-160 squared
+    # is subnormal and 1e160 squared overflows, so the reflections rescale
+    for t in (1e-160, 1e-170, 1e-300, 1e160):
+        got = symmetric_eigenvalues([[0, t], [t, 0]])
+        assert abs(got[0] - t) <= 4 * math.ulp(t) and abs(got[1] + t) <= 4 * math.ulp(t), got
+        got = symmetric_eigenvalues([[0, t, t], [t, 0, t], [t, t, 0]])
+        want = [2 * t, -t, -t]
+        assert all(abs(x - y) <= 8 * math.ulp(t) for x, y in zip(got, want)), got
 
 
 def test_solver_input_validation():
@@ -96,25 +107,23 @@ def test_summary_examples(petersen, c4, k4):
     assert spectral_summary(irregular).lambda_reg is None
 
 
-def test_summary_solves_adjacency_only_for_regular_graphs(monkeypatch, claw, c4):
+def test_summary_solves_twice_for_every_graph(monkeypatch, claw, c4):
     calls = []
-    solve, adjacency = spectra.symmetric_eigenvalues, spectra.adjacency_spectrum
+    solve = spectra.symmetric_eigenvalues
     monkeypatch.setattr(spectra, "symmetric_eigenvalues",
                         lambda m: calls.append("solve") or solve(m))
-    monkeypatch.setattr(spectra, "adjacency_spectrum",
-                        lambda g: calls.append("adjacency") or adjacency(g))
     assert spectral_summary(claw).lambda_reg is None
     assert calls == ["solve", "solve"]
     calls.clear()
     assert spectral_summary(c4).lambda_reg is not None
-    assert calls.count("solve") == 3 and calls.count("adjacency") == 1
-    # `toughlab spectra` prints the full adjacency list with no extra solve
+    assert calls == ["solve", "solve"]
+    # `toughlab spectra` adds the adjacency solve
     for g in (claw, c4):
         calls.clear()
         monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(g) + "\n"))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["spectra"]) == 0
-        assert calls.count("solve") == 3, write_graph6(g)
+        assert calls == ["solve"] * 3, write_graph6(g)
 
 
 def test_cli_spectra_prints_the_adjacency_spectrum(monkeypatch, claw, c4):
@@ -173,3 +182,81 @@ def test_adjacency_trace_vanishes():
 def test_laplacian_matrix_rows_sum_to_zero(petersen):
     for row in laplacian_matrix(petersen):
         assert abs(sum(row)) <= 1e-12
+
+
+def frobenius(mat):
+    return math.sqrt(math.fsum(x * x for row in mat for x in row))
+
+
+def assert_matches_oracles(mat):
+    """QL within 1e-12 of the Frobenius norm of both numpy and Jacobi."""
+    got = symmetric_eigenvalues(mat)
+    tol = 1e-12 * frobenius(mat)
+    for want in (sorted(np.linalg.eigvalsh(np.array(mat, dtype=float)), reverse=True),
+                 jacobi_eigenvalues(mat)):
+        assert len(got) == len(want)
+        assert all(abs(a - b) <= tol for a, b in zip(got, want)), (mat, got, want)
+
+
+def test_solver_matches_both_oracles_on_random_matrices():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        raw = [[rng.uniform(-5, 5) for _ in range(n)] for _ in range(n)]
+        assert_matches_oracles([[(raw[i][j] + raw[j][i]) / 2 for j in range(n)]
+                                for i in range(n)])
+
+
+def test_solver_matches_both_oracles_on_every_small_graph():
+    for n in range(1, 6):
+        for g in enumerate_labeled(n):
+            for build in (laplacian_matrix, normalized_laplacian_matrix, adjacency_matrix):
+                assert_matches_oracles(build(g))
+
+
+def test_solver_matches_both_oracles_on_degenerate_spectra():
+    graphs = [complete_graph(n) for n in range(1, 9)]
+    graphs += [petersen_graph(), join(empty_graph(7), empty_graph(7)), empty_graph(6)]
+    for g in graphs:
+        for build in (laplacian_matrix, normalized_laplacian_matrix, adjacency_matrix):
+            assert_matches_oracles(build(g))
+    diagonal = [[float(i == j) * (3 - i) for j in range(6)] for i in range(6)]
+    zero = [[0.0] * 5 for _ in range(5)]
+    for mat in (diagonal, zero):
+        assert_matches_oracles(mat)
+    assert symmetric_eigenvalues(diagonal) == [3.0, 2.0, 1.0, 0.0, -1.0, -2.0]
+    assert symmetric_eigenvalues(zero) == [0.0] * 5
+    # K7,7: 7 and -7 once, 0 with multiplicity 12
+    eigs = adjacency_spectrum(join(empty_graph(7), empty_graph(7)))
+    assert close(eigs, [7] + [0] * 12 + [-7], tol=1e-12)
+
+
+def test_an_exhausted_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(spectra, "QL_MAX_ITERATIONS", 0)
+    with pytest.raises(ConvergenceError, match="no convergence after 0 QL iterations"):
+        symmetric_eigenvalues([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    with pytest.raises(ConvergenceError):
+        laplacian_spectrum(cycle_graph(5))
+    # a diagonal matrix needs no iteration, and a 2x2 block is solved in
+    # closed form
+    assert symmetric_eigenvalues([[2, 0, 0], [0, 1, 0], [0, 0, 3]]) == [3.0, 2.0, 1.0]
+    assert symmetric_eigenvalues([[1, -1], [-1, 1]]) == [2.0, 0.0]
+
+
+def test_verify_reports_an_exhausted_iteration_cap_per_line(monkeypatch, capsys):
+    monkeypatch.setattr(spectra, "QL_MAX_ITERATIONS", 0)
+    # the edgeless graph's matrices are diagonal, so only line 2 fails
+    monkeypatch.setattr("sys.stdin", io.StringIO("A?\nCl\n"))
+    assert main(["verify"]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("line 2: no convergence after 0 QL iterations\n")
+    assert json.loads(err.splitlines()[-1])["diagnostics"] == 1
+
+
+def test_solver_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            symmetric_eigenvalues([[0, 1, 0], [1, bad, 1], [0, 1, 0]])
+    with pytest.raises(ValueError, match="finite"):
+        symmetric_eigenvalues([[math.nan]])

@@ -11,8 +11,11 @@ case on the small corpora sits 0.0238 away.
 
 The two mixing evaluators take integers (an edge count, two volumes, 2m)
 and the normalized deviation rather than a graph and vertex sets, so the
-sweep can feed them from per-graph subset tables and evaluate each distinct
-triple once.
+sweep can feed them from per-graph subset tables.  The sweep codes each
+(e(X, Y), vol Y) as one integer, collects every row's codes in one set per
+vol X, and evaluates each distinct (e, vol X, vol Y) triple once.  It walks
+the subset pairs in order only for the rows whose volume has a violating
+triple, to emit that triple's sides once per pair.
 
 Division guards: the normalized deviation xi cannot vanish for a graph with
 an edge (the eigenvalue trace forbids it), but the spectral term guards the

@@ -25,7 +25,7 @@ from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -226,36 +226,56 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
 def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Both mixing inequalities over every subset pair.
 
-    The volumes ``vol[x]`` and the counts ``e[x][y]`` of ordered adjacent
-    pairs (u, v) with u in x and v in y come from the lowest-set-bit
-    recurrence, one list operation per subset; each distinct
-    (e, vol[x], vol[y]) triple is evaluated once.
+    Row x of the table holds, for every subset y, the integer code
+    vol[y] * (2m + 1) + e(x, y), where e(x, y) counts the ordered adjacent
+    pairs (u, v) with u in x and v in y.  Rows come from the lowest-set-bit
+    recurrence, one list operation per subset, and the code is exact
+    because 0 <= e, vol <= 2m.  Each row goes into the code set of its
+    volume vol[x], so the distinct (e, vol[x], vol[y]) triples are found
+    without a Python loop over pairs.  Each distinct triple is decoded and
+    evaluated once, and only the violating ones are kept.  The in-order
+    pair loop then runs only over the rows whose volume has a violating
+    triple, and emits the stored sides.  e(x, x) for the single-set
+    inequality is the diagonal code less vol[x] * (2m + 1).
     """
     g = f.g
     if g.m < 1:
         return
     two_m, xi = 2 * g.m, f.summary.xi
+    base = two_m + 1
     subsets = range(g.full_mask + 1)
     # into[v][y] = |N(v) & y|
     into = [[(row & y).bit_count() for y in subsets] for row in g.rows]
     vol = [0] * len(subsets)
-    e = [[0] * len(subsets)]
     for x in subsets[1:]:
         low = x & -x
-        v = low.bit_length() - 1
-        vol[x] = vol[x ^ low] + g.rows[v].bit_count()
-        e.append(list(map(add, e[x ^ low], into[v])))
-    gaps: dict[tuple[int, int, int], tuple[float, float]] = {}
+        vol[x] = vol[x ^ low] + g.rows[low.bit_length() - 1].bit_count()
+    code = [[nu * base for nu in vol]]
+    seen: dict[int, set[int]] = {nu: set() for nu in vol}
+    seen[0].update(code[0])
+    for x in subsets[1:]:
+        low = x & -x
+        row = list(map(add, code[x ^ low], into[low.bit_length() - 1]))
+        code.append(row)
+        seen[vol[x]].update(row)
+    # violating[vol[x]][code] = (lhs, rhs) of each violating triple
+    violating: dict[int, dict[int, tuple[float, float]]] = {}
+    for nu_x, codes in seen.items():
+        for c in codes:
+            nu_y, e = divmod(c, base)
+            sides = mixing_gap(e, nu_x, nu_y, two_m, xi)
+            if sides[0] > sides[1] + tol:
+                violating.setdefault(nu_x, {})[c] = sides
     for x in subsets:
-        lhs, rhs = mixing_gap_single(e[x][x], vol[x], two_m, xi)
+        nu_x = vol[x]
+        lhs, rhs = mixing_gap_single(code[x][x] - nu_x * base, nu_x, two_m, xi)
         if lhs > rhs + tol:
             yield Violation(f.g6, "mixing-single", lhs, rhs)
-        for triple in zip(e[x], repeat(vol[x]), vol):
-            sides = gaps.get(triple)
-            if sides is None:
-                sides = gaps[triple] = mixing_gap(*triple, two_m, xi)
-            if sides[0] > sides[1] + tol:
-                yield Violation(f.g6, "mixing-pair", *sides)
+        sides_of = violating.get(nu_x)
+        if sides_of:
+            for c in code[x]:
+                if c in sides_of:
+                    yield Violation(f.g6, "mixing-pair", *sides_of[c])
 
 
 def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:

@@ -192,6 +192,15 @@ def edge_boundary(graph, x: int, y: int) -> int:
 JACOBI_MAX_SWEEPS = 100
 
 
+def _norm(values: list[float]) -> float:
+    """Euclidean norm of ``values``, scaled by the largest |value| so that
+    no square overflows."""
+    scale = max(map(abs, values), default=0.0)
+    if scale == 0.0:
+        return 0.0
+    return scale * math.sqrt(math.fsum((x / scale) ** 2 for x in values))
+
+
 def jacobi_eigenvalues(matrix) -> list[float]:
     """Eigenvalues of a symmetric matrix, sorted descending, by cyclic
     Jacobi rotations.
@@ -200,11 +209,13 @@ def jacobi_eigenvalues(matrix) -> list[float]:
     the initial Frobenius norm plus 1e-300.  Before each sweep a scan looks
     for one entry above that target: the off-norm is at least sqrt(2) times
     any entry, so such an entry proves the sweep is needed, and entries
-    whose squares underflow to zero are still rotated away.
+    whose squares underflow to zero are still rotated away.  Both norms
+    divide by the largest |entry| before squaring, so entries above about
+    1e154 do not overflow them to inf.
     """
     a = [[float(x) for x in row] for row in matrix]
     n = len(a)
-    fro = math.sqrt(math.fsum(x * x for row in a for x in row))
+    fro = _norm([x for row in a for x in row])
     target = 1e-12 * fro + 1e-300
     plan = [(p, q, [i for i in range(n) if i != p and i != q])
             for p in range(n - 1) for q in range(p + 1, n)]
@@ -212,7 +223,7 @@ def jacobi_eigenvalues(matrix) -> list[float]:
     def converged() -> bool:
         if any(abs(a[p][q]) > target for p, q, _ in plan):
             return False
-        return math.sqrt(2.0 * math.fsum(a[p][q] * a[p][q] for p, q, _ in plan)) <= target
+        return math.sqrt(2.0) * _norm([a[p][q] for p, q, _ in plan]) <= target
 
     for _ in range(JACOBI_MAX_SWEEPS):
         if converged():

@@ -1,5 +1,6 @@
 """Bound evaluators against hand-derived and oracle-derived values."""
 
+import importlib
 import io
 import itertools
 import json
@@ -132,26 +133,54 @@ def _reference_mixing(g, xi):
 
 def test_mixing_records_match_the_per_pair_definition():
     # every labeled graph with n <= 5, 300 seeded 6-vertex graphs and a few
-    # 7-vertex ones; order, count and the bits of both sides must agree
+    # 7-vertex ones; order, count and the bits of both sides must agree.
+    # At 1e-7 no (e, vol X, vol Y) triple violates, so the pair loop never
+    # runs; at -0.05 and -0.5 almost every graph has both violating and
+    # clean triples (a median of 19 % and 27 % of them violate), so the
+    # loop walks a partial table of violating triples
     corpus = itertools.chain(
         (g for n in range(1, 6) for g in enumerate_labeled(n)),
         _seeded_graphs(6, 300, seed=6),
         _seeded_graphs(7, 4, seed=7),
     )
-    graphs = violations = 0
+    graphs = violations = partial = 0
     for g in corpus:
         g6 = write_graph6(g)
         sides = _reference_mixing(g, spectral_summary(g).xi) if g.m else []
-        for tol in (1e-7, -0.5):
+        for tol in (1e-7, -0.05, -0.5):
             want = [(check, lhs.hex(), rhs.hex())
                     for check, lhs, rhs in sides if lhs > rhs + tol]
             got = [(r.check, r.lhs.hex(), r.rhs.hex())
                    for r in evaluate_graph(g6, g, ("mixing",), tol, 1e-7)]
             assert got == want, (g6, tol)
             violations += len(got)
+            pairs = sum(check == "mixing-pair" for check, _, _ in got)
+            # a violating and a clean pair mean a violating and a clean triple
+            partial += tol == -0.05 and 0 < pairs < (g.full_mask + 1) ** 2
         graphs += 1
     assert graphs == 1 + 2 + 8 + 64 + 1024 + 300 + 4
     assert violations > 90_000
+    assert partial > 1_300
+
+
+def test_mixing_evaluates_each_distinct_triple_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mixing_gap(*args)
+
+    # the package exports the function ``sweep`` under the module's name
+    monkeypatch.setattr(importlib.import_module("toughlab.sweep"), "mixing_gap", counted)
+    graphs = [*_seeded_graphs(6, 3, seed=13), *_seeded_graphs(7, 2, seed=13)]
+    for g in graphs:
+        subsets = range(g.full_mask + 1)
+        triples = {(edge_boundary(g, x, y), volume(g, x), volume(g, y))
+                   for x in subsets for y in subsets}
+        calls.clear()
+        assert evaluate_graph(write_graph6(g), g, ("mixing",), 1e-7, 1e-7) == []
+        assert len(calls) == len(triples), write_graph6(g)
+        assert {args[:3] for args in calls} == triples
 
 
 def test_independence_bound_values(petersen, c4, k4):

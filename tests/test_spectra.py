@@ -70,6 +70,17 @@ def test_solver_rotates_entries_whose_squares_underflow():
         assert all(abs(x - y) <= 8 * math.ulp(t) for x, y in zip(got, want)), got
 
 
+def test_solver_and_jacobi_oracle_near_the_overflow_threshold():
+    # squares of entries above about 1e154 overflow: a Frobenius norm built
+    # from them is inf, and a convergence target of inf takes the diagonal
+    # (1, -1, 1) * 1e300 for the eigenvalues
+    scale = 1e300
+    mat = [[x * scale for x in row] for row in ([1, 1, 0], [1, -1, 1], [0, 1, 1])]
+    want = [math.sqrt(3) * scale, scale, -math.sqrt(3) * scale]
+    for got in (jacobi_eigenvalues(mat), symmetric_eigenvalues(mat)):
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want)), got
+
+
 def test_solver_input_validation():
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_eigenvalues([[0, 1], [0, 0]])

@@ -11,11 +11,16 @@ case on the small corpora sits 0.0238 away.
 
 The two mixing evaluators take integers (an edge count, two volumes, 2m)
 and the normalized deviation rather than a graph and vertex sets, so the
-sweep can feed them from per-graph subset tables.  The sweep codes each
-(e(X, Y), vol Y) as one integer, collects every row's codes in one set per
-vol X, and evaluates each distinct (e, vol X, vol Y) triple once.  It walks
-the subset pairs in order only for the rows whose volume has a violating
-triple, to emit that triple's sides once per pair.
+sweep can feed them from per-graph subset tables.  Their centre and right
+side, which do not depend on the edge count, come from ``mixing_terms`` and
+``mixing_terms_single``, the one place of each formula.  The sweep codes
+each (e(X, Y), vol Y) as one integer and collects the distinct codes in one
+set per vol X, where the codes of one vol Y form a block.  As |e - centre|
+is largest at a block's smallest or largest e, it screens each block with
+those two and evaluates a block's triples, each once, only when one of
+them violates; the single-set inequality is screened per vol X the same
+way.  It walks the subset pairs in order only for the rows whose volume
+has a violating triple, to emit that triple's sides once per pair.
 
 Division guards: the normalized deviation xi cannot vanish for a graph with
 an edge (the eigenvalue trace forbids it), but the spectral term guards the
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .graphs import Graph, VertexSet, degree_profile, iter_bits
 from .spectra import SpectralSummary
@@ -91,20 +97,41 @@ def algebraic_connectivity_cap(summary: SpectralSummary, tau: Fraction) -> float
     return t / (t + 1.0) * summary.laplacian_radius
 
 
+def mixing_terms(
+    nu_x: int, nu_ys: Iterable[int], two_m: int, xi: float
+) -> list[tuple[float, float]]:
+    """(centre, rhs) of the two-set mixing inequality for a set X of volume
+    nu_x against each volume nu_y in nu_ys, in a graph of 2m = two_m and
+    normalized deviation xi: the volume-expected edge count
+    nu_x nu_y / 2m and xi times the variance-style envelope.  Neither
+    depends on e(X, Y)."""
+    if two_m < 1:
+        raise ValueError("mixing needs at least one edge")
+    nu_v = float(two_m)
+    spread_x = 1.0 - nu_x / nu_v
+    return [(nu_x * nu_y / nu_v,
+             xi * math.sqrt(nu_x * nu_y * spread_x * (1.0 - nu_y / nu_v)))
+            for nu_y in nu_ys]
+
+
 def mixing_gap(
     e: int, nu_x: int, nu_y: int, two_m: int, xi: float
 ) -> tuple[float, float]:
     """Two-set mixing inequality sides for sets X, Y with e = e(X, Y)
-    (edge_boundary) and volumes nu_x, nu_y in a graph of 2m = two_m and
-    normalized deviation xi: (deviation of e from its volume-expected value,
-    xi times the variance-style envelope)."""
+    (edge_boundary) and volumes nu_x, nu_y, as in mixing_terms: (deviation
+    |e - centre| of e from its volume-expected value, rhs)."""
+    [(centre, rhs)] = mixing_terms(nu_x, (nu_y,), two_m, xi)
+    return abs(e - centre), rhs
+
+
+def mixing_terms_single(nu_x: int, two_m: int, xi: float) -> tuple[float, float]:
+    """(centre, rhs) of the single-set mixing inequality for X against
+    itself, as mixing_terms with nu_y = nu_x but the envelope
+    xi nu_x (1 - nu_x / 2m)."""
     if two_m < 1:
         raise ValueError("mixing needs at least one edge")
     nu_v = float(two_m)
-    lhs = abs(e - nu_x * nu_y / nu_v)
-    rhs = xi * math.sqrt(
-        nu_x * nu_y * (1.0 - nu_x / nu_v) * (1.0 - nu_y / nu_v))
-    return lhs, rhs
+    return nu_x * nu_x / nu_v, xi * nu_x * (1.0 - nu_x / nu_v)
 
 
 def mixing_gap_single(
@@ -112,12 +139,8 @@ def mixing_gap_single(
 ) -> tuple[float, float]:
     """Single-set mixing inequality sides for X against itself, with
     e = e(X, X) and nu_x as in mixing_gap."""
-    if two_m < 1:
-        raise ValueError("mixing needs at least one edge")
-    nu_v = float(two_m)
-    lhs = abs(e - nu_x * nu_x / nu_v)
-    rhs = xi * nu_x * (1.0 - nu_x / nu_v)
-    return lhs, rhs
+    centre, rhs = mixing_terms_single(nu_x, two_m, xi)
+    return abs(e - centre), rhs
 
 
 def independence_upper_bounds(

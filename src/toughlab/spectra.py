@@ -12,10 +12,12 @@ in-repo, so the package has no numeric dependency, and uses only double
 arithmetic, ``math.sqrt``, ``math.hypot`` and the correctly rounded
 ``math.fsum``, so every machine gets the same bits.
 
-``spectral_summary`` solves the Laplacian and normalized Laplacian, which
-every bound reads; a regular graph's ``lambda_reg`` comes from the
-Laplacian spectrum, as L = dI - A.  ``adjacency_spectrum`` gives the full
-adjacency spectrum of any graph.
+The three spectrum functions hand the solver the matrices their builders
+make, which are exactly symmetric and finite, without its input copy and
+checks; other callers get both.  ``spectral_summary`` solves the Laplacian
+and normalized Laplacian, which every bound reads; a regular graph's
+``lambda_reg`` comes from the Laplacian spectrum, as L = dI - A.
+``adjacency_spectrum`` gives the full adjacency spectrum of any graph.
 
 Eigenvalue order conventions: all spectra are returned descending.  The
 normalized Laplacian uses the isolated-vertex convention of zeroing the
@@ -40,26 +42,36 @@ class ConvergenceError(RuntimeError):
     """Raised when QL exceeds its per-eigenvalue iteration cap."""
 
 
+class _Built(list):
+    """A matrix that a builder below made for one solve: square, of finite
+    floats, exactly symmetric, and held by no caller, so the solver takes
+    it as it is and overwrites it."""
+
+
 def symmetric_eigenvalues(matrix: list[list[float]]) -> list[float]:
     """Eigenvalues of a symmetric real matrix, sorted descending.
 
     Raises ValueError for non-square, non-finite or non-symmetric input
     (tolerance SYMMETRY_TOL) and ConvergenceError if an eigenvalue needs
-    more than QL_MAX_ITERATIONS QL steps.
+    more than QL_MAX_ITERATIONS QL steps.  The input is copied and checked
+    unless it is one of this module's own ``_Built`` matrices.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("matrix must have dimension >= 1")
-    a = [[float(x) for x in row] for row in matrix]
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        if not all(map(math.isfinite, row)):
-            raise ValueError("matrix entries must be finite")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > SYMMETRY_TOL:
-                raise ValueError(f"matrix not symmetric at ({i}, {j})")
+    if type(matrix) is _Built:
+        a = matrix
+    else:
+        a = [[float(x) for x in row] for row in matrix]
+        for row in a:
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            if not all(map(math.isfinite, row)):
+                raise ValueError("matrix entries must be finite")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(a[i][j] - a[j][i]) > SYMMETRY_TOL:
+                    raise ValueError(f"matrix not symmetric at ({i}, {j})")
     if n == 1:
         return [a[0][0]]
     diag, off = _tridiagonalize(a)
@@ -198,19 +210,19 @@ def normalized_laplacian_matrix(g: Graph) -> list[list[float]]:
 def adjacency_spectrum(g: Graph) -> list[float]:
     if g.n < 1:
         raise ValueError("spectrum needs at least one vertex")
-    return symmetric_eigenvalues(adjacency_matrix(g))
+    return symmetric_eigenvalues(_Built(adjacency_matrix(g)))
 
 
 def laplacian_spectrum(g: Graph) -> list[float]:
     if g.n < 1:
         raise ValueError("spectrum needs at least one vertex")
-    return symmetric_eigenvalues(laplacian_matrix(g))
+    return symmetric_eigenvalues(_Built(laplacian_matrix(g)))
 
 
 def normalized_laplacian_spectrum(g: Graph) -> list[float]:
     if g.n < 1:
         raise ValueError("spectrum needs at least one vertex")
-    return symmetric_eigenvalues(normalized_laplacian_matrix(g))
+    return symmetric_eigenvalues(_Built(normalized_laplacian_matrix(g)))
 
 
 @dataclass(frozen=True)

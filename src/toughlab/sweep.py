@@ -19,6 +19,7 @@ most two chunks per worker in flight, so a slow caller stops the reading.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections import Counter, deque
@@ -26,7 +27,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from operator import add
+from operator import add, lshift, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import (
@@ -37,6 +38,8 @@ from .bounds import (
     laplacian_toughness_bounds,
     mixing_gap,
     mixing_gap_single,
+    mixing_terms,
+    mixing_terms_single,
     regular_toughness_bounds,
     semiregular_equality_check,
     toughness_lower_terms,
@@ -226,71 +229,137 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
 def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Both mixing inequalities over every subset pair.
 
-    Row x of the table holds, for every subset y, the integer code
-    vol[y] * (2m + 1) + e(x, y), where e(x, y) counts the ordered adjacent
-    pairs (u, v) with u in x and v in y.  Rows come from the lowest-set-bit
-    recurrence, one list operation per subset, and the code is exact
-    because 0 <= e, vol <= 2m.  Each row goes into the code set of its
-    volume vol[x], so the distinct (e, vol[x], vol[y]) triples are found
-    without a Python loop over pairs.  Each distinct triple is decoded and
-    evaluated once, and only the violating ones are kept.  The in-order
-    pair loop then runs only over the rows whose volume has a violating
-    triple, and emits the stored sides.  e(x, x) for the single-set
-    inequality is the diagonal code less vol[x] * (2m + 1).
+    A pair (x, y) has the integer code vol[y] * (2m + 1) + e(x, y), where
+    e(x, y) counts the ordered adjacent pairs (u, v) with u in x and v in
+    y; the code is exact because 0 <= e, vol <= 2m.  The code is additive
+    in y, a sum of one weight deg(v) * (2m + 1) + |N(v) & x| per vertex v
+    of y, so the codes of row x are the subset sums of n weights: a
+    bitset built by n shift-ors, for all rows at once.  The rows' bitsets
+    are or-ed into one code set per volume vol[x], so the distinct
+    (e, vol[x], vol[y]) triples are found without a loop over pairs.
+
+    In a code set, the codes of one vol[y] form one block of 2m + 1 bits.
+    In a block the centre and the right side are fixed (``mixing_terms``),
+    and the rounded e - centre is monotone in the integer e, so |e - centre|
+    is largest at the block's smallest or largest e: the block can hold a
+    violation only if one of those two does.  Only such blocks have each
+    triple evaluated, once, and only the violating triples are kept.  The
+    single-set inequality is screened the same way, per vol[x], with the
+    smallest and largest e(x, x).  The in-order pair loop, over rows built
+    by the lowest-set-bit recurrence, runs only when some triple violates,
+    and only over the rows whose volume has a violating triple.
     """
     g = f.g
     if g.m < 1:
         return
     two_m, xi = 2 * g.m, f.summary.xi
     base = two_m + 1
+    block_mask = (1 << base) - 1
     subsets = range(g.full_mask + 1)
     # into[v][y] = |N(v) & y|
     into = [[(row & y).bit_count() for y in subsets] for row in g.rows]
     vol = [0] * len(subsets)
+    diagonal = [0] * len(subsets)  # e(x, x)
     for x in subsets[1:]:
         low = x & -x
-        vol[x] = vol[x ^ low] + g.rows[low.bit_length() - 1].bit_count()
-    code = [[nu * base for nu in vol]]
-    seen: dict[int, set[int]] = {nu: set() for nu in vol}
-    seen[0].update(code[0])
-    for x in subsets[1:]:
-        low = x & -x
-        row = list(map(add, code[x ^ low], into[low.bit_length() - 1]))
-        code.append(row)
-        seen[vol[x]].update(row)
+        v = low.bit_length() - 1
+        vol[x] = vol[x ^ low] + g.rows[v].bit_count()
+        diagonal[x] = diagonal[x ^ low] + 2 * into[v][x ^ low]
+    # sums[x] has bit c set iff some y gives the pair (x, y) the code c
+    sums = [1] * len(subsets)
+    for v, row in enumerate(g.rows):
+        weights = map((row.bit_count() * base).__add__, into[v])
+        sums = list(map(or_, sums, map(lshift, sums, weights)))
+    codes_of = dict.fromkeys(vol, 0)
+    diagonals_of = dict.fromkeys(vol, 0)
+    for x in subsets:
+        codes_of[vol[x]] |= sums[x]
+        diagonals_of[vol[x]] |= 1 << diagonal[x]
+    vols = sorted(codes_of)
     # violating[vol[x]][code] = (lhs, rhs) of each violating triple
     violating: dict[int, dict[int, tuple[float, float]]] = {}
-    for nu_x, codes in seen.items():
-        for c in codes:
-            nu_y, e = divmod(c, base)
-            sides = mixing_gap(e, nu_x, nu_y, two_m, xi)
-            if sides[0] > sides[1] + tol:
-                violating.setdefault(nu_x, {})[c] = sides
+    # the volumes whose single-set block can hold a violation
+    single = set()
+    for nu_x in vols:
+        centre, rhs = mixing_terms_single(nu_x, two_m, xi)
+        if _block_can_violate(diagonals_of[nu_x], centre, rhs + tol):
+            single.add(nu_x)
+        codes = codes_of[nu_x]
+        for nu_y, (centre, rhs) in zip(vols, mixing_terms(nu_x, vols, two_m, xi)):
+            block = codes >> nu_y * base & block_mask
+            if block and _block_can_violate(block, centre, rhs + tol):
+                offset = nu_y * base
+                for e in range(block.bit_length()):
+                    if block >> e & 1:
+                        sides = mixing_gap(e, nu_x, nu_y, two_m, xi)
+                        if sides[0] > sides[1] + tol:
+                            violating.setdefault(nu_x, {})[offset + e] = sides
+    rows = _code_rows(vol, into, base) if violating else []
     for x in subsets:
-        nu_x = vol[x]
-        lhs, rhs = mixing_gap_single(code[x][x] - nu_x * base, nu_x, two_m, xi)
-        if lhs > rhs + tol:
-            yield Violation(f.g6, "mixing-single", lhs, rhs)
-        sides_of = violating.get(nu_x)
+        if vol[x] in single:
+            lhs, rhs = mixing_gap_single(diagonal[x], vol[x], two_m, xi)
+            if lhs > rhs + tol:
+                yield Violation(f.g6, "mixing-single", lhs, rhs)
+        sides_of = violating.get(vol[x])
         if sides_of:
-            for c in code[x]:
+            for c in rows[x]:
                 if c in sides_of:
                     yield Violation(f.g6, "mixing-pair", *sides_of[c])
 
 
+def _block_can_violate(block: int, centre: float, limit: float) -> bool:
+    """Some e set in the bitset ``block`` has |e - centre| > limit: true iff
+    its smallest or largest e does, as the rounded e - centre is monotone."""
+    return (abs((block & -block).bit_length() - 1 - centre) > limit
+            or abs(block.bit_length() - 1 - centre) > limit)
+
+
+def _code_rows(vol: list[int], into: list[list[int]], base: int) -> list[list[int]]:
+    """Row x holds the codes vol[y] * base + e(x, y) for every y in order,
+    by the lowest-set-bit recurrence: one list operation per row."""
+    rows = [[nu * base for nu in vol]]
+    for x in range(1, len(vol)):
+        low = x & -x
+        rows.append(list(map(add, rows[x ^ low], into[low.bit_length() - 1])))
+    return rows
+
+
 def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    """Size bounds for every cut set and two-sided grouping of its blocks."""
+    """Size bounds for every cut set and two-sided grouping of its blocks.
+
+    The four conditions read only |S| and the smaller side |X|, with
+    1 <= |X| <= (n - |S|) / 2, and the two equality ones only when
+    2 |X| < n - |S|.  So each |S| is screened first over every |X| it
+    allows, and the masks of a size at which no grouping can give a record
+    are skipped without computing their components.  Sizes below twice
+    the exact toughness are skipped too: a set S that leaves two or more
+    blocks has tau <= |S| / 2.
+    """
     if not f.bounded:
         return
     g = f.g
     cap_ratio, floor_ratio = cut_partition_ratios(f.summary)
     cap = cap_ratio * g.n
     full = g.full_mask
+    # live[|S|]: some grouping left by a cut set of that size can give a record
+    live = [False] * g.n
+    for size_s in range(math.ceil(2 * f.cert.value), g.n - 1):
+        for size_x in range(1, (g.n - size_s) // 2 + 1):
+            floor = floor_ratio * size_x
+            if (size_x > cap + tol or size_s < floor - tol
+                    or 2 * size_x < g.n - size_s
+                    and (abs(size_x - cap) <= eps_eq or abs(size_s - floor) <= eps_eq)):
+                live[size_s] = True
+                break
+    if not any(live):
+        return
     for s_mask in range(1, full):
+        size_s = s_mask.bit_count()
+        if not live[size_s]:
+            continue
         sizes = [b.bit_count() for b in component_masks(g.rows, full & ~s_mask)]
         if len(sizes) < 2:
             continue
-        size_s = s_mask.bit_count()
         # unordered groupings of blocks into two nonempty sides
         for pick in range(1, 1 << (len(sizes) - 1)):
             picked = sum(size for i, size in enumerate(sizes) if pick >> i & 1)

@@ -206,17 +206,21 @@ def jacobi_eigenvalues(matrix) -> list[float]:
     Jacobi rotations.
 
     Converged when the off-diagonal Frobenius norm is at most 1e-12 times
-    the initial Frobenius norm plus 1e-300.  Before each sweep a scan looks
-    for one entry above that target: the off-norm is at least sqrt(2) times
-    any entry, so such an entry proves the sweep is needed, and entries
-    whose squares underflow to zero are still rotated away.  Both norms
-    divide by the largest |entry| before squaring, so entries above about
-    1e154 do not overflow them to inf.
+    the initial Frobenius norm, a target relative to the matrix's scale; the
+    zero matrix, whose target would be 0, returns its zero diagonal at
+    once.  Before each sweep a scan looks for one entry above that target:
+    the off-norm is at least sqrt(2) times any entry, so such an entry
+    proves the sweep is needed, and entries whose squares underflow to zero
+    are still rotated away.  Both norms divide by the largest |entry|
+    before squaring, so entries above about 1e154 do not overflow them to
+    inf.
     """
     a = [[float(x) for x in row] for row in matrix]
     n = len(a)
     fro = _norm([x for row in a for x in row])
-    target = 1e-12 * fro + 1e-300
+    if fro == 0.0:
+        return [0.0] * n
+    target = 1e-12 * fro
     plan = [(p, q, [i for i in range(n) if i != p and i != q])
             for p in range(n - 1) for q in range(p + 1, n)]
 

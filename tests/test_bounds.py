@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,10 +28,10 @@ from toughlab import (
 from toughlab.bounds import cut_partition_ratios
 from toughlab.cli import BOUNDS_COLUMNS, main
 from toughlab.formats import enumerate_labeled, write_graph6
-from toughlab.graphs import Graph
+from toughlab.graphs import Graph, component_masks
 from toughlab.sweep import GraphFacts, Violation, evaluate_graph
 
-from _oracles import edge_boundary, volume
+from _oracles import component_sets, edge_boundary, to_adj, volume
 
 
 def test_lower_terms(petersen, p3, c4):
@@ -137,7 +138,7 @@ def test_mixing_records_match_the_per_pair_definition():
     # At 1e-7 no (e, vol X, vol Y) triple violates, so the pair loop never
     # runs; at -0.05 and -0.5 almost every graph has both violating and
     # clean triples (a median of 19 % and 27 % of them violate), so the
-    # loop walks a partial table of violating triples
+    # loop walks a partial table of violating triples; at -1.0 most do
     corpus = itertools.chain(
         (g for n in range(1, 6) for g in enumerate_labeled(n)),
         _seeded_graphs(6, 300, seed=6),
@@ -147,7 +148,7 @@ def test_mixing_records_match_the_per_pair_definition():
     for g in corpus:
         g6 = write_graph6(g)
         sides = _reference_mixing(g, spectral_summary(g).xi) if g.m else []
-        for tol in (1e-7, -0.05, -0.5):
+        for tol in (1e-7, -0.05, -0.5, -1.0):
             want = [(check, lhs.hex(), rhs.hex())
                     for check, lhs, rhs in sides if lhs > rhs + tol]
             got = [(r.check, r.lhs.hex(), r.rhs.hex())
@@ -163,24 +164,111 @@ def test_mixing_records_match_the_per_pair_definition():
     assert partial > 1_300
 
 
-def test_mixing_evaluates_each_distinct_triple_once(monkeypatch):
-    calls = []
+def test_mixing_and_cut_partition_evaluate_only_groups_that_can_violate(monkeypatch):
+    sweep_module = importlib.import_module("toughlab.sweep")
+    calls, components = [], []
 
     def counted(*args):
         calls.append(args)
         return mixing_gap(*args)
 
+    def counted_components(rows, remaining):
+        components.append(remaining)
+        return component_masks(rows, remaining)
+
     # the package exports the function ``sweep`` under the module's name
-    monkeypatch.setattr(importlib.import_module("toughlab.sweep"), "mixing_gap", counted)
-    graphs = [*_seeded_graphs(6, 3, seed=13), *_seeded_graphs(7, 2, seed=13)]
+    monkeypatch.setattr(sweep_module, "mixing_gap", counted)
+    monkeypatch.setattr(sweep_module, "component_masks", counted_components)
+    graphs = [*_seeded_graphs(6, 6, seed=13), *_seeded_graphs(7, 3, seed=13)]
+    evaluated = 0
     for g in graphs:
-        subsets = range(g.full_mask + 1)
-        triples = {(edge_boundary(g, x, y), volume(g, x), volume(g, y))
-                   for x in subsets for y in subsets}
+        g6, two_m = write_graph6(g), 2 * g.m
+        xi = spectral_summary(g).xi
+        # at 1e-7 no triple violates and no cut size can give a record, so
+        # the screens decide every (vol X, vol Y) block and every |S|
         calls.clear()
-        assert evaluate_graph(write_graph6(g), g, ("mixing",), 1e-7, 1e-7) == []
-        assert len(calls) == len(triples), write_graph6(g)
-        assert {args[:3] for args in calls} == triples
+        components.clear()
+        checks = ("mixing", "cut-partition")
+        assert evaluate_graph(g6, g, checks, 1e-7, 1e-7) == [], g6
+        assert calls == [] and components == [], g6
+        # (vol X, vol Y) -> the e(X, Y) of its distinct triples
+        blocks: dict[tuple[int, int], set[int]] = {}
+        subsets = range(g.full_mask + 1)
+        for x in subsets:
+            for y in subsets:
+                blocks.setdefault((volume(g, x), volume(g, y)), set()).add(
+                    edge_boundary(g, x, y))
+
+        def violates(e, nu_x, nu_y, tol):
+            lhs, rhs = mixing_gap(e, nu_x, nu_y, two_m, xi)
+            return lhs > rhs + tol
+
+        tol = -0.05
+        evaluate_graph(g6, g, ("mixing",), tol, 1e-7)
+        triples = [args[:3] for args in calls]
+        assert len(triples) == len(set(triples)), g6
+        for e, nu_x, nu_y in triples:
+            es = blocks[nu_x, nu_y]
+            assert e in es
+            assert violates(min(es), nu_x, nu_y, tol) or violates(max(es), nu_x, nu_y, tol)
+        # and no violating triple is missed
+        assert set(triples) >= {(e, nu_x, nu_y) for (nu_x, nu_y), es in blocks.items()
+                                for e in es if violates(e, nu_x, nu_y, tol)}
+        evaluated += len(triples)
+    assert evaluated > 0
+
+
+def _reference_cut_partition(g, summary):
+    """(check, lhs, rhs) for every cut set and grouping of the blocks it
+    leaves, in the check's order, with the blocks from ``component_sets``,
+    each with the comparison that makes it a record."""
+    cap_ratio, floor_ratio = cut_partition_ratios(summary)
+    cap = cap_ratio * g.n
+    adj = to_adj(g)
+    sides = []
+    for s_mask in range(1, g.full_mask):
+        cut = {v for v in range(g.n) if s_mask >> v & 1}
+        blocks = component_sets(adj, cut)
+        for pick in range(1, 1 << (len(blocks) - 1)):
+            picked = sum(len(b) for i, b in enumerate(blocks) if pick >> i & 1)
+            size_x, size_y = sorted((picked, g.n - len(cut) - picked))
+            floor = floor_ratio * size_x
+            sides.append(("above", "cut-partition-x", float(size_x), cap))
+            sides.append(("below", "cut-partition-s", float(len(cut)), floor))
+            if size_x != size_y:
+                sides.append(("equal", "cut-partition-x-equality", float(size_x), cap))
+                sides.append(("equal", "cut-partition-s-equality", float(len(cut)), floor))
+    return sides
+
+
+def test_cut_partition_records_match_the_per_grouping_definition():
+    # every labeled graph with n <= 5 and seeded 6- and 7-vertex graphs;
+    # order, count and the bits of both sides must agree for each window
+    corpus = itertools.chain(
+        (g for n in range(1, 6) for g in enumerate_labeled(n)),
+        _seeded_graphs(6, 150, seed=16),
+        _seeded_graphs(7, 20, seed=17),
+    )
+    fired = Counter()
+    for g in corpus:
+        facts = GraphFacts(write_graph6(g), g)
+        sides = _reference_cut_partition(g, facts.summary) if facts.bounded else []
+        for tol, eps_eq in itertools.product((1e-7, -0.05, -0.5), (1e-7, 0.05, 0.5)):
+            record = {"above": lambda lhs, rhs: lhs > rhs + tol,
+                      "below": lambda lhs, rhs: lhs < rhs - tol,
+                      "equal": lambda lhs, rhs: abs(lhs - rhs) <= eps_eq}
+            want = [(check, lhs.hex(), rhs.hex())
+                    for kind, check, lhs, rhs in sides if record[kind](lhs, rhs)]
+            got = [(r.check, r.lhs.hex(), r.rhs.hex())
+                   for r in evaluate_graph(facts.g6, g, ("cut-partition",), tol, eps_eq)]
+            assert got == want, (facts.g6, tol, eps_eq)
+            fired.update((check, tol, eps_eq) for check, _, _ in got)
+    # the equality records fire at the widest window, and all four kinds fire
+    assert fired["cut-partition-x-equality", 1e-7, 0.5] > 0
+    assert fired["cut-partition-s-equality", 1e-7, 0.5] > 0
+    assert {check for check, _, _ in fired} == {
+        "cut-partition-x", "cut-partition-s", "cut-partition-x-equality",
+        "cut-partition-s-equality"}
 
 
 def test_independence_bound_values(petersen, c4, k4):

@@ -81,6 +81,19 @@ def test_solver_and_jacobi_oracle_near_the_overflow_threshold():
         assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want)), got
 
 
+def test_jacobi_oracle_agrees_with_the_solver_near_the_underflow_threshold():
+    # an absolute convergence floor of 1e-300 stopped Jacobi early here:
+    # at 1e-300 it returned (1.642, 1.030, -1.672) * 1e-300
+    for scale in (1e-280, 1e-300):
+        mat = [[x * scale for x in row] for row in ([1, 1, 0], [1, -1, 1], [0, 1, 1])]
+        want = symmetric_eigenvalues(mat)
+        got = jacobi_eigenvalues(mat)
+        assert all(abs(a - b) <= 4 * math.ulp(b) for a, b in zip(got, want)), (scale, got, want)
+        assert all(abs(a - b * scale) <= 1e-12 * scale
+                   for a, b in zip(want, (math.sqrt(3), 1.0, -math.sqrt(3)))), (scale, want)
+    assert jacobi_eigenvalues([[0.0] * 3 for _ in range(3)]) == [0.0] * 3
+
+
 def test_solver_input_validation():
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_eigenvalues([[0, 1], [0, 0]])

@@ -10,17 +10,10 @@ of the exact one, far inside the window, while the nearest non-equality
 case on the small corpora sits 0.0238 away.
 
 The two mixing evaluators take integers (an edge count, two volumes, 2m)
-and the normalized deviation rather than a graph and vertex sets, so the
-sweep can feed them from per-graph subset tables.  Their centre and right
-side, which do not depend on the edge count, come from ``mixing_terms`` and
-``mixing_terms_single``, the one place of each formula.  The sweep codes
-each (e(X, Y), vol Y) as one integer and collects the distinct codes in one
-set per vol X, where the codes of one vol Y form a block.  As |e - centre|
-is largest at a block's smallest or largest e, it screens each block with
-those two and evaluates a block's triples, each once, only when one of
-them violates; the single-set inequality is screened per vol X the same
-way.  It walks the subset pairs in order only for the rows whose volume
-has a violating triple, to emit that triple's sides once per pair.
+and the normalized deviation rather than a graph and vertex sets.  Their
+centre and right side, which do not depend on the edge count, come from
+``mixing_terms`` and ``mixing_terms_single``, the one place of each
+formula.
 
 Division guards: the normalized deviation xi cannot vanish for a graph with
 an edge (the eigenvalue trace forbids it), but the spectral term guards the

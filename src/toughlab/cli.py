@@ -81,14 +81,19 @@ def _numbered_lines(args) -> Iterator[tuple[int, str]]:
 
 
 def _input_graphs(args) -> Iterator[tuple[str, Graph]]:
+    """(graph6 record, graph) per input graph.  A graph with no vertex is an
+    input error, raised after the graphs before it: no per-graph command
+    reports on one."""
     if args.format == "edges":
         g = parse_edge_list("".join(line for _, line in _numbered_lines(args)))
-        yield write_graph6(g), g
-        return
-    for _, line in _numbered_lines(args):
-        if line.strip():
-            g = parse_graph6(line)
-            yield graph6_record(line), g
+        graphs = [("edge list", write_graph6(g), g)]
+    else:
+        graphs = ((f"line {lineno}", graph6_record(line), parse_graph6(line))
+                  for lineno, line in _numbered_lines(args) if line.strip())
+    for where, g6, g in graphs:
+        if g.n < 1:
+            raise FormatError(f"{where}: the graph has no vertices")
+        yield g6, g
 
 
 def _emit(args, record: dict) -> None:

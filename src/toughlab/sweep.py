@@ -3,9 +3,10 @@
 ``GraphFacts`` computes each fact about one graph once: ``verify`` (through
 ``evaluate_graph``) and the ``bounds`` and ``extremal`` commands all read
 it, so the Laplacian-bound equality and the join-structure decisions each
-live in one place.  ``CHECKS`` is the one list of check names; the README
-describes each.  ``sweep`` runs the enabled checks over a stream of graph6
-records, in parallel if asked.
+live in one place.  ``CHECKS`` is the one list of checks: it maps each
+name to its check and to the ``GraphFacts`` flag that is its domain, and
+the README describes each.  ``sweep`` runs the enabled checks over a
+stream of graph6 records, in parallel if asked.
 
 Violations record (graph6, check, lhs, rhs) where the failed comparison was
 "lhs within tolerance of rhs".  ``sweep`` hands each 256-line chunk's
@@ -24,7 +25,7 @@ import os
 import time
 from collections import Counter, deque
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, islice
 from operator import add, lshift, or_
@@ -89,11 +90,14 @@ class EqualityVerdict(NamedTuple):
 class GraphFacts:
     """What the checks and reports read about one graph, each computed once.
 
-    The cheap facts are set on construction.  ``bounded`` marks the graphs
-    the toughness bounds speak about: connected and not complete (so
-    n >= 2).  The independence and toughness certificates, the two
-    Laplacian bounds and the join witness are computed on first read and
-    kept; toughness reads the independence number for its stopping rule.
+    The cheap facts are set on construction.  Two of them are the check
+    domains that ``CHECKS`` names: ``bounded`` marks the graphs the
+    toughness bounds, the Laplacian bounds and their join equality case
+    speak about, connected and not complete (so n >= 2); ``has_edge``
+    marks the graphs the mixing and independence checks need, m >= 1.
+    The independence and toughness certificates, the two Laplacian bounds
+    and the join witness are computed on first read and kept; toughness
+    reads the independence number for its stopping rule.
     """
 
     def __init__(self, g6: str, g: Graph) -> None:
@@ -103,6 +107,7 @@ class GraphFacts:
         self.complete = g.n < 1 or is_complete(g)
         self.summary = spectral_summary(g) if g.n >= 2 else None
         self.bounded = self.connected and not self.complete
+        self.has_edge = g.m >= 1
 
     @cached_property
     def alpha_cert(self) -> IndependenceCertificate:
@@ -163,25 +168,20 @@ def _lower_bound(f: GraphFacts, name: str, value: float, tol: float,
 
 
 def _check_tough_lower(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    if f.bounded:
-        yield from _lower_bound(
-            f, "tough-lower", max(toughness_lower_terms(f.g, f.summary)), tol, eps_eq)
+    return _lower_bound(
+        f, "tough-lower", max(toughness_lower_terms(f.g, f.summary)), tol, eps_eq)
 
 
 def _check_lap_product(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    if f.bounded:
-        yield from _lower_bound(f, "lap-product", f.lap_bounds[0], tol, eps_eq)
+    return _lower_bound(f, "lap-product", f.lap_bounds[0], tol, eps_eq)
 
 
 def _check_lap_gap(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    if f.bounded:
-        yield from _lower_bound(f, "lap-gap", f.lap_bounds[1], tol, eps_eq)
+    return _lower_bound(f, "lap-gap", f.lap_bounds[1], tol, eps_eq)
 
 
 def _check_conn_cap(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Algebraic connectivity under the toughness cap, equal iff join structure."""
-    if not f.bounded:
-        return
     cap = algebraic_connectivity_cap(f.summary, f.cert.value)
     mu_second = f.summary.algebraic_connectivity
     if mu_second > cap + tol:
@@ -194,7 +194,7 @@ def _check_conn_cap(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record
 
 
 def _check_regular(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    reg = regular_toughness_bounds(f.g, f.summary) if f.bounded else None
+    reg = regular_toughness_bounds(f.g, f.summary)
     if reg is None:
         return
     brouwer, strict_bound, alon = reg
@@ -208,8 +208,6 @@ def _check_regular(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]
 
 def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Independence number under its three bounds, biregular at equality."""
-    if f.g.m < 1:
-        return
     alpha = f.alpha_cert.alpha
     degree_b, mixing_b, laplacian_b = independence_upper_bounds(f.g, f.summary)
     for name, value in (
@@ -250,8 +248,6 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     and only over the rows whose volume has a violating triple.
     """
     g = f.g
-    if g.m < 1:
-        return
     two_m, xi = 2 * g.m, f.summary.xi
     base = two_m + 1
     block_mask = (1 << base) - 1
@@ -335,8 +331,6 @@ def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[R
     the exact toughness are skipped too: a set S that leaves two or more
     blocks has tau <= |S| / 2.
     """
-    if not f.bounded:
-        return
     g = f.g
     cap_ratio, floor_ratio = cut_partition_ratios(f.summary)
     cap = cap_ratio * g.n
@@ -379,8 +373,6 @@ def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[R
 
 def _check_extremal_iff(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Numeric equality in both Laplacian bounds iff the join structure."""
-    if not f.bounded:
-        return
     verdict = f.verdict(eps_eq)
     structural = float(verdict.structural)
     if verdict.product_equality != verdict.structural:
@@ -389,16 +381,17 @@ def _check_extremal_iff(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
         yield Violation(f.g6, "extremal-iff-gap", float(verdict.gap_equality), structural)
 
 
-CHECKS: dict[str, Check] = {
-    "tough-lower": _check_tough_lower,
-    "lap-product": _check_lap_product,
-    "lap-gap": _check_lap_gap,
-    "conn-cap": _check_conn_cap,
-    "regular": _check_regular,
-    "alpha-bounds": _check_alpha_bounds,
-    "mixing": _check_mixing,
-    "cut-partition": _check_cut_partition,
-    "extremal-iff": _check_extremal_iff,
+# name -> (check, the GraphFacts flag a graph needs for the check to run)
+CHECKS: dict[str, tuple[Check, str]] = {
+    "tough-lower": (_check_tough_lower, "bounded"),
+    "lap-product": (_check_lap_product, "bounded"),
+    "lap-gap": (_check_lap_gap, "bounded"),
+    "conn-cap": (_check_conn_cap, "bounded"),
+    "regular": (_check_regular, "bounded"),
+    "alpha-bounds": (_check_alpha_bounds, "has_edge"),
+    "mixing": (_check_mixing, "has_edge"),
+    "cut-partition": (_check_cut_partition, "bounded"),
+    "extremal-iff": (_check_extremal_iff, "bounded"),
 }
 CHECK_NAMES = tuple(CHECKS)
 # mixing and cut-partition enumerate subset pairs / cut sets; they stay
@@ -437,14 +430,7 @@ class SweepReport:
     wall_time: float
 
     def summary_line(self) -> str:
-        return json.dumps({
-            "corpus_id": self.corpus_id,
-            "graphs_checked": self.graphs_checked,
-            "violations": self.violations,
-            "interesting": self.interesting,
-            "diagnostics": self.diagnostics,
-            "wall_time": round(self.wall_time, 3),
-        })
+        return json.dumps({**asdict(self), "wall_time": round(self.wall_time, 3)})
 
 
 def evaluate_graph(
@@ -452,12 +438,15 @@ def evaluate_graph(
 ) -> list[Record]:
     """Run the enabled checks on one graph; records come in ``CHECKS`` order.
 
-    Checks whose preconditions the graph does not meet (disconnected or
-    complete input for toughness checks, edgeless graphs for mixing) are
-    skipped, not failed.  A graph the checks cannot evaluate raises:
-    SweepConfigError for mixing above MIXING_MAX_N vertices, and
-    ConvergenceError from the eigensolver; ``sweep`` turns either into a
-    diagnostic for its line.
+    This is the one place a check is skipped: a check runs only on a graph
+    whose ``GraphFacts`` flag named beside it in ``CHECKS`` is true, so
+    the toughness, Laplacian, regular, cut-partition and join checks skip
+    disconnected and complete graphs, and the mixing and independence
+    checks skip edgeless ones.  A check body may still return no record on
+    a value, as ``regular`` does on an irregular graph.  A graph the checks
+    cannot evaluate raises: SweepConfigError for mixing above MIXING_MAX_N
+    vertices, and ConvergenceError from the eigensolver; ``sweep`` turns
+    either into a diagnostic for its line.
     """
     checks = set(checks)
     if "mixing" in checks and g.n > MIXING_MAX_N:
@@ -465,8 +454,8 @@ def evaluate_graph(
             f"mixing check caps at n = {MIXING_MAX_N} (subset-pair explosion), got n = {g.n}")
     facts = GraphFacts(g6, g)
     records: list[Record] = []
-    for name, check in CHECKS.items():
-        if name in checks:
+    for name, (check, needs) in CHECKS.items():
+        if name in checks and getattr(facts, needs):
             records += check(facts, tol, eps_eq)
     return records
 

@@ -8,7 +8,10 @@ fixed whatever order the records are printed in.
 ``python tests/test_cli_golden.py`` prints the current digests for a
 deliberate output change.  The streams whose floats depend on the
 eigensolver's rounding are also rebuilt with the Jacobi oracle in place of
-the solver: only those floats may differ, each within 1e-12.
+the solver: only those floats may differ, each within 1e-12.  Three
+streams are also produced under every other installed CPython >= 3.10,
+which must give the same digests: the solver's bits do not depend on the
+Python version.
 """
 
 import contextlib
@@ -16,12 +19,17 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import shutil
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import toughlab
 from toughlab import spectra
 from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, write_edge_list, write_graph6
@@ -199,6 +207,44 @@ def test_verify_records_move_only_on_the_tolerance_boundary(monkeypatch):
         assert len(k) == 4, k  # interesting records never move
         lhs, rhs = got_sides.get(k) or want_sides[k]
         assert abs(lhs - rhs + 0.5) <= 1e-12, k
+
+
+def _other_interpreters():
+    """The installed CPython >= 3.10 interpreters other than this one.  A
+    name on PATH may be a version-manager shim that cannot start, so each
+    is asked for its version first."""
+    found = []
+    for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
+        path = shutil.which(name)
+        if path is None:
+            continue
+        probe = subprocess.run([path, "-c", "import sys; print(*sys.version_info[:2])"],
+                               capture_output=True, text=True)
+        version = tuple(map(int, probe.stdout.split())) if probe.returncode == 0 else ()
+        if (3, 10) <= version != sys.version_info[:2]:
+            found.append(path)
+    return found
+
+
+# the streams whose bits are compared across Python versions
+CROSS_VERSION = [
+    (("spectra",), "conn-2to5"),
+    (("bounds",), "conn-le5"),
+    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"),
+]
+
+
+@pytest.mark.parametrize("argv, corpus", CROSS_VERSION, ids=_ids(CROSS_VERSION))
+def test_other_python_versions_give_the_same_output(argv, corpus):
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 is installed")
+    # the child imports the package under test
+    env = {**os.environ, "PYTHONPATH": str(Path(toughlab.__file__).resolve().parents[1])}
+    for python in interpreters:
+        child = subprocess.run([python, "-m", "toughlab", *argv], input=CORPORA[corpus](),
+                               capture_output=True, text=True, env=env)
+        assert (child.returncode, sha256(child.stdout)) == GOLDEN[argv, corpus], python
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
-"""Every name a module imports is used in that module, and the test run
-imports the package that PYTHONPATH names.
+"""Every name a module imports is used in that module, the test run
+imports the package that PYTHONPATH names, and every package name the
+README quotes evaluates.
 
 The package re-exports its API from ``__init__``, so that module is left
 out; ``from __future__`` imports are directives, not names.
 """
 
 import ast
+import importlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -60,3 +63,25 @@ def test_a_pythonpath_entry_holding_the_package_is_imported(tmp_path):
         cwd=checkout, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(tmp_path / "src")})
     assert child.returncode == 0, child.stdout + child.stderr
+
+
+README_NAMES = sorted(set(re.findall(
+    r"`(toughlab(?:\.\w+)+)`",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"))))
+
+
+def test_the_readme_quotes_package_names():
+    assert "toughlab.CHECKS" in README_NAMES
+
+
+@pytest.mark.parametrize("name", README_NAMES)
+def test_a_package_name_the_readme_quotes_evaluates(name):
+    # import each dotted prefix that is a module, then evaluate the name as
+    # a reader would write it after ``import toughlab.<module>``
+    parts = name.split(".")
+    for end in range(2, len(parts)):
+        try:
+            importlib.import_module(".".join(parts[:end]))
+        except ModuleNotFoundError:
+            break
+    eval(name, {"toughlab": toughlab})

@@ -15,7 +15,17 @@ from types import SimpleNamespace
 import pytest
 
 import toughlab
-from toughlab import FormatError, path_graph, spectra, star_graph, write_graph6
+from toughlab import (
+    FormatError,
+    complete_graph,
+    disjoint_union,
+    empty_graph,
+    parse_graph6,
+    path_graph,
+    spectra,
+    star_graph,
+    write_graph6,
+)
 from toughlab.cli import main
 from toughlab.formats import enumerate_labeled
 from toughlab.graphs import is_complete
@@ -25,6 +35,8 @@ from toughlab.sweep import (
     Interesting,
     SweepConfig,
     SweepConfigError,
+    SweepReport,
+    evaluate_graph,
     sweep,
 )
 
@@ -57,6 +69,39 @@ def test_sweep_single_complete_graph():
     report, _ = swept(SweepConfig(corpus_id="k4"), [(1, "C~")])
     assert report.graphs_checked == 1
     assert report.violations == 0
+
+
+def test_evaluate_graph_alone_decides_each_check_domain(monkeypatch):
+    """No check body runs on a graph outside its domain: the toughness-side
+    checks need a connected non-complete graph, mixing and alpha an edge."""
+    called = []
+
+    def recorded(name, check):
+        def wrapper(*args):
+            called.append((args[0].g6, name))
+            return check(*args)
+        return wrapper
+
+    needs_of = {}
+    for name, (check, needs) in SWEEP_MODULE.CHECKS.items():
+        needs_of[name] = needs
+        monkeypatch.setitem(SWEEP_MODULE.CHECKS, name, (recorded(name, check), needs))
+    assert set(needs_of.values()) == {"bounded", "has_edge"}
+    k2_k1 = write_graph6(disjoint_union(complete_graph(2), empty_graph(1)))
+    k4, p4 = write_graph6(complete_graph(4)), write_graph6(path_graph(4))
+    for g6 in ("?", "@", "A?", k2_k1, k4, p4):
+        evaluate_graph(g6, parse_graph6(g6), CHECK_NAMES, 1e-7, 1e-7)
+    assert sorted(called) == sorted(
+        [(p4, name) for name in CHECK_NAMES]
+        + [(g6, name) for g6 in (k2_k1, k4) for name in CHECK_NAMES
+           if needs_of[name] == "has_edge"])
+
+
+def test_summary_line_keys_and_rounding():
+    report = SweepReport("c", 1, 2, 3, 4, 1.23456)
+    assert report.summary_line() == (
+        '{"corpus_id": "c", "graphs_checked": 1, "violations": 2, "interesting": 3, '
+        '"diagnostics": 4, "wall_time": 1.235}')
 
 
 def test_sweep_reports_bad_lines_and_continues():
@@ -340,6 +385,25 @@ def test_cli_reports_an_eigensolver_failure(monkeypatch, capsys):
     assert main(["verify"]) == 0
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("line 1: no convergence after 100 sweeps\n")
+
+
+def test_cli_rejects_a_graph_with_no_vertices(monkeypatch, capsys):
+    # one error line after the records of the lines before it
+    for command in ("tough", "alpha", "kappa", "spectra", "bounds", "extremal"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
+        assert main([command]) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\n?\nA_\n"))
+        assert main([command]) == 2, command
+        assert capsys.readouterr() == (want, "error: line 2: the graph has no vertices\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
+    assert main(["tough", "--format", "edges"]) == 2
+    assert capsys.readouterr() == ("", "error: edge list: the graph has no vertices\n")
+    # verify counts it as checked, with no record
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\n"))
+    assert main(["verify", "--checks", "all"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["graphs_checked"] == 1
 
 
 def test_cli_spectra_table(c4):

@@ -13,7 +13,9 @@ The two mixing evaluators take integers (an edge count, two volumes, 2m)
 and the normalized deviation rather than a graph and vertex sets.  Their
 centre and right side, which do not depend on the edge count, come from
 ``mixing_terms`` and ``mixing_terms_single``, the one place of each
-formula.
+formula.  ``mixing_scale`` gives the per-volume factor a(nu) of a floor
+under the two-set right side, which lets the mixing check screen a pair
+of volumes without a square root.
 
 Division guards: the normalized deviation xi cannot vanish for a graph with
 an edge (the eigenvalue trace forbids it), but the spectral term guards the
@@ -25,12 +27,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 from .graphs import Graph, VertexSet, degree_profile, iter_bits
 from .spectra import SpectralSummary
 
 EPS_EQ = 1e-7
+# puts xi a(nu_x) a(nu_y) (see mixing_scale) under every rounding of the rhs
+MIXING_SCREEN_FACTOR = 1.0 - 2.0 ** -46
 
 
 def toughness_lower_terms(
@@ -90,21 +93,29 @@ def algebraic_connectivity_cap(summary: SpectralSummary, tau: Fraction) -> float
     return t / (t + 1.0) * summary.laplacian_radius
 
 
-def mixing_terms(
-    nu_x: int, nu_ys: Iterable[int], two_m: int, xi: float
-) -> list[tuple[float, float]]:
-    """(centre, rhs) of the two-set mixing inequality for a set X of volume
-    nu_x against each volume nu_y in nu_ys, in a graph of 2m = two_m and
-    normalized deviation xi: the volume-expected edge count
-    nu_x nu_y / 2m and xi times the variance-style envelope.  Neither
-    depends on e(X, Y)."""
+def mixing_terms(nu_x: int, nu_y: int, two_m: int, xi: float) -> tuple[float, float]:
+    """(centre, rhs) of the two-set mixing inequality for sets X, Y of
+    volumes nu_x, nu_y in a graph of 2m = two_m and normalized deviation
+    xi: the volume-expected edge count nu_x nu_y / 2m and xi times the
+    variance-style envelope.  Neither depends on e(X, Y)."""
     if two_m < 1:
         raise ValueError("mixing needs at least one edge")
     nu_v = float(two_m)
-    spread_x = 1.0 - nu_x / nu_v
-    return [(nu_x * nu_y / nu_v,
-             xi * math.sqrt(nu_x * nu_y * spread_x * (1.0 - nu_y / nu_v)))
-            for nu_y in nu_ys]
+    return (nu_x * nu_y / nu_v,
+            xi * math.sqrt(nu_x * nu_y * (1.0 - nu_x / nu_v) * (1.0 - nu_y / nu_v)))
+
+
+def mixing_scale(nu: int, two_m: int) -> float:
+    """a(nu) = sqrt(nu (1 - nu / 2m)), so that xi a(nu_x) a(nu_y) is the
+    rhs of mixing_terms up to rounding, in either orientation.
+
+    a(nu) reads the rounded 1 - nu / 2m that mixing_terms reads, so only
+    the roundings of the products and square roots separate them: at most
+    8 unit roundoffs (2^-50) relative.  So xi * a(nu_x) *
+    MIXING_SCREEN_FACTOR * a(nu_y), evaluated left to right, is at most
+    the rhs of both orientations, with a 16-fold margin.
+    """
+    return math.sqrt(nu * (1.0 - nu / float(two_m)))
 
 
 def mixing_gap(
@@ -113,7 +124,7 @@ def mixing_gap(
     """Two-set mixing inequality sides for sets X, Y with e = e(X, Y)
     (edge_boundary) and volumes nu_x, nu_y, as in mixing_terms: (deviation
     |e - centre| of e from its volume-expected value, rhs)."""
-    [(centre, rhs)] = mixing_terms(nu_x, (nu_y,), two_m, xi)
+    centre, rhs = mixing_terms(nu_x, nu_y, two_m, xi)
     return abs(e - centre), rhs
 
 

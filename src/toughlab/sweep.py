@@ -33,12 +33,14 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import (
     EPS_EQ,
+    MIXING_SCREEN_FACTOR,
     algebraic_connectivity_cap,
     cut_partition_ratios,
     independence_upper_bounds,
     laplacian_toughness_bounds,
     mixing_gap,
     mixing_gap_single,
+    mixing_scale,
     mixing_terms,
     mixing_terms_single,
     regular_toughness_bounds,
@@ -237,15 +239,22 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     (e, vol[x], vol[y]) triples are found without a loop over pairs.
 
     In a code set, the codes of one vol[y] form one block of 2m + 1 bits.
-    In a block the centre and the right side are fixed (``mixing_terms``),
-    and the rounded e - centre is monotone in the integer e, so |e - centre|
-    is largest at the block's smallest or largest e: the block can hold a
-    violation only if one of those two does.  Only such blocks have each
-    triple evaluated, once, and only the violating triples are kept.  The
-    single-set inequality is screened the same way, per vol[x], with the
-    smallest and largest e(x, x).  The in-order pair loop, over rows built
-    by the lowest-set-bit recurrence, runs only when some triple violates,
-    and only over the rows whose volume has a violating triple.
+    In a block the centre and the right side are fixed, and the rounded
+    e - centre is monotone in the integer e, so |e - centre| is largest at
+    the block's smallest or largest e: the block can hold a violation only
+    if one of those two does.  As e(x, y) = e(y, x), the blocks
+    (vol[x], vol[y]) and (vol[y], vol[x]) hold the same e and centres of
+    the same bits, so each unordered pair of volumes is screened once,
+    against xi a(vol[x]) a(vol[y]) scaled by MIXING_SCREEN_FACTOR, a floor
+    under the right side of both orientations (``mixing_scale``): one
+    multiplication per block, with a(nu) computed once per volume.  Only
+    a block that fails the screen gets the exact test of each orientation
+    (``mixing_terms``), and only a block that fails that has each triple
+    evaluated, once; only the violating triples are kept.  The single-set
+    inequality is screened per vol[x], with the smallest and largest
+    e(x, x).  The in-order pair loop, over rows built by the
+    lowest-set-bit recurrence, runs only when some triple violates, and
+    only over the rows whose volume has a violating triple.
     """
     g = f.g
     two_m, xi = 2 * g.m, f.summary.xi
@@ -254,13 +263,11 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     subsets = range(g.full_mask + 1)
     # into[v][y] = |N(v) & y|
     into = [[(row & y).bit_count() for y in subsets] for row in g.rows]
-    vol = [0] * len(subsets)
-    diagonal = [0] * len(subsets)  # e(x, x)
-    for x in subsets[1:]:
-        low = x & -x
-        v = low.bit_length() - 1
-        vol[x] = vol[x ^ low] + g.rows[v].bit_count()
-        diagonal[x] = diagonal[x ^ low] + 2 * into[v][x ^ low]
+    vol, diagonal = [0], [0]  # diagonal[x] = e(x, x)
+    for v, row in enumerate(g.rows):
+        degree = row.bit_count()
+        vol += [nu + degree for nu in vol]
+        diagonal += [d + 2 * i for d, i in zip(diagonal, into[v])]
     # sums[x] has bit c set iff some y gives the pair (x, y) the code c
     sums = [1] * len(subsets)
     for v, row in enumerate(g.rows):
@@ -268,28 +275,39 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
         sums = list(map(or_, sums, map(lshift, sums, weights)))
     codes_of = dict.fromkeys(vol, 0)
     diagonals_of = dict.fromkeys(vol, 0)
-    for x in subsets:
-        codes_of[vol[x]] |= sums[x]
-        diagonals_of[vol[x]] |= 1 << diagonal[x]
+    for nu, d, codes in zip(vol, diagonal, sums):
+        codes_of[nu] |= codes
+        diagonals_of[nu] |= 1 << d
     vols = sorted(codes_of)
-    # violating[vol[x]][code] = (lhs, rhs) of each violating triple
-    violating: dict[int, dict[int, tuple[float, float]]] = {}
     # the volumes whose single-set block can hold a violation
     single = set()
     for nu_x in vols:
         centre, rhs = mixing_terms_single(nu_x, two_m, xi)
         if _block_can_violate(diagonals_of[nu_x], centre, rhs + tol):
             single.add(nu_x)
+    # violating[vol[x]][code] = (lhs, rhs) of each violating triple
+    violating: dict[int, dict[int, tuple[float, float]]] = {}
+    nu_v = float(two_m)
+    scale = [mixing_scale(nu, two_m) for nu in vols]
+    for i, nu_x in enumerate(vols):
         codes = codes_of[nu_x]
-        for nu_y, (centre, rhs) in zip(vols, mixing_terms(nu_x, vols, two_m, xi)):
-            block = codes >> nu_y * base & block_mask
-            if block and _block_can_violate(block, centre, rhs + tol):
-                offset = nu_y * base
-                for e in range(block.bit_length()):
-                    if block >> e & 1:
-                        sides = mixing_gap(e, nu_x, nu_y, two_m, xi)
-                        if sides[0] > sides[1] + tol:
-                            violating.setdefault(nu_x, {})[offset + e] = sides
+        scale_x = xi * scale[i] * MIXING_SCREEN_FACTOR
+        for nu_y, scale_y in zip(vols[i:], scale[i:]):
+            # centre: that of mixing_terms, bit for bit in either orientation
+            block, centre = codes >> nu_y * base & block_mask, nu_x * nu_y / nu_v
+            if not _block_can_violate(block, centre, scale_x * scale_y + tol):
+                continue
+            for nu_a, nu_b in {(nu_x, nu_y), (nu_y, nu_x)}:
+                centre, rhs = mixing_terms(nu_a, nu_b, two_m, xi)
+                if _block_can_violate(block, centre, rhs + tol):
+                    offset = nu_b * base
+                    for e in range(block.bit_length()):
+                        if block >> e & 1:
+                            sides = mixing_gap(e, nu_a, nu_b, two_m, xi)
+                            if sides[0] > sides[1] + tol:
+                                violating.setdefault(nu_a, {})[offset + e] = sides
+    if not violating and not single:
+        return
     rows = _code_rows(vol, into, base) if violating else []
     for x in subsets:
         if vol[x] in single:
@@ -416,6 +434,10 @@ class SweepConfig:
             raise SweepConfigError(f"unknown checks: {', '.join(unknown)}")
         if self.jobs < 1:
             raise SweepConfigError("jobs must be >= 1")
+        if not math.isfinite(self.tol):
+            raise SweepConfigError(f"tol must be finite, got {self.tol}")
+        if not 0.0 <= self.eps_eq < math.inf:
+            raise SweepConfigError(f"eps_eq must be finite and >= 0, got {self.eps_eq}")
 
 
 @dataclass(frozen=True)

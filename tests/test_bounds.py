@@ -25,7 +25,12 @@ from toughlab import (
     spectral_summary,
     toughness_lower_terms,
 )
-from toughlab.bounds import cut_partition_ratios
+from toughlab.bounds import (
+    MIXING_SCREEN_FACTOR,
+    cut_partition_ratios,
+    mixing_scale,
+    mixing_terms,
+)
 from toughlab.cli import BOUNDS_COLUMNS, main
 from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.graphs import Graph, component_masks
@@ -108,6 +113,22 @@ def test_mixing_requires_an_edge():
         mixing_gap_single(edge_boundary(g, 1, 1), volume(g, 1), 2 * g.m, xi)
 
 
+def test_mixing_screen_floor_is_under_the_rhs_of_both_orientations():
+    # every 2m up to 90 (n <= 10) and every pair of volumes it allows; the
+    # floor is evaluated as the mixing check evaluates it
+    rng = random.Random(17)
+    xis = [1.0, 0.5, 1 / 3, 2.0 ** -20, *(rng.random() for _ in range(6))]
+    for two_m in range(2, 91, 2):
+        scale = [mixing_scale(nu, two_m) for nu in range(two_m + 1)]
+        for xi in xis:
+            for nu_x in range(two_m + 1):
+                scale_x = xi * scale[nu_x] * MIXING_SCREEN_FACTOR
+                for nu_y in range(nu_x, two_m + 1):
+                    floor = scale_x * scale[nu_y]
+                    assert floor <= mixing_terms(nu_x, nu_y, two_m, xi)[1], (two_m, nu_x, nu_y, xi)
+                    assert floor <= mixing_terms(nu_y, nu_x, two_m, xi)[1], (two_m, nu_x, nu_y, xi)
+
+
 def _seeded_graphs(n, count, seed):
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
@@ -166,11 +187,15 @@ def test_mixing_records_match_the_per_pair_definition():
 
 def test_mixing_and_cut_partition_evaluate_only_groups_that_can_violate(monkeypatch):
     sweep_module = importlib.import_module("toughlab.sweep")
-    calls, components = [], []
+    calls, components, terms = [], [], []
 
     def counted(*args):
         calls.append(args)
         return mixing_gap(*args)
+
+    def counted_terms(*args):
+        terms.append(args)
+        return mixing_terms(*args)
 
     def counted_components(rows, remaining):
         components.append(remaining)
@@ -178,6 +203,7 @@ def test_mixing_and_cut_partition_evaluate_only_groups_that_can_violate(monkeypa
 
     # the package exports the function ``sweep`` under the module's name
     monkeypatch.setattr(sweep_module, "mixing_gap", counted)
+    monkeypatch.setattr(sweep_module, "mixing_terms", counted_terms)
     monkeypatch.setattr(sweep_module, "component_masks", counted_components)
     graphs = [*_seeded_graphs(6, 6, seed=13), *_seeded_graphs(7, 3, seed=13)]
     evaluated = 0
@@ -185,12 +211,14 @@ def test_mixing_and_cut_partition_evaluate_only_groups_that_can_violate(monkeypa
         g6, two_m = write_graph6(g), 2 * g.m
         xi = spectral_summary(g).xi
         # at 1e-7 no triple violates and no cut size can give a record, so
-        # the screens decide every (vol X, vol Y) block and every |S|
+        # the screens decide every (vol X, vol Y) block, each unordered
+        # pair against its floor alone, and every |S|
         calls.clear()
         components.clear()
+        terms.clear()
         checks = ("mixing", "cut-partition")
         assert evaluate_graph(g6, g, checks, 1e-7, 1e-7) == [], g6
-        assert calls == [] and components == [], g6
+        assert calls == [] and components == [] and terms == [], g6
         # (vol X, vol Y) -> the e(X, Y) of its distinct triples
         blocks: dict[tuple[int, int], set[int]] = {}
         subsets = range(g.full_mask + 1)

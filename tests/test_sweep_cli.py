@@ -438,6 +438,30 @@ def test_cli_rejects_options_it_would_ignore(monkeypatch, capsys, argv, message)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--tol", "nan", "tol must be finite"),
+    ("--tol", "inf", "tol must be finite"),
+    ("--tol", "-inf", "tol must be finite"),
+    ("--eq-tol", "nan", "eps_eq must be finite and >= 0"),
+    ("--eq-tol", "-1", "eps_eq must be finite and >= 0"),
+    ("--eq-tol", "inf", "eps_eq must be finite and >= 0"),
+])
+def test_cli_verify_rejects_tolerances_that_decide_nothing(monkeypatch, capsys, option,
+                                                           value, message):
+    # a NaN slack makes every comparison false, so the sweep would pass
+    # anything; a NaN or negative window makes no value equal to itself
+    monkeypatch.setattr("sys.stdin", io.StringIO("Cl\nDQc\n"))
+    assert main(["verify", "--checks", "all", f"{option}={value}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}, got {float(value)}\n")
+
+
+def test_cli_verify_accepts_a_negative_tol_and_a_zero_window(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))
+    assert main(["verify", "--tol=-0.5", "--eq-tol", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out and err.startswith("{")
+
+
 def test_cli_alpha_kappa(petersen):
     text = write_graph6(petersen) + "\n"
     alpha = json.loads(run_cli(["alpha"], text).stdout.strip())

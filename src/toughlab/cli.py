@@ -6,8 +6,8 @@ single whitespace edge list (--format edges).  Results stream as JSON lines
 on stdout; human-readable tables with --table; summaries go to stderr.
 
 Exit codes: 0 clean, 1 sweep violations (or the diagnostic that stops a
-strict-mode sweep), 2 usage, input or I/O errors, including a per-graph
-command whose eigensolver does not converge.
+strict-mode sweep), 2 usage, input or I/O errors, or a per-graph command's
+bad line: every command reports one as ``line N: message`` and reads on.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .formats import (
     GENERATED_MAX_N,
     FormatError,
     enumerate_labeled,
-    graph6_record,
     parse_edge_list,
     parse_graph6,
     write_graph6,
@@ -80,24 +79,25 @@ def _numbered_lines(args) -> Iterator[tuple[int, str]]:
         yield from enumerate(fh, 1)
 
 
-def _input_graphs(args) -> Iterator[tuple[str, Graph]]:
-    """(graph6 record, graph) per input graph.  A graph with no vertex is an
-    input error, raised after the graphs before it: no per-graph command
-    reports on one."""
-    if args.format == "edges":
-        g = parse_edge_list("".join(line for _, line in _numbered_lines(args)))
-        graphs = [("edge list", write_graph6(g), g)]
-    else:
-        graphs = ((f"line {lineno}", graph6_record(line), parse_graph6(line))
-                  for lineno, line in _numbered_lines(args) if line.strip())
-    for where, g6, g in graphs:
-        if g.n < 1:
-            raise FormatError(f"{where}: the graph has no vertices")
-        yield g6, g
+def _graph_record(record, g6: str, g: Graph) -> list[dict]:
+    """A per-graph command's one record; no command reports on n = 0."""
+    if g.n < 1:
+        raise FormatError("the graph has no vertices")
+    return [{"graph6": g6, **record(g)}]
 
 
-def _emit(args, record: dict) -> None:
-    if args.table:
+def _print_diagnostic(diagnostic: Diagnostic) -> None:
+    print(f"line {diagnostic.lineno}: {diagnostic.message}", file=sys.stderr)
+
+
+def _emit(args, record: dict | Diagnostic) -> None:
+    if type(record) is Diagnostic:
+        _print_diagnostic(record)
+    elif args.csv:
+        # the csv module writes None as an empty cell
+        csv.writer(sys.stdout).writerow(
+            int(v) if isinstance(v, bool) else v for v in record.values())
+    elif args.table:
         for key, value in record.items():
             print(f"{key}: {_table_text(value)}")
         print()
@@ -164,7 +164,7 @@ def _bounds_record(g: Graph) -> dict:
     Undefined and infinite bounds are None."""
     facts = GraphFacts(write_graph6(g), g)
     if not facts.connected:
-        raise ValueError("bound reports require a connected graph")
+        raise SweepConfigError("bound reports require a connected graph")
     terms, lap, reg = (None,) * 3, (None,) * 2, (None,) * 3
     cap, equalities = None, (False, False)
     if facts.summary is not None:
@@ -196,10 +196,13 @@ def _extremal_record(g: Graph) -> dict:
 
 
 def _cmd_records(args) -> int:
-    """One record per input graph: its input line, then the command's fields."""
-    for g6, g in _input_graphs(args):
-        _emit(args, {"graph6": g6, **args.record(g)})
-    return 0
+    """One record per input graph; exit 2 after any bad line."""
+    lines = _numbered_lines(args)
+    if args.format == "edges":
+        lines = [(1, write_graph6(parse_edge_list("".join(line for _, line in lines))))]
+    report = sweep(SweepConfig(), lines, functools.partial(_emit, args),
+                   functools.partial(_graph_record, args.record))
+    return 2 if report.diagnostics else 0
 
 
 def _usage_error(message: str) -> int:
@@ -208,17 +211,11 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if not args.csv:
-        return _cmd_records(args)
-    if args.table:
-        return _usage_error("--csv and --table cannot be combined")
-    # the csv module writes None as an empty cell
-    writer = csv.writer(sys.stdout)
-    writer.writerow(BOUNDS_COLUMNS)
-    for g6, g in _input_graphs(args):
-        record = {"graph6": g6, **_bounds_record(g)}
-        writer.writerow(int(v) if isinstance(v, bool) else v for v in record.values())
-    return 0
+    if args.csv:
+        if args.table:
+            return _usage_error("--csv and --table cannot be combined")
+        csv.writer(sys.stdout).writerow(BOUNDS_COLUMNS)
+    return _cmd_records(args)
 
 
 def _cmd_extremal(args) -> int:
@@ -276,7 +273,7 @@ def _cmd_verify(args) -> int:
 def _print_sweep_record(record: Record | Diagnostic) -> None:
     """Records as JSON lines on stdout, diagnostics on stderr."""
     if type(record) is Diagnostic:
-        print(f"line {record.lineno}: {record.message}", file=sys.stderr)
+        _print_diagnostic(record)
     else:
         kind = "violation" if type(record) is Violation else "interesting"
         print(json.dumps({"kind": kind, **record._asdict()}))
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = per_graph[name] = sub.add_parser(name, help=blurb)
         _add_input_args(p)
-        p.set_defaults(fn=_cmd_records, record=record)
+        p.set_defaults(fn=_cmd_records, record=record, csv=False)
 
     p = per_graph["bounds"]
     p.add_argument("--csv", action="store_true", help="CSV output with the documented column order")

@@ -5,8 +5,8 @@
 it, so the Laplacian-bound equality and the join-structure decisions each
 live in one place.  ``CHECKS`` is the one list of checks: it maps each
 name to its check and to the ``GraphFacts`` flag that is its domain, and
-the README describes each.  ``sweep`` runs the enabled checks over a
-stream of graph6 records, in parallel if asked.
+the README describes each.  ``sweep``, the record loop of every command,
+runs an evaluator (by default the enabled checks) on each graph6 record.
 
 Violations record (graph6, check, lhs, rhs) where the failed comparison was
 "lhs within tolerance of rhs".  ``sweep`` hands each 256-line chunk's
@@ -24,7 +24,7 @@ import math
 import os
 import time
 from collections import Counter, deque
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -439,6 +439,9 @@ class SweepConfig:
         if not 0.0 <= self.eps_eq < math.inf:
             raise SweepConfigError(f"eps_eq must be finite and >= 0, got {self.eps_eq}")
 
+    def evaluate(self, g6: str, g: Graph) -> list[Record]:
+        return evaluate_graph(g6, g, self.checks, self.tol, self.eps_eq)
+
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -482,21 +485,20 @@ def evaluate_graph(
     return records
 
 
-def _evaluate_chunk(args) -> tuple[int, list[Record | Diagnostic]]:
+def _evaluate_chunk(args) -> tuple[int, list]:
     """(graphs checked, records in line order).  A line that does not parse
-    or whose graph the checks cannot evaluate yields a diagnostic and no
+    or whose graph ``evaluate`` cannot evaluate yields a diagnostic and no
     records; in strict mode the chunk stops there, its diagnostic last."""
-    chunk, config = args
+    chunk, evaluate, strict = args
     count = 0
-    records: list[Record | Diagnostic] = []
+    records: list = []
     for lineno, line in chunk:
         try:
             g = parse_graph6(line)
-            records += evaluate_graph(graph6_record(line), g, config.checks, config.tol,
-                                      config.eps_eq)
+            records += evaluate(graph6_record(line), g)
         except (FormatError, SweepConfigError, ConvergenceError) as exc:
             records.append(Diagnostic(lineno, str(exc)))
-            if config.strict:
+            if strict:
                 break
             continue
         count += 1
@@ -539,18 +541,19 @@ def _in_order(pool, payload: Iterable, depth: int) -> Iterator[tuple[int, list]]
 
 
 def sweep(config: SweepConfig, lines: Iterable[tuple[int, str]],
-          emit: Callable[[Record | Diagnostic], object]) -> SweepReport:
-    """Evaluate every graph6 record in ``lines`` against the enabled checks.
+          emit: Callable, evaluate: Callable[[str, Graph], list] | None = None) -> SweepReport:
+    """Run ``evaluate(g6, g)``, by default the enabled checks, on every
+    graph6 record in ``lines``, which yields (line number, text).
 
-    ``lines`` yields (line number, text).  Each violation, interesting
-    record and diagnostic goes to ``emit`` as soon as its 256-line chunk is
-    done, in input order at any ``jobs``.  A pool of ``min(jobs, usable
-    CPUs)`` workers starts only when there are at least two chunks, and
-    holds at most two chunks per worker.  Malformed records, and graphs the
-    checks cannot evaluate (see ``evaluate_graph``), become diagnostics and
-    the sweep continues, unless strict mode is on: then the records of the
-    lines before the first such line are emitted and FormatError is raised
-    for that line.  The report holds only counts.
+    Each record and diagnostic goes to ``emit`` as soon as its 256-line
+    chunk is done, in input order at any ``jobs``.  A pool of ``min(jobs,
+    usable CPUs)`` workers starts only when there are at least two chunks,
+    and holds at most two chunks per worker; ``evaluate`` must pickle for
+    it.  Malformed records, and graphs ``evaluate`` cannot evaluate (see
+    ``evaluate_graph``), become diagnostics and the sweep continues, unless
+    strict mode is on: then the records of the lines before the first such
+    line are emitted and FormatError is raised for that line.  The report
+    holds only counts.
     """
     config.validate()
     start = time.perf_counter()
@@ -559,17 +562,16 @@ def sweep(config: SweepConfig, lines: Iterable[tuple[int, str]],
 
     nonblank = ((lineno, text) for lineno, text in lines if text.strip())
     chunks = iter(lambda: list(islice(nonblank, 256)), [])
-    workers = min(config.jobs, _usable_cpus())
+    workers = min(config.jobs, _usable_cpus()) if config.jobs > 1 else 1
     if workers > 1:
         # a pool does not pay for one chunk: read two before starting one
         ahead = list(islice(chunks, 2))
         chunks = chain(ahead, chunks)
         if len(ahead) < 2:
             workers = 1
-    payload = ((chunk, config) for chunk in chunks)
-    with ExitStack() as stack:
+    payload = ((chunk, evaluate or config.evaluate, config.strict) for chunk in chunks)
+    with get_context().Pool(workers) if workers > 1 else nullcontext() as pool:
         if workers > 1:
-            pool = stack.enter_context(get_context().Pool(workers))
             results = _in_order(pool, payload, 2 * workers)
         else:
             results = map(_evaluate_chunk, payload)

@@ -361,7 +361,7 @@ def test_report_requires_connected(monkeypatch, capsys):
     from toughlab import disjoint_union
     g = disjoint_union(complete_graph(2), complete_graph(1))
     assert cli_output(monkeypatch, capsys, ["bounds"], [g]) == (
-        2, "", "error: bound reports require a connected graph\n")
+        2, "", "line 1: bound reports require a connected graph\n")
 
 
 def test_bounds_csv_on_empty_input_prints_the_header(monkeypatch, capsys):

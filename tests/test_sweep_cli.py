@@ -27,7 +27,7 @@ from toughlab import (
     write_graph6,
 )
 from toughlab.cli import main
-from toughlab.formats import enumerate_labeled
+from toughlab.formats import enumerate_labeled, write_edge_list
 from toughlab.graphs import is_complete
 from toughlab.sweep import (
     CHECK_NAMES,
@@ -279,14 +279,18 @@ def run_cli(args, stdin_text=""):
 
 
 def test_importing_the_cli_loads_no_multiprocessing():
-    probe = "import sys, toughlab.cli; print('multiprocessing' in sys.modules)"
+    # nor does a per-graph command, which runs on the sweep loop
+    probe = ("import io, sys, toughlab.cli; print('multiprocessing' in sys.modules); "
+             "sys.stdin = io.StringIO('A_\\n'); code = toughlab.cli.main(['tough']); "
+             "print(code, 'multiprocessing' in sys.modules)")
     child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": CHILD_PATH})
-    assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+    assert child.returncode == 0, child.stderr
+    imported, record, ran = child.stdout.splitlines()
+    assert (imported, json.loads(record)["graph6"], ran) == ("False", "A_", "0 False")
 
 
 def test_cli_tough_on_edge_list(petersen):
-    from toughlab.formats import write_edge_list
     proc = run_cli(["tough", "--format", "edges"], write_edge_list(petersen))
     assert proc.returncode == 0
     record = json.loads(proc.stdout.strip())
@@ -377,9 +381,13 @@ def test_cli_reports_an_eigensolver_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(spectra, "symmetric_eigenvalues", symmetric_eigenvalues)
     for argv in (["spectra"], ["bounds"], ["extremal"]):
-        monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))
+        # the one-vertex graph after it needs no eigenvalue
+        monkeypatch.setattr("sys.stdin", io.StringIO("@\n"))
+        assert main(argv) == 0, argv
+        want = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n@\n"))
         assert main(argv) == 2, argv
-        assert capsys.readouterr() == ("", "error: no convergence after 100 sweeps\n")
+        assert capsys.readouterr() == (want, "line 1: no convergence after 100 sweeps\n")
     # in a sweep the graph is a diagnostic, which leaves the exit status alone
     monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))
     assert main(["verify"]) == 0
@@ -387,23 +395,90 @@ def test_cli_reports_an_eigensolver_failure(monkeypatch, capsys):
     assert out == "" and err.startswith("line 1: no convergence after 100 sweeps\n")
 
 
+PER_GRAPH_COMMANDS = ("tough", "alpha", "kappa", "spectra", "bounds", "extremal")
+
+
 def test_cli_rejects_a_graph_with_no_vertices(monkeypatch, capsys):
-    # one error line after the records of the lines before it
-    for command in ("tough", "alpha", "kappa", "spectra", "bounds", "extremal"):
+    # one diagnostic line, with the records of the lines around it
+    for command in PER_GRAPH_COMMANDS:
         monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
         assert main([command]) == 0
         want = capsys.readouterr().out
         monkeypatch.setattr("sys.stdin", io.StringIO("A_\n?\nA_\n"))
         assert main([command]) == 2, command
-        assert capsys.readouterr() == (want, "error: line 2: the graph has no vertices\n")
+        assert capsys.readouterr() == (2 * want, "line 2: the graph has no vertices\n")
+    # an edge list is a stream of one line
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
     assert main(["tough", "--format", "edges"]) == 2
-    assert capsys.readouterr() == ("", "error: edge list: the graph has no vertices\n")
+    assert capsys.readouterr() == ("", "line 1: the graph has no vertices\n")
     # verify counts it as checked, with no record
     monkeypatch.setattr("sys.stdin", io.StringIO("?\n"))
     assert main(["verify", "--checks", "all"]) == 0
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["graphs_checked"] == 1
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    *(([command], "A_\n!!\nA_\n", "invalid graph6 character '!'")
+      for command in PER_GRAPH_COMMANDS),
+    (["bounds"], "A_\nA?\nA_\n", "bound reports require a connected graph"),
+    (["bounds", "--csv"], "A_\nA?\nA_\n", "bound reports require a connected graph"),
+], ids=[*PER_GRAPH_COMMANDS, "bounds-disconnected", "bounds-csv-disconnected"])
+def test_a_per_graph_command_reports_a_bad_line_and_goes_on(monkeypatch, capsys, argv, text,
+                                                            message):
+    monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
+    assert main(argv) == 0
+    header, *record = capsys.readouterr().out.splitlines(keepends=True)
+    if "--csv" not in argv:
+        header, record = "", [header]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(argv) == 2
+    assert capsys.readouterr() == (header + 2 * "".join(record), f"line 2: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [command] for command in PER_GRAPH_COMMANDS] + [
+    ["bounds", "--csv"], ["tough", "--table"]], ids=" ".join)
+def test_a_per_graph_command_on_good_input_exits_0_with_nothing_on_stderr(monkeypatch, capsys,
+                                                                          argv):
+    # the benchmark's oracle fails any per-graph query that writes to stderr
+    monkeypatch.setattr("sys.stdin", io.StringIO("A_\n\nCl\n@\n>>graph6<<C~\n"))
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_edge_list(path_graph(5))))
+    assert main(argv + ["--format", "edges"]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
+
+
+def test_a_per_graph_command_prints_each_chunk_before_reading_the_next(monkeypatch):
+    read = 0
+    seen_at_write = []
+
+    def lines():
+        nonlocal read
+        for _ in range(1000):
+            read += 1
+            yield "Cl\n"
+
+    monkeypatch.setattr("sys.stdin", lines())
+    monkeypatch.setattr("sys.stdout", SimpleNamespace(
+        write=lambda text: seen_at_write.append(read), flush=lambda: None))
+    assert main(["tough"]) == 0
+    # print writes each record, then its newline: the first chunk's 256
+    # records are out before line 257 is read
+    assert len(seen_at_write) == 2000
+    assert max(seen_at_write[:512]) <= 256
+
+
+def test_the_cli_caps_at_62_vertices(monkeypatch, capsys):
+    # the library takes 64 vertices, but every record names its graph in graph6
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_edge_list(path_graph(63))))
+    for argv in (["kappa", "--format", "edges"], ["extremal", "--h-graph6", "A_", "--n", "63"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == (
+            "", "error: graph6 short form caps at 62 vertices, got 63\n")
 
 
 def test_cli_spectra_table(c4):

@@ -36,7 +36,7 @@ from .formats import (
     parse_graph6,
     write_graph6,
 )
-from .graphs import Graph, degree_profile, vertices_of
+from .graphs import Graph, degree_profile, is_connected, vertices_of
 from .invariants import (
     ToughnessCertificate,
     independence_number,
@@ -79,11 +79,14 @@ def _numbered_lines(args) -> Iterator[tuple[int, str]]:
         yield from enumerate(fh, 1)
 
 
-def _graph_record(record, g6: str, g: Graph) -> list[dict]:
-    """A per-graph command's one record; no command reports on n = 0."""
+def _graph_record(record, disconnected: str | None, g6: str, g: Graph) -> list[dict]:
+    """A per-graph command's one record.  No command reports on n = 0, and one
+    with a ``disconnected`` message makes a disconnected graph a bad line."""
     if g.n < 1:
         raise FormatError("the graph has no vertices")
-    return [{"graph6": g6, **record(g)}]
+    if disconnected is not None and not is_connected(g):
+        raise FormatError(disconnected)
+    return [{"graph6": g6, **record(g6, g)}]
 
 
 def _print_diagnostic(diagnostic: Diagnostic) -> None:
@@ -121,7 +124,7 @@ def _tau_text(cert: ToughnessCertificate) -> str:
     return "inf" if cert.infinite else str(cert.value)
 
 
-def _tough_record(g: Graph) -> dict:
+def _tough_record(g6: str, g: Graph) -> dict:
     cert = toughness(g)
     return {
         "tau": _tau_text(cert),
@@ -132,17 +135,17 @@ def _tough_record(g: Graph) -> dict:
     }
 
 
-def _alpha_record(g: Graph) -> dict:
+def _alpha_record(g6: str, g: Graph) -> dict:
     cert = independence_number(g)
     return {"alpha": cert.alpha, "witness": _vertex_list(cert.witness)}
 
 
-def _kappa_record(g: Graph) -> dict:
+def _kappa_record(g6: str, g: Graph) -> dict:
     cert = vertex_connectivity(g)
     return {"kappa": cert.kappa, "separator": _vertex_list(cert.separator)}
 
 
-def _spectra_record(g: Graph) -> dict:
+def _spectra_record(g6: str, g: Graph) -> dict:
     if g.n == 1:
         # xi and lambda read a second eigenvalue
         return {"n": 1, "m": 0, "adjacency": [0.0], "laplacian": [0.0],
@@ -159,12 +162,10 @@ def _spectra_record(g: Graph) -> dict:
     }
 
 
-def _bounds_record(g: Graph) -> dict:
-    """Every bound value, with the equality flags against exact toughness.
-    Undefined and infinite bounds are None."""
-    facts = GraphFacts(write_graph6(g), g)
-    if not facts.connected:
-        raise SweepConfigError("bound reports require a connected graph")
+def _bounds_record(g6: str, g: Graph) -> dict:
+    """Every bound value, with the equality flags against exact toughness,
+    for a connected graph.  Undefined and infinite bounds are None."""
+    facts = GraphFacts(g6, g)
     terms, lap, reg = (None,) * 3, (None,) * 2, (None,) * 3
     cap, equalities = None, (False, False)
     if facts.summary is not None:
@@ -181,8 +182,8 @@ def _bounds_record(g: Graph) -> dict:
             for key, v in zip(BOUNDS_COLUMNS[1:], values)}
 
 
-def _extremal_record(g: Graph) -> dict:
-    facts = GraphFacts(write_graph6(g), g)
+def _extremal_record(g6: str, g: Graph) -> dict:
+    facts = GraphFacts(g6, g)
     witness = facts.witness
     out: dict = {"detected": witness is not None}
     if witness is not None:
@@ -201,7 +202,7 @@ def _cmd_records(args) -> int:
     if args.format == "edges":
         lines = [(1, write_graph6(parse_edge_list("".join(line for _, line in lines))))]
     report = sweep(SweepConfig(), lines, functools.partial(_emit, args),
-                   functools.partial(_graph_record, args.record))
+                   functools.partial(_graph_record, args.record, args.disconnected))
     return 2 if report.diagnostics else 0
 
 
@@ -229,7 +230,8 @@ def _cmd_extremal(args) -> int:
         return _usage_error("--h-graph6 builds its graph and reads no input")
     base = parse_graph6(args.h_graph6)
     g = build_extremal(base, args.n)
-    _emit(args, {"graph6": write_graph6(g), "delta": base.n, "n": args.n, **_extremal_record(g)})
+    g6 = write_graph6(g)
+    _emit(args, {"graph6": g6, "delta": base.n, "n": args.n, **_extremal_record(g6, g)})
     return 0
 
 
@@ -289,17 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     per_graph = {}
-    for name, record, blurb in (
-        ("tough", _tough_record, "exact toughness with an optimal cut certificate"),
-        ("alpha", _alpha_record, "exact independence number with witness"),
-        ("kappa", _kappa_record, "exact vertex connectivity with separator"),
-        ("spectra", _spectra_record, "adjacency / Laplacian / normalized spectra"),
-        ("bounds", _bounds_record, "full per-graph bound report"),
-        ("extremal", _extremal_record, "build or detect the extremal join family"),
+    for name, record, disconnected, blurb in (
+        ("tough", _tough_record, "toughness requires a connected graph",
+         "exact toughness with an optimal cut certificate"),
+        ("alpha", _alpha_record, None, "exact independence number with witness"),
+        ("kappa", _kappa_record, "vertex connectivity requires a connected graph",
+         "exact vertex connectivity with separator"),
+        ("spectra", _spectra_record, None, "adjacency / Laplacian / normalized spectra"),
+        ("bounds", _bounds_record, "bound reports require a connected graph",
+         "full per-graph bound report"),
+        ("extremal", _extremal_record, None, "build or detect the extremal join family"),
     ):
         p = per_graph[name] = sub.add_parser(name, help=blurb)
         _add_input_args(p)
-        p.set_defaults(fn=_cmd_records, record=record, csv=False)
+        p.set_defaults(fn=_cmd_records, record=record, disconnected=disconnected, csv=False)
 
     p = per_graph["bounds"]
     p.add_argument("--csv", action="store_true", help="CSV output with the documented column order")

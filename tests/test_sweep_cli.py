@@ -421,9 +421,12 @@ def test_cli_rejects_a_graph_with_no_vertices(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, text, message", [
     *(([command], "A_\n!!\nA_\n", "invalid graph6 character '!'")
       for command in PER_GRAPH_COMMANDS),
+    (["tough"], "A_\nA?\nA_\n", "toughness requires a connected graph"),
+    (["kappa"], "A_\nA?\nA_\n", "vertex connectivity requires a connected graph"),
     (["bounds"], "A_\nA?\nA_\n", "bound reports require a connected graph"),
     (["bounds", "--csv"], "A_\nA?\nA_\n", "bound reports require a connected graph"),
-], ids=[*PER_GRAPH_COMMANDS, "bounds-disconnected", "bounds-csv-disconnected"])
+], ids=[*PER_GRAPH_COMMANDS, "tough-disconnected", "kappa-disconnected", "bounds-disconnected",
+        "bounds-csv-disconnected"])
 def test_a_per_graph_command_reports_a_bad_line_and_goes_on(monkeypatch, capsys, argv, text,
                                                             message):
     monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))

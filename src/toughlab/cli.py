@@ -73,8 +73,15 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _numbered_lines(args) -> Iterator[tuple[int, str]]:
-    """(line number, line) from --file or standard input, read as consumed."""
-    source = open(args.file, encoding="utf-8") if args.file else contextlib.nullcontext(sys.stdin)
+    """(line number, line) from --file or standard input, read as consumed.
+    A byte that is not UTF-8 decodes to a lone surrogate, which no parser
+    accepts, so it makes its own line a bad line and not the whole input."""
+    if args.file:
+        source = open(args.file, encoding="utf-8", errors="surrogateescape")
+    else:
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
+        source = contextlib.nullcontext(sys.stdin)
     with source as fh:
         yield from enumerate(fh, 1)
 

@@ -28,7 +28,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, islice
-from operator import add, lshift, or_
+from operator import lshift, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import (
@@ -58,7 +58,7 @@ from .invariants import (
 )
 from .spectra import ConvergenceError, spectral_summary
 
-MIXING_MAX_N = 7
+MIXING_MAX_N = 10
 
 
 class SweepConfigError(ValueError):
@@ -252,9 +252,10 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     (``mixing_terms``), and only a block that fails that has each triple
     evaluated, once; only the violating triples are kept.  The single-set
     inequality is screened per vol[x], with the smallest and largest
-    e(x, x).  The in-order pair loop, over rows built by the
-    lowest-set-bit recurrence, runs only when some triple violates, and
-    only over the rows whose volume has a violating triple.
+    e(x, x).  Only when some triple violates are the pairs replayed in
+    order: a row x whose volume has a violating triple gets its codes in y
+    order, the subset sums of the same weights doubled one vertex at a
+    time, so the check holds O(n 2^n) codes at once.
     """
     g = f.g
     two_m, xi = 2 * g.m, f.summary.xi
@@ -263,16 +264,17 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     subsets = range(g.full_mask + 1)
     # into[v][y] = |N(v) & y|
     into = [[(row & y).bit_count() for y in subsets] for row in g.rows]
-    vol, diagonal = [0], [0]  # diagonal[x] = e(x, x)
+    # diagonal[x] = e(x, x); weights[v][x] = deg(v) * (2m + 1) + |N(v) & x|
+    vol, diagonal, weights = [0], [0], []
     for v, row in enumerate(g.rows):
         degree = row.bit_count()
         vol += [nu + degree for nu in vol]
         diagonal += [d + 2 * i for d, i in zip(diagonal, into[v])]
+        weights.append(list(map((degree * base).__add__, into[v])))
     # sums[x] has bit c set iff some y gives the pair (x, y) the code c
     sums = [1] * len(subsets)
-    for v, row in enumerate(g.rows):
-        weights = map((row.bit_count() * base).__add__, into[v])
-        sums = list(map(or_, sums, map(lshift, sums, weights)))
+    for weight in weights:
+        sums = list(map(or_, sums, map(lshift, sums, weight)))
     codes_of = dict.fromkeys(vol, 0)
     diagonals_of = dict.fromkeys(vol, 0)
     for nu, d, codes in zip(vol, diagonal, sums):
@@ -308,7 +310,6 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
                                 violating.setdefault(nu_a, {})[offset + e] = sides
     if not violating and not single:
         return
-    rows = _code_rows(vol, into, base) if violating else []
     for x in subsets:
         if vol[x] in single:
             lhs, rhs = mixing_gap_single(diagonal[x], vol[x], two_m, xi)
@@ -316,7 +317,11 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
                 yield Violation(f.g6, "mixing-single", lhs, rhs)
         sides_of = violating.get(vol[x])
         if sides_of:
-            for c in rows[x]:
+            row_codes = [0]  # row_codes[y] is the code of (x, y)
+            for weight in weights:
+                w = weight[x]
+                row_codes += [c + w for c in row_codes]
+            for c in row_codes:
                 if c in sides_of:
                     yield Violation(f.g6, "mixing-pair", *sides_of[c])
 
@@ -326,16 +331,6 @@ def _block_can_violate(block: int, centre: float, limit: float) -> bool:
     its smallest or largest e does, as the rounded e - centre is monotone."""
     return (abs((block & -block).bit_length() - 1 - centre) > limit
             or abs(block.bit_length() - 1 - centre) > limit)
-
-
-def _code_rows(vol: list[int], into: list[list[int]], base: int) -> list[list[int]]:
-    """Row x holds the codes vol[y] * base + e(x, y) for every y in order,
-    by the lowest-set-bit recurrence: one list operation per row."""
-    rows = [[nu * base for nu in vol]]
-    for x in range(1, len(vol)):
-        low = x & -x
-        rows.append(list(map(add, rows[x ^ low], into[low.bit_length() - 1])))
-    return rows
 
 
 def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:

@@ -5,12 +5,17 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toughlab
 from toughlab import (
     algebraic_connectivity_cap,
     complete_graph,
@@ -154,8 +159,9 @@ def _reference_mixing(g, xi):
 
 
 def test_mixing_records_match_the_per_pair_definition():
-    # every labeled graph with n <= 5, 300 seeded 6-vertex graphs and a few
-    # 7-vertex ones; order, count and the bits of both sides must agree.
+    # every labeled graph with n <= 5, 300 seeded 6-vertex graphs, a few
+    # 7-vertex ones and two 8-vertex ones; order, count and the bits of
+    # both sides must agree.
     # At 1e-7 no (e, vol X, vol Y) triple violates, so the pair loop never
     # runs; at -0.05 and -0.5 almost every graph has both violating and
     # clean triples (a median of 19 % and 27 % of them violate), so the
@@ -164,6 +170,7 @@ def test_mixing_records_match_the_per_pair_definition():
         (g for n in range(1, 6) for g in enumerate_labeled(n)),
         _seeded_graphs(6, 300, seed=6),
         _seeded_graphs(7, 4, seed=7),
+        _seeded_graphs(8, 2, seed=8),
     )
     graphs = violations = partial = 0
     for g in corpus:
@@ -180,9 +187,31 @@ def test_mixing_records_match_the_per_pair_definition():
             # a violating and a clean pair mean a violating and a clean triple
             partial += tol == -0.05 and 0 < pairs < (g.full_mask + 1) ** 2
         graphs += 1
-    assert graphs == 1 + 2 + 8 + 64 + 1024 + 300 + 4
+    assert graphs == 1 + 2 + 8 + 64 + 1024 + 300 + 4 + 2
     assert violations > 90_000
     assert partial > 1_300
+
+
+def test_mixing_memory_stays_linear_in_the_subset_count():
+    # a seeded G(10, 1/2) at --tol -0.5 has violating triples, so every
+    # subset pair is replayed; a table of all 4^n codes would take 40 MB
+    g = next(_seeded_graphs(10, 1, seed=10))
+    script = (
+        "import resource, sys\n"
+        "from toughlab.formats import parse_graph6\n"
+        "from toughlab.sweep import GraphFacts, _check_mixing\n"
+        "facts = GraphFacts(sys.argv[1], parse_graph6(sys.argv[1]))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "records = sum(1 for _ in _check_mixing(facts, -0.5, 1e-7))\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(records, after - before)\n")
+    child = subprocess.run(
+        [sys.executable, "-c", script, write_graph6(g)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(toughlab.__file__).parents[1])})
+    assert child.returncode == 0, child.stderr
+    records, growth_kb = map(int, child.stdout.split())
+    assert records > 4000
+    assert growth_kb < 10 * 1024
 
 
 def test_mixing_and_cut_partition_evaluate_only_groups_that_can_violate(monkeypatch):

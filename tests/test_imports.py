@@ -1,9 +1,10 @@
-"""Every name a module imports is used in that module, the test run
-imports the package that PYTHONPATH names, and every package name the
-README quotes evaluates.
+"""Every name a module imports is used in that module, every module
+imports only the standard library, the test run imports the package that
+PYTHONPATH names, and every package name the README quotes evaluates.
 
 The package re-exports its API from ``__init__``, so that module is left
-out; ``from __future__`` imports are directives, not names.
+out of the unused-name check; ``from __future__`` imports are directives,
+not names.
 """
 
 import ast
@@ -45,6 +46,30 @@ def test_module_has_no_unused_import(path):
 def test_unused_imports_are_found():
     source = "import json\nfrom .graphs import Graph, components\n\ndef f(g: Graph): ...\n"
     assert unused_imports(source) == ["line 1: json", "line 2: components"]
+
+
+def absolute_imports(source: str) -> set[str]:
+    """The top-level package of every absolute import, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(Path(toughlab.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    # the package declares no dependencies
+    assert absolute_imports(path.read_text(encoding="utf-8")) - sys.stdlib_module_names == set()
+
+
+def test_absolute_imports_are_found():
+    source = ("import numpy.linalg as la, json\nfrom . import graphs\n"
+              "from os.path import join\n\ndef f():\n    import scipy\n")
+    assert absolute_imports(source) == {"numpy", "json", "os", "scipy"}
 
 
 def test_a_pythonpath_entry_holding_the_package_is_imported(tmp_path):

@@ -128,9 +128,9 @@ def test_sweep_config_validation():
 
 
 def test_mixing_gate_rejects_large_graphs():
-    # P8 on line 5, between the four connected 3-vertex graphs twice over
+    # P11 on line 5, between the four connected 3-vertex graphs twice over
     good = corpus_lines(3)
-    lines = good + [(5, write_graph6(path_graph(8)))] + [(i + 5, g6) for i, g6 in good]
+    lines = good + [(5, write_graph6(path_graph(11)))] + [(i + 5, g6) for i, g6 in good]
     config = SweepConfig(checks=("mixing",), tol=-0.5)
     _, want = swept(config, good + good)
     assert want
@@ -138,7 +138,7 @@ def test_mixing_gate_rejects_large_graphs():
         report, records = swept(replace(config, jobs=jobs), lines)
         diagnostics = [r for r in records if type(r) is Diagnostic]
         assert [d.lineno for d in diagnostics] == [5]
-        assert diagnostics[0].message.startswith("mixing check caps at n = 7")
+        assert diagnostics[0].message.startswith("mixing check caps at n = 10")
         assert [r for r in records if type(r) is not Diagnostic] == want
         assert report.graphs_checked == 8 and report.diagnostics == 1
         with pytest.raises(FormatError, match="^line 5: mixing check caps"):
@@ -437,6 +437,29 @@ def test_a_per_graph_command_reports_a_bad_line_and_goes_on(monkeypatch, capsys,
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main(argv) == 2
     assert capsys.readouterr() == (header + 2 * "".join(record), f"line 2: {message}\n")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command", ["verify", "tough"])
+def test_a_byte_that_is_not_utf8_makes_only_its_line_bad(tmp_path, command, source):
+    # stdin read with a strict decoder, as under a strict locale
+    good = [b"Cl", b"A_", b"C~"] * 103
+    text = b"\n".join(good[:299] + [b"C\xff"] + good[299:]) + b"\n"
+    path = tmp_path / "corpus.g6"
+    env = {**os.environ, "PYTHONPATH": CHILD_PATH, "PYTHONIOENCODING": "utf-8:strict"}
+
+    def run(data):
+        args = [sys.executable, "-m", "toughlab", command]
+        if source == "file":
+            path.write_bytes(data)
+            return subprocess.run([*args, "--file", str(path)], capture_output=True, env=env)
+        return subprocess.run(args, input=data, capture_output=True, env=env)
+
+    want = run(b"\n".join(good) + b"\n")
+    got = run(text)
+    assert got.stdout == want.stdout and got.stdout
+    assert got.stderr.startswith(b"line 300: invalid graph6 character '\\udcff'\n")
+    assert got.returncode == {"verify": 0, "tough": 2}[command]
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,6 +12,7 @@ lives with the other per-graph facts in ``sweep``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .graphs import (
     Graph,
@@ -22,9 +23,6 @@ from .graphs import (
     iter_bits,
     join,
 )
-from .spectra import laplacian_spectrum
-
-EIGEN_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -33,9 +31,9 @@ class ExtremalWitness:
 
     ``independent_part`` is the bitmask of the isolated-side vertices (each
     adjacent to everything outside the part), ``base_h`` the induced base
-    graph relabeled to 0..delta-1, and ``eigen_condition_ok`` records
-    whether the second-smallest Laplacian eigenvalue of the base clears
-    2*delta - n (vacuously true for delta = 1).
+    graph relabeled to 0..delta-1, and ``eigen_condition_ok`` records,
+    exactly, whether the second-smallest Laplacian eigenvalue of the base
+    clears 2*delta - n (vacuously true for delta = 1).
     """
 
     base_h: Graph
@@ -57,11 +55,31 @@ def build_extremal(h: Graph, n: int) -> Graph:
 
 
 def _eigen_condition(base: Graph, delta: int, n: int) -> bool:
-    """The floor: mu_{delta-1}(base) >= 2*delta - n, vacuous for delta = 1."""
-    if delta == 1:
+    """The floor mu_{delta-1}(base) >= c = 2*delta - n, decided exactly.
+
+    L(base) + J - cI is n - delta > 0 on the all-ones vector and L(base) - cI
+    on its complement, so the floor holds exactly when that integer matrix
+    is positive semidefinite.  Symmetric elimination over the rationals
+    decides that: a negative pivot, or a zero pivot with a nonzero rest of
+    its row, means no.  A floor c <= 0 holds at once, which covers delta = 1.
+    """
+    c = 2 * delta - n
+    if c <= 0:
         return True
-    mu = laplacian_spectrum(base)
-    return mu[-2] >= 2 * delta - n - EIGEN_SLACK
+    # off the diagonal, J - A(base) is 1 exactly on the non-adjacent pairs
+    a = [[Fraction(row.bit_count() + 1 - c if i == j else 1 - (row >> j & 1))
+          for j in range(delta)] for i, row in enumerate(base.rows)]
+    for k in range(delta):
+        pivot = a[k][k]
+        if pivot < 0 or pivot == 0 and any(a[k][k + 1:]):
+            return False
+        for i in range(k + 1, delta):
+            # a zero pivot passed only with a zero column below it
+            if a[i][k]:
+                factor = a[i][k] / pivot
+                for j in range(k + 1, delta):
+                    a[i][j] -= factor * a[k][j]
+    return True
 
 
 def detect_join_form(g: Graph) -> ExtremalWitness | None:

@@ -18,6 +18,7 @@ it again for another.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -31,9 +32,10 @@ class FormatError(ValueError):
     """Malformed graph interchange data."""
 
 
-def _graph6_pairs(n: int) -> list[tuple[int, int]]:
+@functools.cache
+def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
     # column-major: all (i, j) with i < j, ordered by j then i
-    return [(i, j) for j in range(1, n) for i in range(j)]
+    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 def graph6_record(line: str) -> str:
@@ -66,6 +68,7 @@ def parse_graph6(line: str) -> Graph:
     if payload and (ord(payload[-1]) - 63) & ((1 << (6 * expected - nbits)) - 1):
         raise FormatError("graph6 padding bits are not zero")
     rows = [0] * n
+    pairs = _graph6_pairs(n)
     k = 0
     for ch in payload:
         group = ord(ch) - 63
@@ -73,7 +76,7 @@ def parse_graph6(line: str) -> Graph:
             if k >= nbits:
                 break
             if group >> shift & 1:
-                i, j = _PAIR_TABLE[n][k]
+                i, j = pairs[k]
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1
@@ -88,7 +91,7 @@ def write_graph6(g: Graph) -> str:
     out = [chr(g.n + 63)]
     group = 0
     filled = 0
-    for i, j in _PAIR_TABLE[g.n]:
+    for i, j in _graph6_pairs(g.n):
         group = group << 1 | (g.rows[i] >> j & 1)
         filled += 1
         if filled == 6:
@@ -98,9 +101,6 @@ def write_graph6(g: Graph) -> str:
     if filled:
         out.append(chr((group << (6 - filled)) + 63))
     return "".join(out)
-
-
-_PAIR_TABLE = [_graph6_pairs(n) for n in range(GRAPH6_MAX_N + 1)]
 
 
 def parse_edge_list(text: str) -> Graph:

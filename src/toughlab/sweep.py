@@ -9,12 +9,12 @@ the README describes each.  ``sweep``, the record loop of every command,
 runs an evaluator (by default the enabled checks) on each graph6 record.
 
 Violations record (graph6, check, lhs, rhs) where the failed comparison was
-"lhs within tolerance of rhs".  ``sweep`` hands each 256-line chunk's
-records to its caller as soon as the chunk is done, in input order, and
-keeps only counts: the record stream is the same at any parallelism degree,
-and memory does not grow with the input.  With more than one worker it
-starts a process pool only when the input has a second chunk, and keeps at
-most two chunks per worker in flight, so a slow caller stops the reading.
+"lhs within tolerance of rhs".  ``sweep`` hands each line's records to its
+caller in input order and keeps only counts, so the record stream is the
+same at any parallelism degree.  One worker emits a line's records before
+it reads the next line; a process pool, started only when the input has a
+second 256-line chunk, keeps at most two chunks per worker in flight, so a
+slow caller stops the reading and memory does not grow with the input.
 """
 
 from __future__ import annotations
@@ -480,24 +480,20 @@ def evaluate_graph(
     return records
 
 
-def _evaluate_chunk(args) -> tuple[int, list]:
-    """(graphs checked, records in line order).  A line that does not parse
-    or whose graph ``evaluate`` cannot evaluate yields a diagnostic and no
-    records; in strict mode the chunk stops there, its diagnostic last."""
-    chunk, evaluate, strict = args
-    count = 0
-    records: list = []
-    for lineno, line in chunk:
-        try:
-            g = parse_graph6(line)
-            records += evaluate(graph6_record(line), g)
-        except (FormatError, SweepConfigError, ConvergenceError) as exc:
-            records.append(Diagnostic(lineno, str(exc)))
-            if strict:
-                break
-            continue
-        count += 1
-    return count, records
+def _evaluate_line(evaluate: Callable, item: tuple[int, str]) -> list:
+    """The records of one (line number, text) item.  A line that does not
+    parse, or whose graph ``evaluate`` cannot evaluate, yields its
+    diagnostic alone."""
+    lineno, line = item
+    try:
+        return evaluate(graph6_record(line), parse_graph6(line))
+    except (FormatError, SweepConfigError, ConvergenceError) as exc:
+        return [Diagnostic(lineno, str(exc))]
+
+
+def _evaluate_chunk(evaluate: Callable, chunk: list) -> list[list]:
+    """``_evaluate_line`` on each line of a chunk: a pool worker's task."""
+    return [_evaluate_line(evaluate, item) for item in chunk]
 
 
 def _usable_cpus() -> int:
@@ -518,9 +514,9 @@ def get_context():
     return multiprocessing.get_context()
 
 
-def _in_order(pool, payload: Iterable, depth: int) -> Iterator[tuple[int, list]]:
-    """``_evaluate_chunk`` over ``payload`` on ``pool``, results in input
-    order, with at most ``depth`` chunks submitted and not yet taken.
+def _in_order(pool, payload: Iterable, depth: int) -> Iterator[list[list]]:
+    """``_evaluate_chunk`` on each (evaluate, chunk) of ``payload`` on ``pool``,
+    results in input order, with at most ``depth`` chunks not yet taken.
 
     Unlike ``Pool.imap``, which keeps collecting finished chunks while the
     caller is busy, this bounds the records held in the parent: a slow
@@ -528,7 +524,7 @@ def _in_order(pool, payload: Iterable, depth: int) -> Iterator[tuple[int, list]]
     """
     pending: deque = deque()
     for args in payload:
-        pending.append(pool.apply_async(_evaluate_chunk, (args,)))
+        pending.append(pool.apply_async(_evaluate_chunk, args))
         if len(pending) == depth:
             yield pending.popleft().get()
     while pending:
@@ -540,38 +536,39 @@ def sweep(config: SweepConfig, lines: Iterable[tuple[int, str]],
     """Run ``evaluate(g6, g)``, by default the enabled checks, on every
     graph6 record in ``lines``, which yields (line number, text).
 
-    Each record and diagnostic goes to ``emit`` as soon as its 256-line
-    chunk is done, in input order at any ``jobs``.  A pool of ``min(jobs,
-    usable CPUs)`` workers starts only when there are at least two chunks,
-    and holds at most two chunks per worker; ``evaluate`` must pickle for
-    it.  Malformed records, and graphs ``evaluate`` cannot evaluate (see
-    ``evaluate_graph``), become diagnostics and the sweep continues, unless
-    strict mode is on: then the records of the lines before the first such
-    line are emitted and FormatError is raised for that line.  The report
-    holds only counts.
+    Each record and diagnostic goes to ``emit`` in input order at any
+    ``jobs``; with one worker, a line's records go out before the next line
+    is read.  A pool of ``min(jobs, usable CPUs)`` workers takes 256-line
+    chunks, starts only when there are at least two, and holds at most two
+    per worker; ``evaluate`` must pickle for it.  Malformed records, and
+    graphs ``evaluate`` cannot evaluate (see ``evaluate_graph``), become
+    diagnostics and the sweep continues, unless strict mode is on: then the
+    records of the lines before the first such line are emitted and
+    FormatError is raised for that line.  The report holds only counts.
     """
     config.validate()
     start = time.perf_counter()
-    count = 0
+    evaluate = evaluate or config.evaluate
+    nonblank = 0
     counts: Counter[type] = Counter()
 
-    nonblank = ((lineno, text) for lineno, text in lines if text.strip())
-    chunks = iter(lambda: list(islice(nonblank, 256)), [])
+    items = ((lineno, text) for lineno, text in lines if text.strip())
     workers = min(config.jobs, _usable_cpus()) if config.jobs > 1 else 1
+    ahead: list = []
     if workers > 1:
+        chunks = iter(lambda: list(islice(items, 256)), [])
         # a pool does not pay for one chunk: read two before starting one
         ahead = list(islice(chunks, 2))
-        chunks = chain(ahead, chunks)
         if len(ahead) < 2:
             workers = 1
-    payload = ((chunk, evaluate or config.evaluate, config.strict) for chunk in chunks)
     with get_context().Pool(workers) if workers > 1 else nullcontext() as pool:
         if workers > 1:
-            results = _in_order(pool, payload, 2 * workers)
+            payload = ((evaluate, chunk) for chunk in chain(ahead, chunks))
+            results = chain.from_iterable(_in_order(pool, payload, 2 * workers))
         else:
-            results = map(_evaluate_chunk, payload)
-        for c, records in results:
-            count += c
+            results = (_evaluate_line(evaluate, item) for item in chain(*ahead, items))
+        for records in results:
+            nonblank += 1
             for record in records:
                 if config.strict and type(record) is Diagnostic:
                     raise FormatError(f"line {record.lineno}: {record.message}")
@@ -580,7 +577,8 @@ def sweep(config: SweepConfig, lines: Iterable[tuple[int, str]],
 
     return SweepReport(
         corpus_id=config.corpus_id,
-        graphs_checked=count,
+        # each line yields its records or exactly one diagnostic
+        graphs_checked=nonblank - counts[Diagnostic],
         violations=counts[Violation],
         interesting=counts[Interesting],
         diagnostics=counts[Diagnostic],

@@ -205,9 +205,12 @@ def test_mixing_memory_stays_linear_in_the_subset_count():
         "records = sum(1 for _ in _check_mixing(facts, -0.5, 1e-7))\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(records, after - before)\n")
+    # ru_maxrss survives exec, so a process started from this one begins at
+    # this one's peak; a small launcher gives the measured one its own
+    launcher = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, *sys.argv[1:]]))"
     child = subprocess.run(
-        [sys.executable, "-c", script, write_graph6(g)], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(toughlab.__file__).parents[1])})
+        [sys.executable, "-c", launcher, "-c", script, write_graph6(g)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(Path(toughlab.__file__).parents[1])})
     assert child.returncode == 0, child.stderr
     records, growth_kb = map(int, child.stdout.split())
     assert records > 4000

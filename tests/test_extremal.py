@@ -3,6 +3,8 @@
 import io
 import itertools
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from toughlab import (
 from toughlab import extremal
 from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, parse_graph6, write_graph6
-from toughlab.sweep import GraphFacts
+from toughlab.sweep import GraphFacts, SweepConfig, sweep
 
 
 def verdict_of(g):
@@ -148,12 +150,13 @@ def test_floor_witnesses_stay_structural(monkeypatch, capsys):
     """Joins whose base sits exactly on the eigenvalue floor 2*delta - n.
     FFzfw and Fs~v_ are two labelings of K1,3 v 3K1 (floor 1), G}r~vo a
     5-vertex base joined with 3K1 (floor 2).  The floating-point base
-    spectrum can land a few ulps below the floor, and EIGEN_SLACK keeps
-    such a join in the family; verify gives each the four equality tags
-    and no violation."""
+    spectrum can land a few ulps below the floor; the floor is decided
+    exactly, so each join stays in the family, and verify gives each the
+    four equality tags and no violation."""
     cases = {"FFzfw": (1, [1, 1, 1, 3]), "Fs~v_": (1, [1, 1, 1, 3]),
              "G}r~vo": (2, [2, 2, 2, 4, 4])}
     g6s = list(cases)
+    below = []
     for g6, (floor, base_degrees) in cases.items():
         facts = GraphFacts(g6, parse_graph6(g6))
         base = facts.witness.base_h
@@ -161,13 +164,71 @@ def test_floor_witnesses_stay_structural(monkeypatch, capsys):
         assert 2 * base.n - facts.g.n == floor
         assert abs(laplacian_spectrum(base)[-2] - floor) <= 1e-12
         assert facts.structural and facts.verdict().consistent
-    # the slack decides at least one of them
-    monkeypatch.setattr(extremal, "EIGEN_SLACK", 0.0)
-    assert not all(GraphFacts(g6, parse_graph6(g6)).structural for g6 in g6s)
-    monkeypatch.undo()
+        below.append(laplacian_spectrum(base)[-2] < floor)
+    # a float comparison would put at least one of them outside the family
+    assert any(below)
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(g6 + "\n" for g6 in g6s)))
     assert main(["verify"]) == 0
     tags = ["lap-product-equality", "lap-gap-equality", "conn-cap-equality",
             "alpha-laplacian-equality"]
     want = [{"kind": "interesting", "graph6": g6, "tag": tag} for g6 in g6s for tag in tags]
     assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == want
+
+
+FLOOR_TAGS = ("lap-product-equality", "lap-gap-equality", "conn-cap-equality",
+              "alpha-laplacian-equality")
+
+
+def floor_bases(n):
+    """Every labeled base H on delta vertices with mu_{delta-1}(H) exactly
+    on the floor 2*delta - n > 0.  Fiedler's bound mu_{delta-1}(H) <=
+    delta/(delta - 1) * min degree skips most candidates unsolved."""
+    for delta in range(n // 2 + 1, n - 1):
+        floor = 2 * delta - n
+        for h in enumerate_labeled(delta, connected_only=False):
+            if (degree_profile(h)[1] * delta >= floor * (delta - 1)
+                    and abs(laplacian_spectrum(h)[-2] - floor) <= 1e-9):
+                yield h
+
+
+@pytest.mark.parametrize("n, joins", [(7, 41), (8, 155)])
+def test_every_floor_join_passes_verify_in_six_labelings(n, joins):
+    # the float spectrum reads many of these bases a few ulps below the
+    # floor; each join, relabeled, must stay in the family
+    rng = random.Random(n)
+    bases = list(floor_bases(n))
+    assert len(bases) == joins
+    lines = []
+    for h in bases:
+        g = build_extremal(h, n)
+        for perm in [list(range(n))] + [rng.sample(range(n), n) for _ in range(5)]:
+            relabeled = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            lines.append(write_graph6(relabeled))
+    records = []
+    report = sweep(SweepConfig(), enumerate(lines, 1), records.append)
+    assert report.graphs_checked == 6 * joins and report.violations == 0
+    assert Counter(r.tag for r in records) == dict.fromkeys(FLOOR_TAGS, 6 * joins)
+
+
+def test_the_exact_floor_matches_sympy():
+    """The floor against sympy's exact semidefiniteness of L(H) + J - cI,
+    built from the edge list, on every labeled base of 2 to 4 vertices at
+    every floor c from 1 to delta, and on the n = 7 floor-join bases.
+    Where the float spectrum is clear of c it gives the same answer."""
+    sympy = pytest.importorskip("sympy")
+    cases = [(h, c) for delta in range(2, 5)
+             for h in enumerate_labeled(delta, connected_only=False)
+             for c in range(1, delta + 1)]
+    cases += [(h, 2 * h.n - 7) for h in floor_bases(7)]
+    for h, c in cases:
+        delta = h.n
+        lap = sympy.zeros(delta, delta)
+        for u, v in h.edges():
+            lap[u, v] = lap[v, u] = -1
+            lap[u, u] += 1
+            lap[v, v] += 1
+        want = (lap + sympy.ones(delta, delta) - c * sympy.eye(delta)).is_positive_semidefinite
+        assert extremal._eigen_condition(h, delta, 2 * delta - c) == want, (h, c)
+        mu = laplacian_spectrum(h)[-2]
+        if abs(mu - c) > 1e-9:
+            assert want == (mu > c)

@@ -173,8 +173,9 @@ def test_parallel_sweep_is_deterministic():
     assert replace(rep1, wall_time=0) == replace(rep2, wall_time=0)
 
 
-def test_sweep_emits_each_chunk_before_reading_the_next():
-    # every one of these 1,000 graphs yields a tough-lower violation at tol -5
+def test_sweep_emits_each_line_before_reading_the_next():
+    # every one of these 1,000 graphs yields a tough-lower violation at tol -5,
+    # and at --jobs 1 it reaches emit before the next line is read
     graphs = (g for n in (5, 6) for g in enumerate_labeled(n, connected_only=True) if not is_complete(g))
     read = 0
     seen_at_emit = []
@@ -187,8 +188,23 @@ def test_sweep_emits_each_chunk_before_reading_the_next():
 
     report = sweep(SweepConfig(checks=("tough-lower",), tol=-5), lines(),
                    lambda record: seen_at_emit.append(read))
-    assert report.graphs_checked == report.violations == len(seen_at_emit) == 1000
-    assert seen_at_emit[0] <= 256
+    assert report.graphs_checked == report.violations == 1000
+    assert seen_at_emit == list(range(1, 1001))
+
+
+def test_a_strict_sweep_reads_no_line_after_the_bad_one():
+    read = []
+
+    def lines():
+        for lineno, g6 in corpus_lines(5)[:10]:
+            read.append(lineno)
+            yield lineno, "!!" if lineno == 4 else g6
+
+    records = []
+    with pytest.raises(FormatError, match="^line 4:"):
+        sweep(SweepConfig(strict=True, tol=-5), lines(), records.append)
+    assert read == [1, 2, 3, 4]
+    assert {r.graph6 for r in records} == {g6 for _, g6 in corpus_lines(5)[:3]}
 
 
 def test_strict_mode_emits_the_records_before_the_bad_line():
@@ -269,6 +285,37 @@ def test_parallel_sweep_holds_a_bounded_number_of_chunks(monkeypatch):
 # the child interpreter imports the same toughlab as the tests, installed or not
 CHILD_PATH = os.pathsep.join(filter(None, (
     str(Path(toughlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))
+
+
+def test_a_one_worker_sweep_holds_one_line_of_records():
+    # at --tol -0.5 each seeded G(8, 1/2) yields about a thousand mixing
+    # violations; holding a 256-line chunk's records took 20 MB
+    script = (
+        "import contextlib, io, json, os, random, resource, sys\n"
+        "from toughlab.cli import main\n"
+        "from toughlab.formats import write_graph6\n"
+        "from toughlab.graphs import Graph\n"
+        "rng = random.Random(8)\n"
+        "pairs = [(i, j) for j in range(8) for i in range(j)]\n"
+        "masks = [rng.getrandbits(len(pairs)) for _ in range(200)]\n"
+        "sys.stdin = io.StringIO(''.join(write_graph6(Graph.from_edges(\n"
+        "    8, [p for k, p in enumerate(pairs) if mask >> k & 1])) + '\\n' for mask in masks))\n"
+        "err = io.StringIO()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out), \\\n"
+        "        contextlib.redirect_stderr(err):\n"
+        "    main(['verify', '--checks', 'mixing', '--tol', '-0.5'])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.loads(err.getvalue())['violations'], after - before)\n")
+    # ru_maxrss survives exec, so a process started from this one begins at
+    # this one's peak; a small launcher gives the measured one its own
+    launcher = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, *sys.argv[1:]]))"
+    child = subprocess.run([sys.executable, "-c", launcher, "-c", script], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": CHILD_PATH})
+    assert child.returncode == 0, child.stderr
+    violations, growth_kb = map(int, child.stdout.split())
+    assert violations > 100_000
+    assert growth_kb < 5 * 1024
 
 
 def run_cli(args, stdin_text=""):
@@ -478,7 +525,7 @@ def test_a_per_graph_command_on_good_input_exits_0_with_nothing_on_stderr(monkey
     assert out and err == ""
 
 
-def test_a_per_graph_command_prints_each_chunk_before_reading_the_next(monkeypatch):
+def test_a_per_graph_command_prints_each_line_before_reading_the_next(monkeypatch):
     read = 0
     seen_at_write = []
 
@@ -492,10 +539,8 @@ def test_a_per_graph_command_prints_each_chunk_before_reading_the_next(monkeypat
     monkeypatch.setattr("sys.stdout", SimpleNamespace(
         write=lambda text: seen_at_write.append(read), flush=lambda: None))
     assert main(["tough"]) == 0
-    # print writes each record, then its newline: the first chunk's 256
-    # records are out before line 257 is read
-    assert len(seen_at_write) == 2000
-    assert max(seen_at_write[:512]) <= 256
+    # print writes each record, then its newline, before the next line is read
+    assert seen_at_write == [lineno for lineno in range(1, 1001) for _ in range(2)]
 
 
 def test_the_cli_caps_at_62_vertices(monkeypatch, capsys):

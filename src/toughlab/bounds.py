@@ -17,10 +17,10 @@ formula.  ``mixing_scale`` gives the per-volume factor a(nu) of a floor
 under the two-set right side, which lets the mixing check screen a pair
 of volumes without a square root.
 
-Division guards: the normalized deviation xi cannot vanish for a graph with
-an edge (the eigenvalue trace forbids it), but the spectral term guards the
-division anyway and reports +inf, which downstream sweeps surface as an
-anomaly instead of crashing.
+Division guards: the lower-bound terms divide by dmax and by the normalized
+deviation xi, so they need a graph with an edge; there the eigenvalue trace
+gives xi >= 1/(n - 1), and neither division is guarded.  The regular bounds
+need none either: degree d >= 1 gives mu_1 >= d + 1, so lambda >= 1.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ def toughness_lower_terms(
     dmin*(xi + 1)/(dmax*xi) - 2."""
     dmax, dmin, _ = degree_profile(g)
     xi = summary.xi
-    spectral = dmin * (xi + 1.0) / (dmax * xi) - 2.0 if xi > 0.0 else math.inf
-    return (1.0 / dmax, (dmax + dmin) / (dmax * g.n), spectral)
+    return (1.0 / dmax, (dmax + dmin) / (dmax * g.n), dmin * (xi + 1.0) / (dmax * xi) - 2.0)
 
 
 def laplacian_toughness_bounds(
@@ -82,8 +81,6 @@ def regular_toughness_bounds(
         return None
     d = dmax
     lam = summary.lambda_reg
-    if lam <= 1e-12:
-        return None  # only the edgeless regular graphs get here
     return (d / lam - 1.0, d / lam - 2.0, (d * d / (d * lam + lam * lam) - 1.0) / 3.0)
 
 

@@ -338,50 +338,48 @@ def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[R
 
     The four conditions read only |S| and the smaller side |X|, with
     1 <= |X| <= (n - |S|) / 2, and the two equality ones only when
-    2 |X| < n - |S|.  So each |S| is screened first over every |X| it
-    allows, and the masks of a size at which no grouping can give a record
-    are skipped without computing their components.  Sizes below twice
-    the exact toughness are skipped too: a set S that leaves two or more
-    blocks has tau <= |S| / 2.
+    2 |X| < n - |S|.  So they are decided once per (|S|, |X|), and the cut
+    walk only sums block sizes and looks the records up; it skips the masks
+    of a size with no records before computing their components.  Sizes
+    below twice the exact toughness have none: a set S that leaves two or
+    more blocks has tau <= |S| / 2.
     """
     g = f.g
     cap_ratio, floor_ratio = cut_partition_ratios(f.summary)
     cap = cap_ratio * g.n
-    full = g.full_mask
-    # live[|S|]: some grouping left by a cut set of that size can give a record
-    live = [False] * g.n
+    records: dict[tuple[int, int], list[Violation]] = {}
     for size_s in range(math.ceil(2 * f.cert.value), g.n - 1):
         for size_x in range(1, (g.n - size_s) // 2 + 1):
             floor = floor_ratio * size_x
-            if (size_x > cap + tol or size_s < floor - tol
-                    or 2 * size_x < g.n - size_s
-                    and (abs(size_x - cap) <= eps_eq or abs(size_s - floor) <= eps_eq)):
-                live[size_s] = True
-                break
-    if not any(live):
-        return
-    for s_mask in range(1, full):
-        size_s = s_mask.bit_count()
-        if not live[size_s]:
-            continue
-        sizes = [b.bit_count() for b in component_masks(g.rows, full & ~s_mask)]
-        if len(sizes) < 2:
-            continue
-        # unordered groupings of blocks into two nonempty sides
-        for pick in range(1, 1 << (len(sizes) - 1)):
-            picked = sum(size for i, size in enumerate(sizes) if pick >> i & 1)
-            size_x, size_y = sorted((picked, g.n - size_s - picked))
-            floor = floor_ratio * size_x
+            found = []
             if size_x > cap + tol:
-                yield Violation(f.g6, "cut-partition-x", float(size_x), cap)
+                found.append(Violation(f.g6, "cut-partition-x", float(size_x), cap))
             if size_s < floor - tol:
-                yield Violation(f.g6, "cut-partition-s", float(size_s), floor)
-            if size_x != size_y:
+                found.append(Violation(f.g6, "cut-partition-s", float(size_s), floor))
+            if 2 * size_x < g.n - size_s:
                 # strict grouping: equality in either bound forces equal sides
                 if abs(size_x - cap) <= eps_eq:
-                    yield Violation(f.g6, "cut-partition-x-equality", float(size_x), cap)
+                    found.append(Violation(f.g6, "cut-partition-x-equality", float(size_x), cap))
                 if abs(size_s - floor) <= eps_eq:
-                    yield Violation(f.g6, "cut-partition-s-equality", float(size_s), floor)
+                    found.append(Violation(f.g6, "cut-partition-s-equality", float(size_s), floor))
+            if found:
+                records[size_s, size_x] = found
+    if not records:
+        return
+    cut_sizes = {size_s for size_s, _ in records}
+    full = g.full_mask
+    for s_mask in range(1, full):
+        size_s = s_mask.bit_count()
+        if size_s not in cut_sizes:
+            continue
+        sizes = [b.bit_count() for b in component_masks(g.rows, full & ~s_mask)]
+        # picked[k]: the size of the side holding the blocks set in k; the
+        # last block is never picked, so each grouping comes once
+        picked = [0]
+        for size in sizes[:-1]:
+            picked += [p + size for p in picked]
+        for p in picked[1:]:
+            yield from records.get((size_s, min(p, g.n - size_s - p)), ())
 
 
 def _check_extremal_iff(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:

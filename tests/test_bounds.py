@@ -82,6 +82,33 @@ def test_regular_bounds(petersen, k4, c4, claw):
     assert regular_toughness_bounds(claw, spectral_summary(claw)) is None
 
 
+def test_regular_records_match_the_bounds_at_negative_tolerances():
+    # every connected non-complete regular labeled graph with 3 <= n <= 6;
+    # at each tol the check's records are the bounds compared with tau in
+    # the check's own directions, bit for bit
+    corpus = [GraphFacts(write_graph6(g), g) for n in range(3, 7) for g in enumerate_labeled(n)
+              if len({row.bit_count() for row in g.rows}) == 1]
+    corpus = [f for f in corpus if f.bounded]
+    assert len(corpus) == 160
+    fired = Counter()
+    for tol in (-1.0, -2.0, -3.0):
+        for f in corpus:
+            brouwer, strict_bound, alon = regular_toughness_bounds(f.g, f.summary)
+            want = [(check, lhs.hex(), f.tau.hex()) for check, lhs, fires in (
+                ("regular-brouwer", brouwer, brouwer > f.tau + tol),
+                ("regular-brouwer-strict", strict_bound, f.tau <= strict_bound - tol),
+                ("regular-alon", alon, f.tau <= alon - tol)) if fires]
+            got = [(r.check, r.lhs.hex(), r.rhs.hex())
+                   for r in evaluate_graph(f.g6, f.g, ("regular",), tol, 1e-7)]
+            assert got == want, (f.g6, tol)
+            kinds = {check for check, _, _ in got}
+            # no strict or Alon record comes without a Brouwer record
+            assert not kinds or "regular-brouwer" in kinds, (f.g6, tol)
+            fired.update((check, tol) for check in kinds)
+    assert {check for check, tol in fired if tol == -2.0} == {
+        "regular-brouwer", "regular-brouwer-strict", "regular-alon"}
+
+
 def test_connectivity_cap(petersen, c4, claw):
     s = spectral_summary(petersen)
     cap = algebraic_connectivity_cap(s, Fraction(4, 3))

@@ -99,12 +99,11 @@ def test_joins_with_a_disconnected_side_have_connectivity_k():
     # connectivity is k, and the algebraic connectivity lands exactly on it
     for k in range(1, 4):
         for base in enumerate_labeled(k):
-            mu_base = laplacian_spectrum(base) if k >= 2 else [0.0]
             for order in range(2, 5):
                 for other in enumerate_labeled(order):
                     if is_connected(other):
                         continue
-                    if k >= 2 and mu_base[-2] < 2 * k - (k + order):
+                    if not extremal._eigen_condition(base, k, k + order):
                         continue
                     g = join(base, other)
                     assert vertex_connectivity(g).kappa == k
@@ -116,9 +115,8 @@ def test_constructive_family_sweep():
     # eigenvalue floor: the join must hit both equalities exactly
     for delta in range(1, 5):
         for base in enumerate_labeled(delta):
-            mu = laplacian_spectrum(base) if delta >= 2 else [0.0]
             for n in range(delta + 2, delta + 5):
-                if delta >= 2 and mu[-2] < 2 * delta - n:
+                if not extremal._eigen_condition(base, delta, n):
                     continue
                 g = build_extremal(base, n)
                 s = spectral_summary(g)

@@ -18,8 +18,9 @@ under the two-set right side, which lets the mixing check screen a pair
 of volumes without a square root.
 
 Division guards: the lower-bound terms divide by dmax and by the normalized
-deviation xi, so they need a graph with an edge; there the eigenvalue trace
-gives xi >= 1/(n - 1), and neither division is guarded.  The regular bounds
+deviation xi, so they raise ValueError on a graph with no edge, as the
+independence bounds do; on a graph with an edge the eigenvalue trace gives
+xi >= 1/(n - 1), and neither division needs a guard.  The regular bounds
 need none either: degree d >= 1 gives mu_1 >= d + 1, so lambda >= 1.
 """
 
@@ -42,6 +43,8 @@ def toughness_lower_terms(
     """The three lower-bound terms from max/min degree and the normalized
     deviation: 1/dmax, (dmax + dmin)/(dmax * n), and
     dmin*(xi + 1)/(dmax*xi) - 2."""
+    if g.m < 1:
+        raise ValueError("lower-bound terms need at least one edge")
     dmax, dmin, _ = degree_profile(g)
     xi = summary.xi
     return (1.0 / dmax, (dmax + dmin) / (dmax * g.n), dmin * (xi + 1.0) / (dmax * xi) - 2.0)

@@ -6,12 +6,13 @@ Its cut walk grows the components of G - S a frontier at a time, taking the
 union of the frontier's neighbour rows from two per-graph lookup tables of
 at most 1,024 entries each (the "four Russians" trick).
 Independence goes through a bitset branch and bound, vertex connectivity
-through vertex-split max flow on one network per graph: a candidate pair is
-skipped when its common neighbors already match the best cut, and otherwise
-its flow starts from the paths through them and stops at the best cut, all
-without changing the reported separator (the one closest to the pair's
-first vertex, which every maximum flow gives).  Certificates carry the
-witnessing sets so tests and reports can re-check optimality independently.
+through vertex-split max flow run on the graph's rows, the flow held as one
+predecessor list ``pred``: a candidate pair is skipped when its common
+neighbors already match the best cut, and otherwise its flow starts from
+the paths through them and stops at the best cut, all without changing the
+reported separator (the one closest to the pair's first vertex, which every
+maximum flow gives).  Certificates carry the witnessing sets so tests and
+reports can re-check optimality independently.
 """
 
 from __future__ import annotations
@@ -229,15 +230,16 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     Fixes a minimum-degree vertex v and takes the minimum cut over v against
     each of its non-neighbors, plus every nonadjacent pair of neighbors of
     v, in that order; only a strictly smaller cut replaces the incumbent,
-    which starts as deg(v) with the neighborhood of v.  The split network is
-    built once per graph.  The c common neighbors of a pair are c disjoint
-    paths between them, so a pair with c >= the incumbent cannot win and is
-    skipped; any other pair starts its flow from those c paths and stops as
-    soon as the flow reaches the incumbent.  A pair that does win reports
-    the minimum separator closest to its first vertex, which every maximum
-    flow gives, so neither the skip, the seeded paths nor the stop changes
-    the certificate.  Complete graphs return n - 1 with no separator.
-    Raises ValueError on disconnected input.
+    which starts as deg(v) with the neighborhood of v.  Each pair's flow
+    runs on the rows of ``g``, held as the list ``pred``.  The c common
+    neighbors of a pair are c disjoint paths between them, so a pair with c
+    >= the incumbent cannot win and is skipped; any other pair starts its
+    flow from those c paths and stops as soon as the flow reaches the
+    incumbent.  A pair that does win reports the minimum separator closest
+    to its first vertex, which every maximum flow gives, so neither the
+    skip, the seeded paths nor the stop changes the certificate.  Complete
+    graphs return n - 1 with no separator.  Raises ValueError on
+    disconnected input.
     """
     if not is_connected(g):
         raise ValueError("vertex connectivity requires a connected graph")
@@ -257,95 +259,72 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     for a, b in itertools.combinations(nbrs, 2):
         if not g.has_edge(a, b):
             candidates.append((a, b))
-    network = _split_network(rows)
     for s, t in candidates:
-        cut = _min_vertex_cut(network, rows, s, t, best)
+        cut = _min_vertex_cut(rows, s, t, best)
         if cut is not None:
             best, best_sep = cut
     return ConnectivityCertificate(best, best_sep)
 
 
-def _split_network(rows: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
-    """``(adj, cap)``: the vertex-split flow network of a graph.
-
-    Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by an arc of
-    capacity 1, and each edge uv gives arcs out->in both ways of capacity
-    n + 1, more than any flow, so minimum cuts land on vertex arcs.
-    ``adj[a]`` lists the nodes joined to a by an arc either way and
-    ``cap[a][b]`` is the capacity of arc a->b, 0 where there is none.
-    """
-    n = len(rows)
-    inf = n + 1
-    adj: list[list[int]] = []
-    cap = [[0] * (2 * n) for _ in range(2 * n)]
-    for v in range(n):
-        nbrs = vertices_of(rows[v])
-        adj.append([2 * v + 1] + [2 * u + 1 for u in nbrs])
-        adj.append([2 * v] + [2 * u for u in nbrs])
-        cap[2 * v][2 * v + 1] = 1
-        for u in nbrs:
-            cap[2 * v + 1][2 * u] = inf
-    return adj, cap
-
-
 def _min_vertex_cut(
-    network: tuple[list[list[int]], list[list[int]]],
-    rows: tuple[int, ...],
-    s: int,
-    t: int,
-    limit: int,
+    rows: tuple[int, ...], s: int, t: int, limit: int
 ) -> tuple[int, VertexSet] | None:
     """Minimum s-t vertex cut for nonadjacent s, t when it is below ``limit``.
 
     The c common neighbors of s and t are c disjoint s-t paths, so with c
-    >= ``limit`` it returns None at once.  Otherwise it works on a copy of
-    the capacities of ``network`` (see ``_split_network``) with the vertex
-    arcs of s and t made unbounded; the flow starts with one unit along
-    each path s-c-t and grows by shortest augmenting paths, and it returns
-    None as soon as the flow reaches ``limit``.  When no augmenting path is
-    left, the vertices whose in node the last search reached and whose out
-    node it did not form the minimum separator closest to s: the nodes
-    reachable in the residual network are the same for every maximum flow.
+    >= ``limit`` it returns None at once.  Otherwise the flow is a set of
+    internally disjoint s-t paths, held as ``pred[v]``: the vertex before v
+    on the path through v, or -1 when no path uses v.  It starts with the
+    paths s-c-t and grows by shortest augmenting paths, returning None as
+    soon as it reaches ``limit``.  The residual search runs on ``rows``:
+    each vertex v has an in and an out node joined by an arc of capacity 1,
+    and each edge uv an unbounded arc from out(u) to in(v), so out(u)
+    reaches in(v) for every neighbor v, and in(u) too when u is on a path;
+    in(v) reaches out(v) when v is on no path and out(pred[v]) when it is.
+    When no augmenting path is left, the vertices whose in node the last
+    search reached and whose out node it did not form the minimum separator
+    closest to s: the nodes reachable in the residual network are the same
+    for every maximum flow.
     """
     common = rows[s] & rows[t]
     flow = common.bit_count()
     if flow >= limit:
         return None
-    adj, base = network
-    size = len(base)
-    cap = [row[:] for row in base]
-    cap[2 * s][2 * s + 1] = cap[2 * t][2 * t + 1] = len(rows) + 1
-    source, sink = 2 * s + 1, 2 * t
+    n = len(rows)
+    pred = [-1] * n
     for c in iter_bits(common):
-        for a, b in ((source, 2 * c), (2 * c, 2 * c + 1), (2 * c + 1, sink)):
-            cap[a][b] -= 1
-            cap[b][a] += 1
+        pred[c] = s
     while flow < limit:
-        parent = [-1] * size
-        parent[source] = source
-        queue = [source]
-        while queue and parent[sink] == -1:
-            nxt = []
-            for a in queue:
-                row = cap[a]
-                for b in adj[a]:
-                    if parent[b] == -1 and row[b] > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if parent[sink] == -1:
+        # via_in[v]: the vertex whose out node reached in(v); via_out[u]:
+        # the vertex whose in node reached out(u)
+        via_in = [-1] * n
+        via_out = [-1] * n
+        seen_in = seen_out = frontier = 1 << s
+        while frontier and not seen_in >> t & 1:
+            layer, frontier = frontier, 0
+            for u in iter_bits(layer):
+                fresh = rows[u] & ~seen_in
+                if pred[u] != -1 and not seen_in >> u & 1:
+                    fresh |= 1 << u
+                seen_in |= fresh
+                for v in iter_bits(fresh):
+                    via_in[v] = u
+                    w = v if pred[v] == -1 else pred[v]
+                    if not seen_out >> w & 1:
+                        via_out[w] = v
+                        seen_out |= 1 << w
+                        frontier |= 1 << w
+                if seen_in >> t & 1:
+                    break
+        if not seen_in >> t & 1:
             # the failed search reached every node the residual network reaches
-            sep = 0
-            for v in range(len(rows)):
-                if parent[2 * v] != -1 and parent[2 * v + 1] == -1:
-                    sep |= 1 << v
-            return flow, sep
-        # bottleneck is always 1: every augmenting path crosses a unit vertex arc
-        b = sink
-        while b != source:
-            a = parent[b]
-            cap[a][b] -= 1
-            cap[b][a] += 1
-            b = a
+            return flow, seen_in & ~seen_out & ~(1 << s | 1 << t)
+        # walk back from in(t); each in node on the way takes its new
+        # predecessor, and one reached from its own out node leaves its path
+        u = via_in[t]
+        while u != s:
+            v = via_out[u]
+            u = via_in[v]
+            pred[v] = -1 if u == v else u
         flow += 1
     return None

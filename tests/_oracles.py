@@ -107,10 +107,8 @@ def brute_kappa_certificate(graph) -> tuple[int, int | None]:
     starts as (deg v0, N(v0)).  The candidate pairs are v0 with each
     non-neighbour, then each nonadjacent pair of neighbours of v0, both in
     increasing label order.  A pair replaces the incumbent only when its
-    smallest s-t separator, found by trying every subset, is strictly
-    smaller; among the smallest it takes the one whose component of s is
-    contained in that of every other (minimum s-t separators form a
-    lattice, so exactly one is).  Complete graphs give (n - 1, None).
+    ``brute_closest_separator`` is strictly smaller.  Complete graphs give
+    (n - 1, None).
     """
     adj = to_adj(graph)
     n = graph.n
@@ -122,19 +120,30 @@ def brute_kappa_certificate(graph) -> tuple[int, int | None]:
     pairs += [(a, b) for a, b in itertools.combinations(nbrs, 2) if b not in adj[a]]
     best, best_sep = len(nbrs), set(nbrs)
     for s, t in pairs:
-        others = [v for v in range(n) if v not in (s, t)]
-        for size in range(best):
-            sides = []
-            for combo in itertools.combinations(others, size):
-                side = next(c for c in component_sets(adj, set(combo)) if s in c)
-                if t not in side:
-                    sides.append((side, set(combo)))
-            if sides:
-                side, sep = min(sides, key=lambda item: len(item[0]))
-                assert all(side <= other for other, _ in sides)
-                best, best_sep = size, sep
-                break
+        found = brute_closest_separator(adj, s, t, best)
+        if found is not None:
+            best, best_sep = found
     return best, sum(1 << v for v in best_sep)
+
+
+def brute_closest_separator(adj, s: int, t: int, below: int) -> tuple[int, set] | None:
+    """(size, separator) of the smallest s-t separator, by trying every
+    subset, when it has fewer than ``below`` vertices, else None.  Among the
+    smallest it takes the one whose component of s is contained in that of
+    every other (minimum s-t separators form a lattice, so exactly one is).
+    """
+    others = [v for v in range(len(adj)) if v not in (s, t)]
+    for size in range(below):
+        sides = []
+        for combo in itertools.combinations(others, size):
+            side = next(c for c in component_sets(adj, set(combo)) if s in c)
+            if t not in side:
+                sides.append((side, set(combo)))
+        if sides:
+            side, sep = min(sides, key=lambda item: len(item[0]))
+            assert all(side <= other for other, _ in sides)
+            return size, sep
+    return None
 
 
 def connected_labeled_count(n: int) -> int:

@@ -58,6 +58,13 @@ def test_lower_terms(petersen, p3, c4):
     assert abs(terms[2]) <= 1e-8
 
 
+def test_lower_terms_require_an_edge():
+    from toughlab import empty_graph
+    g = empty_graph(3)
+    with pytest.raises(ValueError, match="lower-bound terms need at least one edge"):
+        toughness_lower_terms(g, spectral_summary(g))
+
+
 def test_laplacian_bounds(c4, claw, petersen):
     product, gap = laplacian_toughness_bounds(c4, spectral_summary(c4))
     assert abs(product - 1) <= 1e-8 and abs(gap - 1) <= 1e-8

@@ -1,5 +1,7 @@
 """Exact invariants against independent brute-force oracles."""
 
+import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -25,14 +27,16 @@ from toughlab import (
     vertices_of,
 )
 from toughlab.formats import enumerate_labeled
-from toughlab.invariants import UNION_TABLE_VERTICES, _union_tables
+from toughlab.invariants import UNION_TABLE_VERTICES, _min_vertex_cut, _union_tables
 
 from _oracles import (
     brute_alpha,
+    brute_closest_separator,
     brute_kappa,
     brute_kappa_certificate,
     brute_toughness,
     brute_toughness_certificate,
+    to_adj,
 )
 
 
@@ -76,10 +80,11 @@ def assert_certificate_matches_oracle(g):
     assert cert.omega == cert.tau_den == size / tau
 
 
-def connected_gnp(rng, n):
-    """A connected G(n, p) draw, p from {0.3, 0.5, 0.7}."""
+def connected_gnp(rng, n, p=None):
+    """A connected G(n, p) draw, p from {0.3, 0.5, 0.7} when not given."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    p = rng.choice((0.3, 0.5, 0.7))
+    if p is None:
+        p = rng.choice((0.3, 0.5, 0.7))
     g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
     while not is_connected(g):
         g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
@@ -216,6 +221,52 @@ def test_connectivity_at_large_n_matches_closed_forms():
         assert cert.kappa == kappa, (g.n, kappa)
         assert_valid_separator(g, cert)
     assert time.perf_counter() - start < 1.0
+
+
+def test_each_pair_cut_is_the_minimum_separator_closest_to_its_first_vertex():
+    # a 7-cycle with a pendant vertex: for the pair (5, 7) the search finds
+    # the path 5-0-1-6-7 first, and vertex 0 stays out of the cut {6} only
+    # if the next search walks back along that path from 6 to 0
+    edges = [(0, 1), (0, 5), (1, 6), (2, 3), (2, 6), (3, 4), (4, 5), (6, 7)]
+    graphs = [Graph.from_edges(8, edges)]
+    rng = random.Random(717)
+    graphs += [connected_gnp(rng, n) for n in (6, 7, 8) for _ in range(10)]
+    for g in graphs:
+        adj = to_adj(g)
+        for s, t in itertools.permutations(range(g.n), 2):
+            if not g.has_edge(s, t):
+                size, sep = brute_closest_separator(adj, s, t, g.n)
+                assert _min_vertex_cut(g.rows, s, t, g.n) == (size, mask_of(sep)), (g.rows, s, t)
+
+
+# sha256 of the (rows, kappa, separator) lines below, so that any separator
+# that moves changes it; rows rather than graph6, which caps at 62 vertices
+CONNECTIVITY_CERTIFICATES_SHA256 = "1ce570e11de880a428664296c05cf385a45dec4a1d536a2c4265ef4c23bd6d4c"
+
+
+def test_connectivity_certificates_beyond_the_oracles_are_unchanged():
+    rng = random.Random(2212)
+    lines = []
+    for n in (12, 16, 24, 32, 48, 64):
+        for p in (0.1, 0.3, 0.6):
+            for _ in range(2):
+                g = connected_gnp(rng, n, p)
+                cert = vertex_connectivity(g)
+                assert_valid_separator(g, cert)
+                lines.append(f"{g.rows} {cert.kappa} {cert.separator}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == CONNECTIVITY_CERTIFICATES_SHA256
+
+
+def test_connectivity_matches_networkx_past_the_brute_force_range():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1532)
+    for _ in range(24):
+        g = connected_gnp(rng, rng.randint(15, 32))
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges())
+        assert vertex_connectivity(g).kappa == nx.node_connectivity(G)
 
 
 def test_connectivity_rejects_disconnected():

@@ -15,7 +15,7 @@ centre and right side, which do not depend on the edge count, come from
 ``mixing_terms`` and ``mixing_terms_single``, the one place of each
 formula.  ``mixing_scale`` gives the per-volume factor a(nu) of a floor
 under the two-set right side, which lets the mixing check screen a pair
-of volumes without a square root.
+of volumes, and their complement mirrors, without a square root.
 
 Division guards: the lower-bound terms divide by dmax and by the normalized
 deviation xi, so they raise ValueError on a graph with no edge, as the
@@ -35,6 +35,9 @@ from .spectra import SpectralSummary
 EPS_EQ = 1e-7
 # puts xi a(nu_x) a(nu_y) (see mixing_scale) under every rounding of the rhs
 MIXING_SCREEN_FACTOR = 1.0 - 2.0 ** -46
+# times 2m, lowers that floor, and the single-set rhs, under the rhs of
+# every complement mirror (see mixing_scale)
+MIXING_MIRROR_MARGIN = 2.0 ** -49
 
 
 def toughness_lower_terms(
@@ -114,6 +117,17 @@ def mixing_scale(nu: int, two_m: int) -> float:
     8 unit roundoffs (2^-50) relative.  So xi * a(nu_x) *
     MIXING_SCREEN_FACTOR * a(nu_y), evaluated left to right, is at most
     the rhs of both orientations, with a 16-fold margin.
+
+    As a(2m - nu) = a(nu), the same floor stands in exact arithmetic for
+    the complements V - X and V - Y, whose blocks hold nu_y - e around the
+    centre nu_y - nu_x nu_y / 2m, but their floats differ.  A mirror's
+    rounded deviation exceeds the screened one by at most the roundings of
+    two centres (each at most 2m) and two subtractions, under 3 u 2m with
+    u = 2^-53.  Its rounded 1 - (2m - nu) / 2m is within u of nu / 2m but
+    not within u nu / 2m, which for xi <= 1 and 2m <= 90 lowers its rhs by
+    under 2.5 u 2m.  Adding tol rounds each side by at most u 2m wherever
+    the comparison is not decided by size alone.  MIXING_MIRROR_MARGIN *
+    2m = 16 u 2m covers the sum, under 8 u 2m.
     """
     return math.sqrt(nu * (1.0 - nu / float(two_m)))
 

@@ -2,10 +2,12 @@
 
 Supported formats:
 
-* graph6 (short form, n <= 62): header byte ``chr(n + 63)``, then the upper
-  adjacency triangle in column-major pair order (0,1), (0,2), (1,2), (0,3),
-  ... packed six bits per byte, each byte offset by 63, zero padded.  The
-  parser rejects nonzero padding bits, so every accepted record is the one
+* graph6: a header, then the upper adjacency triangle in column-major pair
+  order (0,1), (0,2), (1,2), (0,3), ... packed six bits per byte, each
+  byte offset by 63, zero padded.  The header is ``chr(n + 63)`` for
+  n <= 62 (short form) and ``~`` then n in three six-bit bytes for 63 and
+  64 vertices (long form).  The parser rejects nonzero padding bits and a
+  long-form header for n <= 62, so every accepted record is the one
   ``write_graph6`` produces for its graph.
 * edge list: first token is the vertex count, followed by whitespace
   separated ``u v`` pairs with 0 <= u, v < n and u != v.
@@ -24,7 +26,7 @@ from typing import Iterator
 
 from .graphs import MAX_VERTICES, Graph, is_connected
 
-GRAPH6_MAX_N = 62
+GRAPH6_SHORT_MAX_N = 62
 GENERATED_MAX_N = 7
 
 
@@ -45,21 +47,26 @@ def graph6_record(line: str) -> str:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one short-form graph6 record into a labeled graph."""
+    """Decode one graph6 record into a labeled graph."""
     s = graph6_record(line)
     if not s:
         raise FormatError("empty graph6 record")
     for ch in s:
         if not 63 <= ord(ch) <= 126:
             raise FormatError(f"invalid graph6 character {ch!r}")
-    head = ord(s[0]) - 63
-    if head == 63:
-        raise FormatError("long-form graph6 sizes are not supported")
-    n = head
-    if n > GRAPH6_MAX_N:
-        raise FormatError(f"graph6 header declares {n} vertices, maximum is {GRAPH6_MAX_N}")
+    n, payload = ord(s[0]) - 63, s[1:]
+    if n > GRAPH6_SHORT_MAX_N:
+        if s[1:2] == "~":
+            raise FormatError(f"graph6 header declares over {MAX_VERTICES} vertices")
+        if len(s) < 4:
+            raise FormatError("long-form graph6 header truncated")
+        high, mid, low = (ord(ch) - 63 for ch in s[1:4])
+        n, payload = high << 12 | mid << 6 | low, s[4:]
+        if n <= GRAPH6_SHORT_MAX_N:
+            raise FormatError(f"long-form graph6 header for {n} vertices: the short form is canonical")
+        if n > MAX_VERTICES:
+            raise FormatError(f"graph6 header declares {n} vertices, maximum is {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
-    payload = s[1:]
     expected = (nbits + 5) // 6
     if len(payload) < expected:
         raise FormatError(f"graph6 payload truncated: {len(payload)} bytes, expected {expected}")
@@ -85,10 +92,11 @@ def parse_graph6(line: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode a graph as one short-form graph6 record; inverse of parse_graph6."""
-    if g.n > GRAPH6_MAX_N:
-        raise FormatError(f"graph6 short form caps at {GRAPH6_MAX_N} vertices, got {g.n}")
-    out = [chr(g.n + 63)]
+    """Encode a graph as one graph6 record; inverse of parse_graph6."""
+    if g.n <= GRAPH6_SHORT_MAX_N:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~", *(chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0))]
     group = 0
     filled = 0
     for i, j in _graph6_pairs(g.n):

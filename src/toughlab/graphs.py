@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 # Hard cap on vertex count.  Keeps every vertex set inside one machine word
-# on typical builds; graph6 short form stops at 62 anyway.
+# on typical builds; graph6 takes 63 and 64 in its long form.
 MAX_VERTICES = 64
 
 VertexSet = int

@@ -27,12 +27,13 @@ from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import lshift, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import (
     EPS_EQ,
+    MIXING_MIRROR_MARGIN,
     MIXING_SCREEN_FACTOR,
     algebraic_connectivity_cap,
     cut_partition_ratios,
@@ -242,51 +243,69 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     In a block the centre and the right side are fixed, and the rounded
     e - centre is monotone in the integer e, so |e - centre| is largest at
     the block's smallest or largest e: the block can hold a violation only
-    if one of those two does.  As e(x, y) = e(y, x), the blocks
-    (vol[x], vol[y]) and (vol[y], vol[x]) hold the same e and centres of
-    the same bits, so each unordered pair of volumes is screened once,
-    against xi a(vol[x]) a(vol[y]) scaled by MIXING_SCREEN_FACTOR, a floor
-    under the right side of both orientations (``mixing_scale``): one
-    multiplication per block, with a(nu) computed once per volume.  Only
-    a block that fails the screen gets the exact test of each orientation
-    (``mixing_terms``), and only a block that fails that has each triple
-    evaluated, once; only the violating triples are kept.  The single-set
-    inequality is screened per vol[x], with the smallest and largest
-    e(x, x).  Only when some triple violates are the pairs replayed in
-    order: a row x whose volume has a violating triple gets its codes in y
-    order, the subset sums of the same weights doubled one vertex at a
-    time, so the check holds O(n 2^n) codes at once.
+    if one of those two does.
+
+    Each block stands for up to eight.  As e(x, y) = e(y, x), the blocks
+    (nu_x, nu_y) and (nu_y, nu_x) hold the same e.  As vol(V - x) =
+    2m - vol x and e(V - x, y) = vol y - e(x, y), the block
+    (2m - nu_x, nu_y) holds the nu_y - e, around the centre nu_y - centre
+    and under the same right side, as a(2m - nu) = a(nu)
+    (``mixing_scale``); and likewise for V - y.  So code sets are built
+    only for the rows with vol[x] <= m, and only the blocks
+    nu_x <= nu_y <= m are screened, against xi a(nu_x) a(nu_y) scaled by
+    MIXING_SCREEN_FACTOR, a floor under the right side of both
+    orientations, less MIXING_MIRROR_MARGIN * 2m for what the mirrors'
+    own roundings can add: one multiplication per block, with a(nu)
+    computed once per volume.  The single-set inequality is screened per
+    vol[x] <= m in the same way, with the smallest and largest e(x, x),
+    as e(V - x, V - x) = 2m - 2 vol x + e(x, x).
+
+    Only a block that fails the screen gets the exact test of each of its
+    orientations (``mixing_terms``), each on its own block and floats, and
+    only an orientation that fails that has each triple evaluated, once;
+    only the violating triples are kept.  Only when some triple violates
+    are the pairs replayed in order: a row x whose volume has a violating
+    triple gets its codes in y order, the subset sums of its weights
+    doubled one vertex at a time, so the check holds O(n 2^n) codes at
+    once.
     """
     g = f.g
     two_m, xi = 2 * g.m, f.summary.xi
     base = two_m + 1
     block_mask = (1 << base) - 1
+    margin = MIXING_MIRROR_MARGIN * two_m
     subsets = range(g.full_mask + 1)
-    # into[v][y] = |N(v) & y|
-    into = [[(row & y).bit_count() for y in subsets] for row in g.rows]
-    # diagonal[x] = e(x, x); weights[v][x] = deg(v) * (2m + 1) + |N(v) & x|
-    vol, diagonal, weights = [0], [0], []
-    for v, row in enumerate(g.rows):
+    # diagonal[x] = e(x, x), doubled one vertex at a time
+    vol, diagonal = [0], [0]
+    for row in g.rows:
         degree = row.bit_count()
+        diagonal += [d + 2 * (row & x).bit_count() for x, d in enumerate(diagonal)]
         vol += [nu + degree for nu in vol]
-        diagonal += [d + 2 * i for d, i in zip(diagonal, into[v])]
-        weights.append(list(map((degree * base).__add__, into[v])))
-    # sums[x] has bit c set iff some y gives the pair (x, y) the code c
-    sums = [1] * len(subsets)
-    for weight in weights:
+    # the rows whose code sets are built: each orbit has one with vol <= m
+    low = [nu <= g.m for nu in vol]
+    low_rows = list(compress(subsets, low))
+    heads = [row.bit_count() * base for row in g.rows]
+    # sums[k] has bit c set iff some y gives the pair (low_rows[k], y) the code c
+    sums = [1] * len(low_rows)
+    for head, row in zip(heads, g.rows):
+        weight = [head + (row & x).bit_count() for x in low_rows]
         sums = list(map(or_, sums, map(lshift, sums, weight)))
-    codes_of = dict.fromkeys(vol, 0)
-    diagonals_of = dict.fromkeys(vol, 0)
-    for nu, d, codes in zip(vol, diagonal, sums):
+    codes_of = dict.fromkeys(compress(vol, low), 0)
+    diagonals_of = codes_of.copy()
+    for nu, d, codes in zip(compress(vol, low), compress(diagonal, low), sums):
         codes_of[nu] |= codes
         diagonals_of[nu] |= 1 << d
     vols = sorted(codes_of)
     # the volumes whose single-set block can hold a violation
     single = set()
-    for nu_x in vols:
-        centre, rhs = mixing_terms_single(nu_x, two_m, xi)
-        if _block_can_violate(diagonals_of[nu_x], centre, rhs + tol):
-            single.add(nu_x)
+    for nu in vols:
+        centre, rhs = mixing_terms_single(nu, two_m, xi)
+        block = diagonals_of[nu]
+        if _block_can_violate(block, centre, rhs - margin + tol):
+            for nu_a, block_a in {nu: block, two_m - nu: block << two_m - 2 * nu}.items():
+                centre, rhs = mixing_terms_single(nu_a, two_m, xi)
+                if _block_can_violate(block_a, centre, rhs + tol):
+                    single.add(nu_a)
     # violating[vol[x]][code] = (lhs, rhs) of each violating triple
     violating: dict[int, dict[int, tuple[float, float]]] = {}
     nu_v = float(two_m)
@@ -297,14 +316,14 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
         for nu_y, scale_y in zip(vols[i:], scale[i:]):
             # centre: that of mixing_terms, bit for bit in either orientation
             block, centre = codes >> nu_y * base & block_mask, nu_x * nu_y / nu_v
-            if not _block_can_violate(block, centre, scale_x * scale_y + tol):
+            if not _block_can_violate(block, centre, scale_x * scale_y - margin + tol):
                 continue
-            for nu_a, nu_b in {(nu_x, nu_y), (nu_y, nu_x)}:
+            for (nu_a, nu_b), block_ab in _orientations(block, nu_x, nu_y, two_m).items():
                 centre, rhs = mixing_terms(nu_a, nu_b, two_m, xi)
-                if _block_can_violate(block, centre, rhs + tol):
+                if _block_can_violate(block_ab, centre, rhs + tol):
                     offset = nu_b * base
-                    for e in range(block.bit_length()):
-                        if block >> e & 1:
+                    for e in range(block_ab.bit_length()):
+                        if block_ab >> e & 1:
                             sides = mixing_gap(e, nu_a, nu_b, two_m, xi)
                             if sides[0] > sides[1] + tol:
                                 violating.setdefault(nu_a, {})[offset + e] = sides
@@ -318,8 +337,8 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
         sides_of = violating.get(vol[x])
         if sides_of:
             row_codes = [0]  # row_codes[y] is the code of (x, y)
-            for weight in weights:
-                w = weight[x]
+            for head, row in zip(heads, g.rows):
+                w = head + (row & x).bit_count()
                 row_codes += [c + w for c in row_codes]
             for c in row_codes:
                 if c in sides_of:
@@ -331,6 +350,20 @@ def _block_can_violate(block: int, centre: float, limit: float) -> bool:
     its smallest or largest e does, as the rounded e - centre is monotone."""
     return (abs((block & -block).bit_length() - 1 - centre) > limit
             or abs(block.bit_length() - 1 - centre) > limit)
+
+
+def _orientations(block: int, nu_x: int, nu_y: int, two_m: int) -> dict[tuple[int, int], int]:
+    """(vol X, vol Y) -> its block, for each block that swapping X and Y or
+    taking the complement of either makes of the block of (nu_x, nu_y)."""
+    far_x, far_y = two_m - nu_x, two_m - nu_y
+    # {nu_y - e}, {nu_x - e} and {2m - nu_x - nu_y + e} for the e in block
+    minus_y = int(f"{block:0{nu_y + 1}b}"[::-1], 2)
+    minus_x = int(f"{block:0{nu_x + 1}b}"[::-1], 2)
+    both = block << far_x - nu_y
+    return {(nu_x, nu_y): block, (nu_y, nu_x): block,
+            (far_x, nu_y): minus_y, (nu_y, far_x): minus_y,
+            (nu_x, far_y): minus_x, (far_y, nu_x): minus_x,
+            (far_x, far_y): both, (far_y, far_x): both}
 
 
 def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:

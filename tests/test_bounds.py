@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -31,10 +32,12 @@ from toughlab import (
     toughness_lower_terms,
 )
 from toughlab.bounds import (
+    MIXING_MIRROR_MARGIN,
     MIXING_SCREEN_FACTOR,
     cut_partition_ratios,
     mixing_scale,
     mixing_terms,
+    mixing_terms_single,
 )
 from toughlab.cli import BOUNDS_COLUMNS, main
 from toughlab.formats import enumerate_labeled, write_graph6
@@ -168,6 +171,117 @@ def test_mixing_screen_floor_is_under_the_rhs_of_both_orientations():
                     assert floor <= mixing_terms(nu_y, nu_x, two_m, xi)[1], (two_m, nu_x, nu_y, xi)
 
 
+# the xi of the floor test above
+SCREEN_XIS = [1.0, 0.5, 1 / 3, 2.0 ** -20, *(random.Random(17).random() for _ in range(6))]
+SCREEN_TOLS = (1e-7, 0.0, -2.0 ** -40, -0.05)
+
+
+def _least_passing_xi(passes, estimate):
+    """The least float xi in (0, 1] with ``passes(xi)``, or None: a bisection
+    on the bit patterns of positive floats, which ``passes`` is monotone in,
+    first within 2^-40 of ``estimate``."""
+    def bits(x):
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def as_float(b):
+        return struct.unpack("<d", struct.pack("<q", b))[0]
+
+    low, high = estimate * (1.0 - 2.0 ** -40), min(1.0, estimate * (1.0 + 2.0 ** -40))
+    if not (0.0 < low and passes(high) and not passes(low)):
+        if not passes(1.0):
+            return None
+        low, high = 0.0, 1.0
+    fails, passing = bits(low), bits(high)
+    while passing - fails > 1:
+        mid = (fails + passing) // 2
+        if passes(as_float(mid)):
+            passing = mid
+        else:
+            fails = mid
+    return as_float(passing)
+
+
+def test_the_mirrored_mixing_screen_passes_no_violation_of_any_orientation():
+    # every 2m up to 60, every pair nu_x <= nu_y <= m and every e(X, Y) the
+    # pair allows: an e the screen passes, evaluated as the mixing check
+    # evaluates it, violates in none of the eight blocks that swapping X
+    # and Y or taking the complement of either makes of it, each tested
+    # with its own floats.  Beside the fixed xi, each e is tried at the
+    # least xi the screen passes it at, where the rhs sits closest above it
+    for two_m in range(2, 61, 2):
+        m, nu_v = two_m // 2, float(two_m)
+        margin = MIXING_MIRROR_MARGIN * two_m
+        scale = [mixing_scale(nu, two_m) for nu in range(m + 1)]
+        for nu_x in range(m + 1):
+            far_x = two_m - nu_x
+            for nu_y in range(nu_x, m + 1):
+                far_y = two_m - nu_y
+                centre = nu_x * nu_y / nu_v
+                # (vol X, vol Y, a, s): e(X, Y) is a + s e in that block
+                orientations = (
+                    (nu_x, nu_y, 0, 1), (nu_y, nu_x, 0, 1),
+                    (far_x, nu_y, nu_y, -1), (nu_y, far_x, nu_y, -1),
+                    (nu_x, far_y, nu_x, -1), (far_y, nu_x, nu_x, -1),
+                    (far_x, far_y, far_x - nu_y, 1), (far_y, far_x, far_x - nu_y, 1))
+
+                def limit(xi, tol):
+                    return xi * scale[nu_x] * MIXING_SCREEN_FACTOR * scale[nu_y] - margin + tol
+
+                def bounds_of(xi, tol):
+                    """(a, s, centre, rhs + tol) of each orientation, for
+                    comparing as mixing_gap's sides are compared"""
+                    return [(a, sign, centre_ab, rhs_ab + tol) for (centre_ab, rhs_ab), a, sign in (
+                        (mixing_terms(nu_a, nu_b, two_m, xi), a, sign)
+                        for nu_a, nu_b, a, sign in orientations)]
+
+                def assert_no_violation(e, bounds, *where):
+                    for a, sign, centre_ab, bound in bounds:
+                        assert abs(a + sign * e - centre_ab) <= bound, (
+                            two_m, nu_x, nu_y, e, *where)
+
+                for xi in SCREEN_XIS:
+                    for tol in SCREEN_TOLS:
+                        bounds, screen = bounds_of(xi, tol), limit(xi, tol)
+                        for e in range(nu_x + 1):
+                            if not abs(e - centre) > screen:
+                                assert_no_violation(e, bounds, xi, tol)
+                for e in range(nu_x + 1):
+                    deviation = abs(e - centre)
+                    for tol in SCREEN_TOLS:
+                        xi = _least_passing_xi(
+                            lambda xi: not deviation > limit(xi, tol),
+                            (deviation - tol + margin) / (limit(1.0, margin) or 1.0))
+                        if xi is not None:
+                            assert_no_violation(e, bounds_of(xi, tol), xi, tol)
+
+
+def test_the_mirrored_single_set_screen_passes_no_violation_of_either_orientation():
+    # every 2m up to 90, every nu <= m and every even e(X, X) <= nu, at the
+    # fixed xi and the least one the screen passes e at: an e the screen
+    # passes violates neither for X nor for V - X, with
+    # e(V - X, V - X) = 2m - 2 nu + e(X, X)
+    for two_m in range(2, 91, 2):
+        margin = MIXING_MIRROR_MARGIN * two_m
+        for nu in range(two_m // 2 + 1):
+
+            def limit(xi, tol):
+                return mixing_terms_single(nu, two_m, xi)[1] - margin + tol
+
+            centre = mixing_terms_single(nu, two_m, 1.0)[0]
+            for e in range(0, nu + 1, 2):
+                deviation = abs(e - centre)
+                for tol in SCREEN_TOLS:
+                    least = _least_passing_xi(
+                        lambda xi: not deviation > limit(xi, tol),
+                        (deviation - tol + margin) / (limit(1.0, margin) or 1.0))
+                    for xi in SCREEN_XIS if least is None else [*SCREEN_XIS, least]:
+                        if deviation > limit(xi, tol):
+                            continue
+                        for e_a, nu_a in ((e, nu), (two_m - 2 * nu + e, two_m - nu)):
+                            lhs, rhs = mixing_gap_single(e_a, nu_a, two_m, xi)
+                            assert lhs <= rhs + tol, (two_m, xi, tol, nu, e, nu_a)
+
+
 def _seeded_graphs(n, count, seed):
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
@@ -224,6 +338,27 @@ def test_mixing_records_match_the_per_pair_definition():
     assert graphs == 1 + 2 + 8 + 64 + 1024 + 300 + 4 + 2
     assert violations > 90_000
     assert partial > 1_300
+
+
+def test_mixing_records_match_the_per_pair_definition_on_the_float_boundary():
+    # at tol 0 and -2^-40 a record turns on the last bit of a side: a
+    # mirrored block whose centre or rhs rounded the other way than its
+    # own would show here as a missing or extra record
+    corpus = itertools.chain(
+        (g for n in range(1, 6) for g in enumerate_labeled(n)),
+        _seeded_graphs(6, 100, seed=66),
+    )
+    for g in corpus:
+        if not g.m:
+            continue
+        g6 = write_graph6(g)
+        sides = _reference_mixing(g, spectral_summary(g).xi)
+        for tol in (0.0, -2.0 ** -40):
+            want = [(check, lhs.hex(), rhs.hex())
+                    for check, lhs, rhs in sides if lhs > rhs + tol]
+            got = [(r.check, r.lhs.hex(), r.rhs.hex())
+                   for r in evaluate_graph(g6, g, ("mixing",), tol, 1e-7)]
+            assert got == want, (g6, tol)
 
 
 def test_mixing_memory_stays_linear_in_the_subset_count():

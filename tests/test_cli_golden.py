@@ -58,6 +58,20 @@ def _sample7_lines():
     return "".join(write_graph6(g) + "\n" for g in graphs)
 
 
+def _gnp_lines():
+    """Three seeded G(9, 1/2) and one seeded G(10, 1/2): 2m reaches past the
+    sizes the per-pair mixing reference can afford."""
+    lines = []
+    for n, count in ((9, 3), (10, 1)):
+        rng = random.Random(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(count):
+            mask = rng.getrandbits(len(pairs))
+            g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+            lines.append(write_graph6(g) + "\n")
+    return "".join(lines)
+
+
 CORPORA = {
     "all-5": lambda: _lines([5], False),
     "all-le4": lambda: _lines(range(1, 5), False),
@@ -65,6 +79,7 @@ CORPORA = {
     "conn-2to5": lambda: _lines(range(2, 6), True),
     "petersen-edges": lambda: write_edge_list(petersen_graph()),
     "sample-7": _sample7_lines,
+    "gnp-9-10": _gnp_lines,
     "none": lambda: "",
 }
 
@@ -93,6 +108,7 @@ GOLDEN = {
     (("verify",), "sample-7"): (0, "82ee3bac04d6dd676a442807cb4eb2a1dca1a987fd10913bba3bdc65fdd4511f"),
     (("bounds",), "sample-7"): (0, "d82adae4c61ef64c2e387997eddf6b738658168433b56dc04e48f8f7d0c10c29"),
     (("spectra",), "sample-7"): (0, "de71b2ca1fe9d22a4cdb743e83a3e91280ca74c2f5bad0bf4581976377384aec"),
+    (("verify", "--checks", "mixing", "--tol", "-0.5"), "gnp-9-10"): (1, "d0d9d642367a8691e03f8785ac6e23b26ae8f691f864ad7cbe7e2fc12c0d1fa7"),
 }
 
 # verify entries: sha256 of the sorted stdout lines

@@ -50,6 +50,17 @@ def test_roundtrip_random_up_to_word_budget():
         assert parse_graph6(write_graph6(g)) == g
 
 
+def test_63_and_64_vertices_round_trip_in_the_long_form():
+    rng = random.Random(64)
+    for n, header in ((63, "~??~"), (64, "~?@?")):
+        for p in (0.0, 0.5, 1.0):
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = Graph.from_edges(n, edges)
+            s = write_graph6(g)
+            assert s.startswith(header) and len(s) == 4 + (n * (n - 1) // 2 + 5) // 6
+            assert parse_graph6(s) == g
+
+
 def test_parse_errors_are_distinct():
     with pytest.raises(FormatError, match="invalid graph6 character"):
         parse_graph6("C!")
@@ -63,8 +74,12 @@ def test_parse_errors_are_distinct():
         parse_graph6("   ")
     with pytest.raises(FormatError, match="padding"):
         parse_graph6("Bx")  # Bw with a nonzero padding bit
-    with pytest.raises(FormatError, match="caps at"):
-        write_graph6(Graph.from_edges(63, []))
+    with pytest.raises(FormatError, match="short form is canonical"):
+        parse_graph6("~??}" + "?" * 315)  # 62 vertices in the long form
+    with pytest.raises(FormatError, match="declares 65 vertices, maximum is 64"):
+        parse_graph6("~?@@" + "?" * 347)
+    with pytest.raises(FormatError, match="declares over 64 vertices"):
+        parse_graph6("~~??????")
 
 
 def test_near_graph6_records_are_rejected_or_canonical():

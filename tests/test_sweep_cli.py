@@ -543,13 +543,21 @@ def test_a_per_graph_command_prints_each_line_before_reading_the_next(monkeypatc
     assert seen_at_write == [lineno for lineno in range(1, 1001) for _ in range(2)]
 
 
-def test_the_cli_caps_at_62_vertices(monkeypatch, capsys):
-    # the library takes 64 vertices, but every record names its graph in graph6
-    monkeypatch.setattr("sys.stdin", io.StringIO(write_edge_list(path_graph(63))))
-    for argv in (["kappa", "--format", "edges"], ["extremal", "--h-graph6", "A_", "--n", "63"]):
+def test_the_cli_caps_at_64_vertices(monkeypatch, capsys):
+    # graph6 names 63- and 64-vertex graphs in its long form
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_edge_list(path_graph(64))))
+    assert main(["kappa", "--format", "edges"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == {
+        "graph6": write_graph6(path_graph(64)), "kappa": 1, "separator": [1]}
+    assert main(["extremal", "--h-graph6", "A_", "--n", "63"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 63
+    monkeypatch.setattr("sys.stdin", io.StringIO("65 0 1"))
+    for argv, message in ((["kappa", "--format", "edges"], "vertex count 65 outside 0..64"),
+                          (["extremal", "--h-graph6", "A_", "--n", "65"],
+                           "join exceeds the vertex budget")):
         assert main(argv) == 2, argv
-        assert capsys.readouterr() == (
-            "", "error: graph6 short form caps at 62 vertices, got 63\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_spectra_table(c4):

@@ -9,6 +9,12 @@ eigensolver leaves each eigenvalue within about 1e-15 times the matrix norm
 of the exact one, far inside the window, while the nearest non-equality
 case on the small corpora sits 0.0238 away.
 
+``regular_toughness_bounds`` and ``algebraic_connectivity_cap`` serve only
+the ``bounds`` report, which keeps their columns.  No check reads them:
+on a regular graph Brouwer's d/lambda - 1 is the spectral term of
+``toughness_lower_terms``, and the cap is the gap bound of
+``laplacian_toughness_bounds`` rearranged, equality case included.
+
 The two mixing evaluators take integers (an edge count, two volumes, 2m)
 and the normalized deviation rather than a graph and vertex sets.  Their
 centre and right side, which do not depend on the edge count, come from

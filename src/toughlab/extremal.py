@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     VertexSet,
     degree_profile,
@@ -45,10 +46,12 @@ class ExtremalWitness:
 def build_extremal(h: Graph, n: int) -> Graph:
     """Join ``h`` with n - |h| isolated vertices; ``h`` keeps labels 0..delta-1.
 
-    Requires 1 <= |h| <= n - 2.  The eigenvalue floor on ``h`` is the
-    caller's business.
+    Requires 1 <= |h| <= n - 2 and n <= MAX_VERTICES.  The eigenvalue
+    floor on ``h`` is the caller's business.
     """
     delta = h.n
+    if n > MAX_VERTICES:
+        raise ValueError(f"join order n = {n} exceeds the vertex budget of {MAX_VERTICES}")
     if not 1 <= delta <= n - 2:
         raise ValueError(f"base order {delta} outside 1..n-2 for n = {n}")
     return join(h, empty_graph(n - delta))

@@ -35,7 +35,6 @@ from .bounds import (
     EPS_EQ,
     MIXING_MIRROR_MARGIN,
     MIXING_SCREEN_FACTOR,
-    algebraic_connectivity_cap,
     cut_partition_ratios,
     independence_upper_bounds,
     laplacian_toughness_bounds,
@@ -44,7 +43,6 @@ from .bounds import (
     mixing_scale,
     mixing_terms,
     mixing_terms_single,
-    regular_toughness_bounds,
     semiregular_equality_check,
     toughness_lower_terms,
 )
@@ -181,32 +179,6 @@ def _check_lap_product(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Rec
 
 def _check_lap_gap(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     return _lower_bound(f, "lap-gap", f.lap_bounds[1], tol, eps_eq)
-
-
-def _check_conn_cap(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    """Algebraic connectivity under the toughness cap, equal iff join structure."""
-    cap = algebraic_connectivity_cap(f.summary, f.cert.value)
-    mu_second = f.summary.algebraic_connectivity
-    if mu_second > cap + tol:
-        yield Violation(f.g6, "conn-cap", mu_second, cap)
-    equal = abs(mu_second - cap) <= eps_eq
-    if equal != f.structural:
-        yield Violation(f.g6, "conn-cap-structure", float(equal), float(f.structural))
-    if equal:
-        yield Interesting(f.g6, "conn-cap-equality")
-
-
-def _check_regular(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    reg = regular_toughness_bounds(f.g, f.summary)
-    if reg is None:
-        return
-    brouwer, strict_bound, alon = reg
-    if brouwer > f.tau + tol:
-        yield Violation(f.g6, "regular-brouwer", brouwer, f.tau)
-    if f.tau <= strict_bound - tol:
-        yield Violation(f.g6, "regular-brouwer-strict", strict_bound, f.tau)
-    if f.tau <= alon - tol:
-        yield Violation(f.g6, "regular-alon", alon, f.tau)
 
 
 def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
@@ -430,8 +402,6 @@ CHECKS: dict[str, tuple[Check, str]] = {
     "tough-lower": (_check_tough_lower, "bounded"),
     "lap-product": (_check_lap_product, "bounded"),
     "lap-gap": (_check_lap_gap, "bounded"),
-    "conn-cap": (_check_conn_cap, "bounded"),
-    "regular": (_check_regular, "bounded"),
     "alpha-bounds": (_check_alpha_bounds, "has_edge"),
     "mixing": (_check_mixing, "has_edge"),
     "cut-partition": (_check_cut_partition, "bounded"),
@@ -491,13 +461,14 @@ def evaluate_graph(
 
     This is the one place a check is skipped: a check runs only on a graph
     whose ``GraphFacts`` flag named beside it in ``CHECKS`` is true, so
-    the toughness, Laplacian, regular, cut-partition and join checks skip
+    the toughness, Laplacian, cut-partition and join checks skip
     disconnected and complete graphs, and the mixing and independence
     checks skip edgeless ones.  A check body may still return no record on
-    a value, as ``regular`` does on an irregular graph.  A graph the checks
-    cannot evaluate raises: SweepConfigError for mixing above MIXING_MAX_N
-    vertices, and ConvergenceError from the eigensolver; ``sweep`` turns
-    either into a diagnostic for its line.
+    a value, as ``cut-partition`` does, walking no cut set, when no
+    (|S|, |X|) has a record.  A graph the checks cannot evaluate raises:
+    SweepConfigError for mixing above MIXING_MAX_N vertices, and
+    ConvergenceError from the eigensolver; ``sweep`` turns either into a
+    diagnostic for its line.
     """
     checks = set(checks)
     if "mixing" in checks and g.n > MIXING_MAX_N:

@@ -32,6 +32,7 @@ from toughlab import (
     toughness_lower_terms,
 )
 from toughlab.bounds import (
+    EPS_EQ,
     MIXING_MIRROR_MARGIN,
     MIXING_SCREEN_FACTOR,
     cut_partition_ratios,
@@ -41,8 +42,8 @@ from toughlab.bounds import (
 )
 from toughlab.cli import BOUNDS_COLUMNS, main
 from toughlab.formats import enumerate_labeled, write_graph6
-from toughlab.graphs import Graph, component_masks
-from toughlab.sweep import GraphFacts, Violation, evaluate_graph
+from toughlab.graphs import Graph, component_masks, cycle_graph
+from toughlab.sweep import CHECK_NAMES, GraphFacts, Violation, evaluate_graph
 
 from _oracles import component_sets, edge_boundary, to_adj, volume
 
@@ -92,31 +93,37 @@ def test_regular_bounds(petersen, k4, c4, claw):
     assert regular_toughness_bounds(claw, spectral_summary(claw)) is None
 
 
-def test_regular_records_match_the_bounds_at_negative_tolerances():
-    # every connected non-complete regular labeled graph with 3 <= n <= 6;
-    # at each tol the check's records are the bounds compared with tau in
-    # the check's own directions, bit for bit
-    corpus = [GraphFacts(write_graph6(g), g) for n in range(3, 7) for g in enumerate_labeled(n)
-              if len({row.bit_count() for row in g.rows}) == 1]
+def test_the_cap_restates_the_gap_bound_and_brouwer_the_spectral_term(petersen):
+    # verify runs no check of the connectivity cap or the regular bounds:
+    # with mu_1 > mu_{n-1}, mu_{n-1} - tau mu_1 / (tau + 1) =
+    # (mu_1 - mu_{n-1}) (gap - tau) / (tau + 1), so the cap holds and is
+    # tight exactly where the gap bound is; and on a d-regular graph
+    # xi = lambda / d, so the spectral term is d/lambda - 1
+    corpus = [GraphFacts(write_graph6(g), g) for n in range(2, 7)
+              for g in enumerate_labeled(n, connected_only=True)]
     corpus = [f for f in corpus if f.bounded]
-    assert len(corpus) == 160
-    fired = Counter()
-    for tol in (-1.0, -2.0, -3.0):
-        for f in corpus:
-            brouwer, strict_bound, alon = regular_toughness_bounds(f.g, f.summary)
-            want = [(check, lhs.hex(), f.tau.hex()) for check, lhs, fires in (
-                ("regular-brouwer", brouwer, brouwer > f.tau + tol),
-                ("regular-brouwer-strict", strict_bound, f.tau <= strict_bound - tol),
-                ("regular-alon", alon, f.tau <= alon - tol)) if fires]
-            got = [(r.check, r.lhs.hex(), r.rhs.hex())
-                   for r in evaluate_graph(f.g6, f.g, ("regular",), tol, 1e-7)]
-            assert got == want, (f.g6, tol)
-            kinds = {check for check, _, _ in got}
-            # no strict or Alon record comes without a Brouwer record
-            assert not kinds or "regular-brouwer" in kinds, (f.g6, tol)
-            fired.update((check, tol) for check in kinds)
-    assert {check for check, tol in fired if tol == -2.0} == {
-        "regular-brouwer", "regular-brouwer-strict", "regular-alon"}
+    assert len(corpus) == 27470
+    cap_equal, gap_equal, structural = set(), set(), set()
+    for f in corpus:
+        mu1, mu_second = f.summary.laplacian_radius, f.summary.algebraic_connectivity
+        cap = algebraic_connectivity_cap(f.summary, f.cert.value)
+        gap = f.lap_bounds[1]
+        assert gap <= f.tau + 1e-12 and mu_second <= cap + 1e-12, f.g6
+        assert math.isclose(mu_second - cap, (mu1 - mu_second) * (gap - f.tau) / (f.tau + 1),
+                            abs_tol=1e-12), f.g6
+        if abs(mu_second - cap) <= EPS_EQ:
+            cap_equal.add(f.g6)
+        if f.lap_equalities(EPS_EQ)[1]:
+            gap_equal.add(f.g6)
+        if f.structural:
+            structural.add(f.g6)
+    assert len(cap_equal) == 327 and cap_equal == gap_equal == structural
+    regular = [f for f in corpus if len({row.bit_count() for row in f.g.rows}) == 1]
+    assert len(regular) == 160
+    regular += [GraphFacts(write_graph6(g), g) for g in (petersen, cycle_graph(9), cycle_graph(12))]
+    for f in regular:
+        brouwer = regular_toughness_bounds(f.g, f.summary)[0]
+        assert abs(brouwer - toughness_lower_terms(f.g, f.summary)[2]) <= 1e-12, f.g6
 
 
 def test_connectivity_cap(petersen, c4, claw):
@@ -590,12 +597,10 @@ def test_bounds_equality_flags_match_verify_tags(monkeypatch, capsys):
 
 def test_master_inequalities_quick():
     # n <= 4 here; the full n <= 6 run lives in the acceptance suite
-    checks = ("tough-lower", "lap-product", "lap-gap", "conn-cap", "regular",
-              "alpha-bounds", "mixing", "cut-partition", "extremal-iff")
     for n in range(1, 5):
         for g in enumerate_labeled(n, connected_only=True):
             g6 = write_graph6(g)
-            records = evaluate_graph(g6, g, checks, 1e-7, 1e-7)
+            records = evaluate_graph(g6, g, CHECK_NAMES, 1e-7, 1e-7)
             violations = [r for r in records if type(r) is Violation]
             assert not violations, violations
 

@@ -85,10 +85,10 @@ CORPORA = {
 
 # (argv, corpus) -> (exit code, sha256 of stdout)
 GOLDEN = {
-    (("verify",), "all-5"): (0, "977005d70ec343c5947dd97f5aec02bdb27771f052853ce5c14df7d82f0077e9"),
-    (("verify", "--checks", "all"), "all-le4"): (0, "48a839fd852bc912ceadd140c00057ed2a54dcf11f4ab24db44813756a4a4d36"),
-    (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): (0, "48a839fd852bc912ceadd140c00057ed2a54dcf11f4ab24db44813756a4a4d36"),
-    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): (1, "eb4a2dfab592985a8309f02330286b6712a7b7d0c0d128f7637e266d107a96b5"),
+    (("verify",), "all-5"): (0, "f02f00fc2f044c058e279d31825aa116e379df0f0bc06eef628b941b990321ee"),
+    (("verify", "--checks", "all"), "all-le4"): (0, "d351329e9340cace0c5089a57634191da6c9d9eb0b4444a1ac4fae7da100fede"),
+    (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): (0, "d351329e9340cace0c5089a57634191da6c9d9eb0b4444a1ac4fae7da100fede"),
+    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): (1, "ea566e5b7db4d153ddfe5ee6176fd00a2ef6d0e5e6f255cb7b20e8b41d74deb1"),
     (("verify", "--checks", "tough-lower,cut-partition"), "all-5"): (0, "27abe4fae213acb17a47bb023c55a9c8abf86fed4e3b57a32cab2f92d80f1e1d"),
     (("bounds",), "conn-le5"): (0, "24b3e5d9b65829941afeafb2ee08a28e563ad6697f62b321c8ee11bb6a8df46c"),
     (("bounds", "--csv"), "conn-le5"): (0, "166e4f713356770a77afacfce1b2193937ff3bbd509dd07f816ad2d273023edd"),
@@ -100,12 +100,12 @@ GOLDEN = {
     (("alpha",), "all-le4"): (0, "007278ecb280013572716b2d48d6ba8dfe022bb9bceec6476cbcce1bd6e060d1"),
     (("gen", "--n", "5"), "none"): (0, "4ac9156f6af83aee1229b9eb4bd9cd3427c1fe25a0d0eb9f642eb054b3e857b0"),
     (("gen", "--n", "5", "--connected"), "none"): (0, "ef02b50d51d63e411f9036bb8042acbf9c1035b29aefc909246d366bfb9e6ff3"),
-    (("verify", "--gen", "5", "--connected"), "none"): (0, "977005d70ec343c5947dd97f5aec02bdb27771f052853ce5c14df7d82f0077e9"),
+    (("verify", "--gen", "5", "--connected"), "none"): (0, "f02f00fc2f044c058e279d31825aa116e379df0f0bc06eef628b941b990321ee"),
     (("extremal", "--h-graph6", "A_", "--n", "5"), "none"): (0, "47a52d2c2e7d554bcea3d80c2e7b8d28f96f460b2bd4e463cbf78910d1c5ea3a"),
     (("extremal", "--h-graph6", "Bw", "--n", "6", "--table"), "none"): (0, "09ed204d7ab949956a22b6ebe4f14aab3892693d5ceb6ffbb3d2677bb16aed4d"),
     (("tough", "--format", "edges"), "petersen-edges"): (0, "c352397627b0d1f61a2989884e8ca41a9e3f63db7119d84f602bf7b9805cb108"),
     (("bounds", "--format", "edges", "--table"), "petersen-edges"): (0, "6338e6ae74086ee0e62bf5e82af73785f04126f69879fb7ad463878e19748fc8"),
-    (("verify",), "sample-7"): (0, "82ee3bac04d6dd676a442807cb4eb2a1dca1a987fd10913bba3bdc65fdd4511f"),
+    (("verify",), "sample-7"): (0, "824cfdd3e652ed48e5cfdb95bcc6af2f3589296bcf51119c6c16aa4db8db7ccf"),
     (("bounds",), "sample-7"): (0, "d82adae4c61ef64c2e387997eddf6b738658168433b56dc04e48f8f7d0c10c29"),
     (("spectra",), "sample-7"): (0, "de71b2ca1fe9d22a4cdb743e83a3e91280ca74c2f5bad0bf4581976377384aec"),
     (("verify", "--checks", "mixing", "--tol", "-0.5"), "gnp-9-10"): (1, "d0d9d642367a8691e03f8785ac6e23b26ae8f691f864ad7cbe7e2fc12c0d1fa7"),
@@ -113,13 +113,13 @@ GOLDEN = {
 
 # verify entries: sha256 of the sorted stdout lines
 SORTED_GOLDEN = {
-    (("verify",), "all-5"): "180e3fbcecbcbac8d89adfc0d6f4117b7cb704cdecbf878fe81bd7babad2ec3d",
-    (("verify", "--checks", "all"), "all-le4"): "d5cfe16a178ccfce0e52b92ea25e193a930231349d5bd37174c0d0aeec87cac6",
-    (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): "d5cfe16a178ccfce0e52b92ea25e193a930231349d5bd37174c0d0aeec87cac6",
-    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): "ea975d76524d864cda4918dca793fb91236b26a36d9761b8416866772d5e46bc",
+    (("verify",), "all-5"): "6f58a2d72b935835ac06a733fbd32079bb2fbe35fc46489867ced02da19f5830",
+    (("verify", "--checks", "all"), "all-le4"): "a3e74b225f4952e39b974ef523e528d981f8916da9c67e2775329620b4c0f8f4",
+    (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): "a3e74b225f4952e39b974ef523e528d981f8916da9c67e2775329620b4c0f8f4",
+    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): "9a472d56698ce1a1f56930fe4d31ba8406ca3de2505c033c57e4b6d6126be22d",
     (("verify", "--checks", "tough-lower,cut-partition"), "all-5"): "38bf4ae1aaad85d5c83f1dc56aaa4064d51d1c5cd9bc0c931cd47bd8282a3906",
-    (("verify", "--gen", "5", "--connected"), "none"): "180e3fbcecbcbac8d89adfc0d6f4117b7cb704cdecbf878fe81bd7babad2ec3d",
-    (("verify",), "sample-7"): "0d03fef82fc6cc3934d73cd8c6be699f7e347ebe7f22d9d1e1d5bcbd90e392b2",
+    (("verify", "--gen", "5", "--connected"), "none"): "6f58a2d72b935835ac06a733fbd32079bb2fbe35fc46489867ced02da19f5830",
+    (("verify",), "sample-7"): "9efa2feb01201a9a513829d596ae38682c1a1f8fcbddd37de9823bfc0b0e1258",
 }
 
 

@@ -47,6 +47,9 @@ def test_build_examples(claw, c4):
         build_extremal(complete_graph(3), 4)
     with pytest.raises(ValueError):
         build_extremal(empty_graph(0), 3)
+    # the order the caller asked for, not the independent side's 98
+    with pytest.raises(ValueError, match="n = 100 exceeds the vertex budget of 64"):
+        build_extremal(complete_graph(2), 100)
 
 
 def test_detect_examples(c4, petersen, claw):
@@ -150,7 +153,7 @@ def test_floor_witnesses_stay_structural(monkeypatch, capsys):
     5-vertex base joined with 3K1 (floor 2).  The floating-point base
     spectrum can land a few ulps below the floor; the floor is decided
     exactly, so each join stays in the family, and verify gives each the
-    four equality tags and no violation."""
+    three equality tags and no violation."""
     cases = {"FFzfw": (1, [1, 1, 1, 3]), "Fs~v_": (1, [1, 1, 1, 3]),
              "G}r~vo": (2, [2, 2, 2, 4, 4])}
     g6s = list(cases)
@@ -167,14 +170,12 @@ def test_floor_witnesses_stay_structural(monkeypatch, capsys):
     assert any(below)
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(g6 + "\n" for g6 in g6s)))
     assert main(["verify"]) == 0
-    tags = ["lap-product-equality", "lap-gap-equality", "conn-cap-equality",
-            "alpha-laplacian-equality"]
+    tags = ["lap-product-equality", "lap-gap-equality", "alpha-laplacian-equality"]
     want = [{"kind": "interesting", "graph6": g6, "tag": tag} for g6 in g6s for tag in tags]
     assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == want
 
 
-FLOOR_TAGS = ("lap-product-equality", "lap-gap-equality", "conn-cap-equality",
-              "alpha-laplacian-equality")
+FLOOR_TAGS = ("lap-product-equality", "lap-gap-equality", "alpha-laplacian-equality")
 
 
 def floor_bases(n):

@@ -90,13 +90,17 @@ def test_a_pythonpath_entry_holding_the_package_is_imported(tmp_path):
     assert child.returncode == 0, child.stdout + child.stderr
 
 
-README_NAMES = sorted(set(re.findall(
-    r"`(toughlab(?:\.\w+)+)`",
-    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"))))
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+README_NAMES = sorted(set(re.findall(r"`(toughlab(?:\.\w+)+)`", README)))
 
 
 def test_the_readme_quotes_package_names():
     assert "toughlab.CHECKS" in README_NAMES
+
+
+def test_the_readme_check_table_lists_every_check_in_order():
+    table = README[README.index("| name | meaning |"):].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"^\| `([\w-]+)` \|", table, re.M)) == toughlab.CHECK_NAMES
 
 
 @pytest.mark.parametrize("name", README_NAMES)

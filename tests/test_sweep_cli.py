@@ -555,7 +555,7 @@ def test_the_cli_caps_at_64_vertices(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("65 0 1"))
     for argv, message in ((["kappa", "--format", "edges"], "vertex count 65 outside 0..64"),
                           (["extremal", "--h-graph6", "A_", "--n", "65"],
-                           "join exceeds the vertex budget")):
+                           "join order n = 65 exceeds the vertex budget of 64")):
         assert main(argv) == 2, argv
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

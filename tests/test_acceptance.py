@@ -4,18 +4,21 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The heavy corpora (all labeled connected graphs through n = 6) are
 swept once in session fixtures and shared across criteria.  Criterion 7
 keeps the join-spectrum closed form here, as the oracle for the numeric
-spectrum of a join.  Criterion 9 (the algebraic-connectivity cap) went
-with the ``conn-cap`` check, which restated ``lap-gap``; ``test_bounds``
-checks that identity.  Criterion 10 (constructive subset-sum and component
-split) went with those procedures, which no command or check ran.
+spectrum of a join.  Criterion 9 (the algebraic-connectivity cap) has no
+check of its own: the cap is the ``lap-gap`` bound rearranged, so its test
+checks that identity beside the sweep's ``lap-gap`` verdicts.  Criterion 10
+(constructive subset-sum and component split) went with those procedures,
+which no command or check ran.
 """
 
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
 from toughlab import (
+    algebraic_connectivity_cap,
     independence_number,
     join,
     laplacian_spectrum,
@@ -28,8 +31,9 @@ from toughlab import (
     vertex_connectivity,
     write_graph6,
 )
+from toughlab.bounds import EPS_EQ
 from toughlab.formats import enumerate_labeled
-from toughlab.sweep import CHECKS, SweepConfig, Violation, sweep
+from toughlab.sweep import CHECKS, GraphFacts, SweepConfig, Violation, sweep
 
 from _oracles import brute_alpha, brute_kappa, brute_toughness, edge_boundary, volume
 
@@ -214,6 +218,36 @@ def test_criterion_8_independence_bound_sweep(alpha_report):
     report("independence bounds with equality structure, n <= 6", ok,
            f"{alpha_report[0].graphs_checked} graphs, {len(bad)} violations, "
            f"Petersen biregular degrees {sorted(inside)}/{sorted(outside)}")
+
+
+def test_criterion_9_connectivity_cap_sweep(master_report):
+    # with mu_1 > mu_{n-1}, mu_{n-1} - tau mu_1 / (tau + 1) =
+    # (mu_1 - mu_{n-1}) (gap - tau) / (tau + 1), so the cap holds and is
+    # tight exactly where the gap bound is, which the sweep's lap-gap and
+    # extremal-iff checks hold to the join structure
+    bad = violations_for(master_report, ("lap-gap", "extremal-iff"))
+    corpus = [GraphFacts(write_graph6(g), g) for n in range(2, 7)
+              for g in enumerate_labeled(n, connected_only=True)]
+    corpus = [f for f in corpus if f.bounded]
+    cap_equal, gap_equal, structural = set(), set(), set()
+    for f in corpus:
+        mu1, mu_second = f.summary.laplacian_radius, f.summary.algebraic_connectivity
+        cap = algebraic_connectivity_cap(f.summary, f.cert.value)
+        gap = f.lap_bounds[1]
+        if mu_second > cap + 1e-12 or not math.isclose(
+                mu_second - cap, (mu1 - mu_second) * (gap - f.tau) / (f.tau + 1),
+                abs_tol=1e-12):
+            bad.append(f.g6)
+        if abs(mu_second - cap) <= EPS_EQ:
+            cap_equal.add(f.g6)
+        if f.lap_equalities(EPS_EQ)[1]:
+            gap_equal.add(f.g6)
+        if f.structural:
+            structural.add(f.g6)
+    ok = (not bad and len(corpus) == 27470 and len(cap_equal) == 327
+          and cap_equal == gap_equal == structural)
+    report("algebraic-connectivity cap with equality iff structure, n <= 6",
+           ok, f"{len(bad)} violations, {len(cap_equal)} equality cases")
 
 
 def test_cut_partition_full_sweep(master_report):

@@ -32,7 +32,6 @@ from toughlab import (
     toughness_lower_terms,
 )
 from toughlab.bounds import (
-    EPS_EQ,
     MIXING_MIRROR_MARGIN,
     MIXING_SCREEN_FACTOR,
     cut_partition_ratios,
@@ -93,35 +92,34 @@ def test_regular_bounds(petersen, k4, c4, claw):
     assert regular_toughness_bounds(claw, spectral_summary(claw)) is None
 
 
-def test_the_cap_restates_the_gap_bound_and_brouwer_the_spectral_term(petersen):
-    # verify runs no check of the connectivity cap or the regular bounds:
-    # with mu_1 > mu_{n-1}, mu_{n-1} - tau mu_1 / (tau + 1) =
-    # (mu_1 - mu_{n-1}) (gap - tau) / (tau + 1), so the cap holds and is
-    # tight exactly where the gap bound is; and on a d-regular graph
-    # xi = lambda / d, so the spectral term is d/lambda - 1
-    corpus = [GraphFacts(write_graph6(g), g) for n in range(2, 7)
-              for g in enumerate_labeled(n, connected_only=True)]
+def test_regular_records_match_the_bounds_at_negative_tolerances(petersen):
+    # verify runs no regular check: on a d-regular graph xi = lambda / d, so
+    # Brouwer's d/lambda - 1 is tough-lower's spectral term.  Over every
+    # connected non-complete regular labeled graph with 3 <= n <= 6 the check
+    # bounds tau by the larger of Brouwer's bound, 1/d and 2/n, up to
+    # rounding, and at each tol its records are that bound compared with tau
+    # in the check's own direction, bit for bit
+    corpus = [GraphFacts(write_graph6(g), g) for n in range(3, 7) for g in enumerate_labeled(n)
+              if len({row.bit_count() for row in g.rows}) == 1]
     corpus = [f for f in corpus if f.bounded]
-    assert len(corpus) == 27470
-    cap_equal, gap_equal, structural = set(), set(), set()
-    for f in corpus:
-        mu1, mu_second = f.summary.laplacian_radius, f.summary.algebraic_connectivity
-        cap = algebraic_connectivity_cap(f.summary, f.cert.value)
-        gap = f.lap_bounds[1]
-        assert gap <= f.tau + 1e-12 and mu_second <= cap + 1e-12, f.g6
-        assert math.isclose(mu_second - cap, (mu1 - mu_second) * (gap - f.tau) / (f.tau + 1),
-                            abs_tol=1e-12), f.g6
-        if abs(mu_second - cap) <= EPS_EQ:
-            cap_equal.add(f.g6)
-        if f.lap_equalities(EPS_EQ)[1]:
-            gap_equal.add(f.g6)
-        if f.structural:
-            structural.add(f.g6)
-    assert len(cap_equal) == 327 and cap_equal == gap_equal == structural
-    regular = [f for f in corpus if len({row.bit_count() for row in f.g.rows}) == 1]
-    assert len(regular) == 160
-    regular += [GraphFacts(write_graph6(g), g) for g in (petersen, cycle_graph(9), cycle_graph(12))]
-    for f in regular:
+    assert len(corpus) == 160
+    fired = Counter()
+    for tol in (-1.0, -2.0, -3.0):
+        for f in corpus:
+            brouwer = regular_toughness_bounds(f.g, f.summary)[0]
+            d = f.g.rows[0].bit_count()
+            bound = max(toughness_lower_terms(f.g, f.summary))
+            assert abs(bound - max(1.0 / d, 2.0 / f.g.n, brouwer)) <= 1e-12, f.g6
+            want = [("tough-lower", bound.hex(), f.tau.hex())] if bound > f.tau + tol else []
+            got = [(r.check, r.lhs.hex(), r.rhs.hex())
+                   for r in evaluate_graph(f.g6, f.g, ("tough-lower",), tol, 1e-7)
+                   if type(r) is Violation]
+            assert got == want, (f.g6, tol)
+            fired.update(tol for _ in got)
+    # tau <= 2 on this corpus, so from tol = -2 on every graph has a record
+    assert 0 < fired[-1.0] < fired[-2.0] == fired[-3.0] == len(corpus)
+    for f in corpus + [GraphFacts(write_graph6(g), g)
+                       for g in (petersen, cycle_graph(9), cycle_graph(12))]:
         brouwer = regular_toughness_bounds(f.g, f.summary)[0]
         assert abs(brouwer - toughness_lower_terms(f.g, f.summary)[2]) <= 1e-12, f.g6
 

@@ -37,6 +37,7 @@ from .spectra import (
     normalized_laplacian_spectrum,
     spectral_summary,
     symmetric_eigenvalues,
+    xi_cut_floor,
 )
 from .invariants import (
     ConnectivityCertificate,

@@ -23,6 +23,28 @@ formula.  ``mixing_scale`` gives the per-volume factor a(nu) of a floor
 under the two-set right side, which lets the mixing check screen a pair
 of volumes, and their complement mirrors, without a square root.
 
+The checks read the formula helpers (``degree_toughness_terms``,
+``spectral_toughness_term``, ``laplacian_toughness_terms`` and the three
+independence bounds) with the degrees ``GraphFacts`` holds; the
+graph-level functions, which the ``bounds`` report reads, compute the
+degrees and call the same helpers.
+
+``tough-lower`` and ``alpha-mixing`` read xi only through T(xi) =
+dmin(xi + 1)/(dmax xi) - 2, which falls as xi grows, and M(xi) =
+2m xi/(dmin(xi + 1)), which grows.  So a floor f under the solved xi can
+decide them without a solve: where T(f) is at most the two degree terms,
+their maximum is the ``tough-lower`` value bit for bit, and where
+alpha <= M(f) + tol no ``alpha-mixing`` record can appear.  The floor is a
+cut's (``spectra.xi_cut_floor``), within 2^-52 of a number at most the
+exact xi, less XI_FLOOR_MARGIN; the solver's xi is within a small multiple
+of 1e-16 times the norm of the normalized Laplacian, at most 2, of the
+exact xi.  A floor of 0 or less decides nothing.  Otherwise
+0 < f < xi - 0.99e-9 and xi <= 1 + 1e-14, so T falls by at least
+(dmin/dmax) 0.98e-9 / f and M grows by at least (2m/dmin) 0.99e-9 / 4.1
+from f to xi: more than 10^4 times the few unit roundoffs each evaluated
+formula carries.  T(f) >= T(xi) and M(f) <= M(xi) thus hold as
+evaluated, and as rounding is monotone so does M(f) + tol <= M(xi) + tol.
+
 Division guards: the lower-bound terms divide by dmax and by the normalized
 deviation xi, so they raise ValueError on a graph with no edge, as the
 independence bounds do; on a graph with an edge the eigenvalue trace gives
@@ -44,6 +66,20 @@ MIXING_SCREEN_FACTOR = 1.0 - 2.0 ** -46
 # times 2m, lowers that floor, and the single-set rhs, under the rhs of
 # every complement mirror (see mixing_scale)
 MIXING_MIRROR_MARGIN = 2.0 ** -49
+# lowers a cut's floor on xi under the solved xi, whatever its rounding
+XI_FLOOR_MARGIN = 1e-9
+
+
+def degree_toughness_terms(n: int, dmax: int, dmin: int) -> tuple[float, float]:
+    """The two degree lower-bound terms on toughness: 1/dmax and
+    (dmax + dmin)/(dmax * n).  Needs dmax >= 1."""
+    return 1.0 / dmax, (dmax + dmin) / (dmax * n)
+
+
+def spectral_toughness_term(dmax: int, dmin: int, xi: float) -> float:
+    """The spectral lower bound dmin*(xi + 1)/(dmax*xi) - 2 on toughness,
+    T(xi), which falls as xi grows.  Needs dmax >= 1 and xi > 0."""
+    return dmin * (xi + 1.0) / (dmax * xi) - 2.0
 
 
 def toughness_lower_terms(
@@ -55,8 +91,20 @@ def toughness_lower_terms(
     if g.m < 1:
         raise ValueError("lower-bound terms need at least one edge")
     dmax, dmin, _ = degree_profile(g)
-    xi = summary.xi
-    return (1.0 / dmax, (dmax + dmin) / (dmax * g.n), dmin * (xi + 1.0) / (dmax * xi) - 2.0)
+    return (*degree_toughness_terms(g.n, dmax, dmin),
+            spectral_toughness_term(dmax, dmin, summary.xi))
+
+
+def laplacian_toughness_terms(
+    n: int, dmin: int, mu1: float, mu_second: float
+) -> tuple[float, float]:
+    """(product, gap) Laplacian lower bounds from n, dmin, mu_1 and
+    mu_{n-1}, as ``laplacian_toughness_bounds``."""
+    d1 = n * (mu1 - dmin)
+    d2 = mu1 - mu_second
+    product = mu1 * mu_second / d1 if d1 > 1e-12 else math.inf
+    gap = mu_second / d2 if d2 > 1e-12 else math.inf
+    return product, gap
 
 
 def laplacian_toughness_bounds(
@@ -69,14 +117,9 @@ def laplacian_toughness_bounds(
     graphs) yield +inf; such graphs have infinite toughness and are skipped
     by slack checks.
     """
-    mu1 = summary.laplacian_radius
-    mu_second = summary.algebraic_connectivity
     _, dmin, _ = degree_profile(g)
-    d1 = g.n * (mu1 - dmin)
-    d2 = mu1 - mu_second
-    product = mu1 * mu_second / d1 if d1 > 1e-12 else math.inf
-    gap = mu_second / d2 if d2 > 1e-12 else math.inf
-    return product, gap
+    return laplacian_toughness_terms(
+        g.n, dmin, summary.laplacian_radius, summary.algebraic_connectivity)
 
 
 def regular_toughness_bounds(
@@ -167,6 +210,25 @@ def mixing_gap_single(
     return abs(e - centre), rhs
 
 
+def degree_independence_bound(n: int, dmax: int, dmin: int) -> float:
+    """The degree-ratio bound n*dmax/(dmax + dmin) on the independence
+    number.  Needs dmax >= 1."""
+    return n * dmax / (dmax + dmin)
+
+
+def mixing_independence_bound(m: int, dmin: int, xi: float) -> float:
+    """The volume bound 2m*xi/(dmin*(xi + 1)) on the independence number,
+    M(xi), which grows with xi; +inf when isolated vertices force
+    dmin = 0.  Needs xi > -1."""
+    return 2.0 * m * xi / (dmin * (xi + 1.0)) if dmin > 0 else math.inf
+
+
+def laplacian_independence_bound(n: int, dmin: int, mu1: float) -> float:
+    """The Laplacian bound n*(mu_1 - dmin)/mu_1 on the independence
+    number.  Needs mu_1 > 0."""
+    return n * (mu1 - dmin) / mu1
+
+
 def independence_upper_bounds(
     g: Graph, summary: SpectralSummary
 ) -> tuple[float, float, float]:
@@ -179,14 +241,9 @@ def independence_upper_bounds(
     if g.m < 1:
         raise ValueError("independence bounds need at least one edge")
     dmax, dmin, _ = degree_profile(g)
-    xi = summary.xi
-    mu1 = summary.laplacian_radius
-    degree_bound = g.n * dmax / (dmax + dmin)
-    mixing_bound = (
-        2.0 * g.m * xi / (dmin * (xi + 1.0)) if dmin > 0 else math.inf
-    )
-    laplacian_bound = g.n * (mu1 - dmin) / mu1
-    return degree_bound, mixing_bound, laplacian_bound
+    return (degree_independence_bound(g.n, dmax, dmin),
+            mixing_independence_bound(g.m, dmin, summary.xi),
+            laplacian_independence_bound(g.n, dmin, summary.laplacian_radius))
 
 
 def semiregular_equality_check(

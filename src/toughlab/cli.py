@@ -36,7 +36,7 @@ from .formats import (
     parse_graph6,
     write_graph6,
 )
-from .graphs import Graph, degree_profile, is_connected, vertices_of
+from .graphs import Graph, is_connected, vertices_of
 from .invariants import (
     ToughnessCertificate,
     independence_number,
@@ -182,8 +182,7 @@ def _bounds_record(g6: str, g: Graph) -> dict:
     if facts.bounded:
         cap = algebraic_connectivity_cap(facts.summary, facts.cert.value)
         equalities = facts.lap_equalities(EPS_EQ)
-    dmax, dmin, _ = degree_profile(g)
-    values = (g.n, g.m, dmin, dmax, _tau_text(facts.cert), *terms, *lap, *reg, cap,
+    values = (g.n, g.m, facts.dmin, facts.dmax, _tau_text(facts.cert), *terms, *lap, *reg, cap,
               *equalities)
     return {key: None if isinstance(v, float) and not math.isfinite(v) else v
             for key, v in zip(BOUNDS_COLUMNS[1:], values)}

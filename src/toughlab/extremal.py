@@ -85,9 +85,11 @@ def _eigen_condition(base: Graph, delta: int, n: int) -> bool:
     return True
 
 
-def detect_join_form(g: Graph) -> ExtremalWitness | None:
+def detect_join_form(g: Graph, *, degrees: list[int] | None = None) -> ExtremalWitness | None:
     """Find a decomposition of ``g`` as a base graph joined with isolated
     vertices, or None.  Requires n >= 1 (ValueError otherwise).
+    ``degrees``, the per-vertex degrees, spares a caller that holds them
+    a second count.
 
     Scans vertices of minimum degree delta in ascending label order; a
     candidate v proposes the complement of its neighborhood as the
@@ -100,7 +102,9 @@ def detect_join_form(g: Graph) -> ExtremalWitness | None:
     such join every isolated-side vertex proposes the isolated side itself.
     """
     n = g.n
-    _, delta, degrees = degree_profile(g)
+    if degrees is None:
+        _, _, degrees = degree_profile(g)
+    delta = min(degrees)
     if not 1 <= delta <= n - 2:
         return None
     for v in range(n):

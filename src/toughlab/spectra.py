@@ -14,10 +14,13 @@ arithmetic, ``math.sqrt``, ``math.hypot`` and the correctly rounded
 
 The three spectrum functions hand the solver the matrices their builders
 make, which are exactly symmetric and finite, without its input copy and
-checks; other callers get both.  ``spectral_summary`` solves the Laplacian
-and normalized Laplacian, which every bound reads; a regular graph's
-``lambda_reg`` comes from the Laplacian spectrum, as L = dI - A.
-``adjacency_spectrum`` gives the full adjacency spectrum of any graph.
+checks; other callers get both.  A ``SpectralSummary`` solves the
+Laplacian and the normalized Laplacian each on its first read, so a caller
+pays only for the spectra it reads; ``spectral_summary`` solves both at
+once.  A regular graph's ``lambda_reg`` comes from the Laplacian spectrum,
+as L = dI - A.  ``xi_cut_floor`` bounds the normalized deviation xi from
+below by one vertex bipartition, with no solve.  ``adjacency_spectrum``
+gives the full adjacency spectrum of any graph.
 
 Eigenvalue order conventions: all spectra are returned descending.  The
 normalized Laplacian uses the isolated-vertex convention of zeroing the
@@ -28,7 +31,7 @@ eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from .graphs import Graph, degree_profile, iter_bits
@@ -225,20 +228,42 @@ def normalized_laplacian_spectrum(g: Graph) -> list[float]:
     return symmetric_eigenvalues(_Built(normalized_laplacian_matrix(g)))
 
 
-@dataclass(frozen=True)
 class SpectralSummary:
-    """The Laplacian and normalized spectra of one graph and the derived
-    scalar quantities.
+    """The Laplacian and normalized spectra of one graph with n >= 2 and
+    the derived scalar quantities, each computed on first read and kept.
 
     ``xi`` is the normalized-Laplacian deviation max(|1 - top|, |1 - second
     smallest|).  ``lambda_reg`` is max(|second largest|, |smallest|) of the
-    adjacency spectrum when the graph is regular, else None.
+    adjacency spectrum when the graph is regular, else None: for a
+    d-regular graph the adjacency eigenvalues are d minus the Laplacian
+    ones, so it is max(|d - mu_{n-1}|, |mu_1 - d|).
     """
 
-    laplacian_eigs: tuple[float, ...]
-    normalized_eigs: tuple[float, ...]
-    xi: float
-    lambda_reg: float | None
+    def __init__(self, g: Graph) -> None:
+        if g.n < 2:
+            raise ValueError("spectral summary needs at least two vertices")
+        self.g = g
+
+    @cached_property
+    def laplacian_eigs(self) -> tuple[float, ...]:
+        return tuple(laplacian_spectrum(self.g))
+
+    @cached_property
+    def normalized_eigs(self) -> tuple[float, ...]:
+        return tuple(normalized_laplacian_spectrum(self.g))
+
+    @cached_property
+    def xi(self) -> float:
+        norm = self.normalized_eigs
+        return max(abs(1.0 - norm[0]), abs(1.0 - norm[-2]))
+
+    @cached_property
+    def lambda_reg(self) -> float | None:
+        dmax, dmin, _ = degree_profile(self.g)
+        if dmax != dmin:
+            return None
+        lap = self.laplacian_eigs
+        return max(abs(dmax - lap[-2]), abs(lap[0] - dmax))
 
     @property
     def laplacian_radius(self) -> float:
@@ -250,17 +275,44 @@ class SpectralSummary:
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:
-    """Compute the spectra the bounds read and the derived quantities.
+    """The spectra the bounds read and the derived quantities, both
+    spectra solved now: two solves.  Requires n >= 2."""
+    summary = SpectralSummary(g)
+    _ = summary.laplacian_eigs, summary.normalized_eigs
+    return summary
 
-    Two solves: for a d-regular graph the adjacency eigenvalues are d minus
-    the Laplacian ones, so ``lambda_reg`` is max(|d - mu_{n-1}|, |mu_1 - d|).
-    Requires n >= 2.
+
+def xi_cut_floor(g: Graph) -> float:
+    """A floor on the normalized deviation xi of ``g`` from one vertex
+    bipartition S | V - S, with no solve.  Requires m >= 1.
+
+    The vector D^{1/2}(1_S - 1_{V-S}) has squared length 2m and Rayleigh
+    quotient 4 e(S, V - S) / 2m on the normalized Laplacian, isolated
+    vertices included (their entries are 0).  So the top eigenvalue is at
+    least 2 e(S, V - S) / m, and xi >= 2 e(S, V - S) / m - 1.
+
+    Each vertex in turn joins the side opposite most of its placed
+    neighbours; then single vertices change sides while that grows the
+    cut.  The cut ends locally maximal, so e(S, V - S) >= m / 2 and the
+    floor lies in [0, 1].  The only rounding is the division: the result
+    is within 2^-52 of the exact floor.
     """
-    if g.n < 2:
-        raise ValueError("spectral summary needs at least two vertices")
-    lap = laplacian_spectrum(g)
-    norm = normalized_laplacian_spectrum(g)
-    xi = max(abs(1.0 - norm[0]), abs(1.0 - norm[-2]))
-    dmax, dmin, _ = degree_profile(g)
-    lam = max(abs(dmax - lap[-2]), abs(lap[0] - dmax)) if dmax == dmin else None
-    return SpectralSummary(tuple(lap), tuple(norm), xi, lam)
+    if g.m < 1:
+        raise ValueError("the cut floor needs at least one edge")
+    rows = g.rows
+    side = 0  # the vertices of S
+    for v, row in enumerate(rows):
+        placed = row & ((1 << v) - 1)
+        if 2 * (placed & side).bit_count() < placed.bit_count():
+            side |= 1 << v
+    moved = True
+    while moved:
+        moved = False
+        for v, row in enumerate(rows):
+            # v changes sides when most of its neighbours share its side
+            same = row & side if side >> v & 1 else row & ~side
+            if 2 * same.bit_count() > row.bit_count():
+                side ^= 1 << v
+                moved = True
+    cut = sum((rows[v] & ~side).bit_count() for v in iter_bits(side))
+    return 2.0 * cut / g.m - 1.0

@@ -35,27 +35,31 @@ from .bounds import (
     EPS_EQ,
     MIXING_MIRROR_MARGIN,
     MIXING_SCREEN_FACTOR,
+    XI_FLOOR_MARGIN,
     cut_partition_ratios,
-    independence_upper_bounds,
-    laplacian_toughness_bounds,
+    degree_independence_bound,
+    degree_toughness_terms,
+    laplacian_independence_bound,
+    laplacian_toughness_terms,
     mixing_gap,
     mixing_gap_single,
+    mixing_independence_bound,
     mixing_scale,
     mixing_terms,
     mixing_terms_single,
     semiregular_equality_check,
-    toughness_lower_terms,
+    spectral_toughness_term,
 )
 from .extremal import ExtremalWitness, detect_join_form
 from .formats import FormatError, graph6_record, parse_graph6
-from .graphs import Graph, component_masks, is_complete, is_connected
+from .graphs import Graph, component_masks, degree_profile, is_complete, is_connected
 from .invariants import (
     IndependenceCertificate,
     ToughnessCertificate,
     independence_number,
     toughness,
 )
-from .spectra import ConvergenceError, spectral_summary
+from .spectra import ConvergenceError, SpectralSummary, xi_cut_floor
 
 MIXING_MAX_N = 10
 
@@ -91,12 +95,13 @@ class EqualityVerdict(NamedTuple):
 class GraphFacts:
     """What the checks and reports read about one graph, each computed once.
 
-    The cheap facts are set on construction.  Two of them are the check
-    domains that ``CHECKS`` names: ``bounded`` marks the graphs the
+    The cheap facts are set on construction: the degrees, and the two
+    check domains that ``CHECKS`` names: ``bounded`` marks the graphs the
     toughness bounds, the Laplacian bounds and their join equality case
     speak about, connected and not complete (so n >= 2); ``has_edge``
     marks the graphs the mixing and independence checks need, m >= 1.
-    The independence and toughness certificates, the two Laplacian bounds
+    ``summary`` solves each spectrum on its first read.  The independence
+    and toughness certificates, the floor on xi, the two Laplacian bounds
     and the join witness are computed on first read and kept; toughness
     reads the independence number for its stopping rule.
     """
@@ -106,9 +111,17 @@ class GraphFacts:
         self.g = g
         self.connected = g.n >= 1 and is_connected(g)
         self.complete = g.n < 1 or is_complete(g)
-        self.summary = spectral_summary(g) if g.n >= 2 else None
         self.bounded = self.connected and not self.complete
         self.has_edge = g.m >= 1
+        self.dmax, self.dmin, self.degrees = degree_profile(g) if g.n >= 1 else (0, 0, [])
+        self.summary = SpectralSummary(g) if g.n >= 2 else None
+
+    @cached_property
+    def xi_floor(self) -> float:
+        """A number the solved xi cannot be below, found without a solve:
+        a cut's floor less XI_FLOOR_MARGIN (see ``bounds``).  Needs m >= 1.
+        Where xi is read anyway, ``evaluate_graph`` sets it to xi."""
+        return xi_cut_floor(self.g) - XI_FLOOR_MARGIN
 
     @cached_property
     def alpha_cert(self) -> IndependenceCertificate:
@@ -127,11 +140,13 @@ class GraphFacts:
     @cached_property
     def lap_bounds(self) -> tuple[float, float]:
         """(product, gap) Laplacian lower bounds on toughness; needs n >= 2."""
-        return laplacian_toughness_bounds(self.g, self.summary)
+        s = self.summary
+        return laplacian_toughness_terms(
+            self.g.n, self.dmin, s.laplacian_radius, s.algebraic_connectivity)
 
     @cached_property
     def witness(self) -> ExtremalWitness | None:
-        return detect_join_form(self.g)
+        return detect_join_form(self.g, degrees=self.degrees)
 
     @cached_property
     def structural(self) -> bool:
@@ -169,8 +184,14 @@ def _lower_bound(f: GraphFacts, name: str, value: float, tol: float,
 
 
 def _check_tough_lower(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    return _lower_bound(
-        f, "tough-lower", max(toughness_lower_terms(f.g, f.summary)), tol, eps_eq)
+    """Toughness over the largest of the three lower-bound terms.  The
+    spectral term falls as xi grows, so xi is read only where the term at
+    xi's floor could top the two degree terms (see ``bounds``)."""
+    value = max(degree_toughness_terms(f.g.n, f.dmax, f.dmin))
+    floor = f.xi_floor
+    if floor <= 0.0 or spectral_toughness_term(f.dmax, f.dmin, floor) > value:
+        value = max(value, spectral_toughness_term(f.dmax, f.dmin, f.summary.xi))
+    return _lower_bound(f, "tough-lower", value, tol, eps_eq)
 
 
 def _check_lap_product(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
@@ -182,18 +203,23 @@ def _check_lap_gap(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]
 
 
 def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    """Independence number under its three bounds, biregular at equality."""
-    alpha = f.alpha_cert.alpha
-    degree_b, mixing_b, laplacian_b = independence_upper_bounds(f.g, f.summary)
-    for name, value in (
-        ("alpha-degree", degree_b),
-        ("alpha-mixing", mixing_b),
-        ("alpha-laplacian", laplacian_b),
-    ):
-        if alpha > value + tol:
-            yield Violation(f.g6, name, float(alpha), value)
+    """Independence number under its three bounds, biregular at equality.
+    The mixing bound grows with xi, so xi is read only where the bound at
+    xi's floor leaves a violation possible (see ``bounds``)."""
+    g, alpha, dmin = f.g, f.alpha_cert.alpha, f.dmin
+    degree_b = degree_independence_bound(g.n, f.dmax, dmin)
+    if alpha > degree_b + tol:
+        yield Violation(f.g6, "alpha-degree", float(alpha), degree_b)
+    floor = f.xi_floor
+    if floor <= 0.0 or alpha > mixing_independence_bound(g.m, dmin, floor) + tol:
+        mixing_b = mixing_independence_bound(g.m, dmin, f.summary.xi)
+        if alpha > mixing_b + tol:
+            yield Violation(f.g6, "alpha-mixing", float(alpha), mixing_b)
+    laplacian_b = laplacian_independence_bound(g.n, dmin, f.summary.laplacian_radius)
+    if alpha > laplacian_b + tol:
+        yield Violation(f.g6, "alpha-laplacian", float(alpha), laplacian_b)
     if abs(alpha - laplacian_b) <= eps_eq:
-        if semiregular_equality_check(f.g, f.alpha_cert.witness, f.summary):
+        if semiregular_equality_check(g, f.alpha_cert.witness, f.summary):
             yield Interesting(f.g6, "alpha-laplacian-equality")
         else:
             yield Violation(f.g6, "alpha-semiregular", float(alpha), laplacian_b)
@@ -465,7 +491,10 @@ def evaluate_graph(
     disconnected and complete graphs, and the mixing and independence
     checks skip edgeless ones.  A check body may still return no record on
     a value, as ``cut-partition`` does, walking no cut set, when no
-    (|S|, |X|) has a record.  A graph the checks cannot evaluate raises:
+    (|S|, |X|) has a record.  Each spectrum is solved only if a check
+    reads it; with ``mixing`` on, which reads xi on every graph with an
+    edge, xi is solved first and stands as its own floor, so the cut floor
+    is not computed.  A graph the checks cannot evaluate raises:
     SweepConfigError for mixing above MIXING_MAX_N vertices, and
     ConvergenceError from the eigensolver; ``sweep`` turns either into a
     diagnostic for its line.
@@ -475,6 +504,8 @@ def evaluate_graph(
         raise SweepConfigError(
             f"mixing check caps at n = {MIXING_MAX_N} (subset-pair explosion), got n = {g.n}")
     facts = GraphFacts(g6, g)
+    if "mixing" in checks and facts.has_edge:
+        facts.xi_floor = facts.summary.xi
     records: list[Record] = []
     for name, (check, needs) in CHECKS.items():
         if name in checks and getattr(facts, needs):

@@ -42,7 +42,7 @@ from toughlab.bounds import (
 from toughlab.cli import BOUNDS_COLUMNS, main
 from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.graphs import Graph, component_masks, cycle_graph
-from toughlab.sweep import CHECK_NAMES, GraphFacts, Violation, evaluate_graph
+from toughlab.sweep import CHECK_NAMES, DEFAULT_CHECKS, GraphFacts, Violation, evaluate_graph
 
 from _oracles import component_sets, edge_boundary, to_adj, volume
 
@@ -503,6 +503,40 @@ def test_cut_partition_records_match_the_per_grouping_definition():
     assert {check for check, _, _ in fired} == {
         "cut-partition-x", "cut-partition-s", "cut-partition-x-equality",
         "cut-partition-s-equality"}
+
+
+class _NoFloor(GraphFacts):
+    """Facts whose floor on xi is 0 whatever is set, so it decides nothing."""
+
+    xi_floor = property(lambda self: 0.0, lambda self, value: None)
+
+
+def test_the_xi_floor_changes_no_record(monkeypatch):
+    # default checks on every labeled graph up to 5 vertices and on seeded
+    # ones up to 9; all checks, where mixing makes xi its own floor, on
+    # fewer, as mixing at a negative tol records most subset pairs
+    corpora = {
+        DEFAULT_CHECKS: [*(g for n in range(1, 6) for g in enumerate_labeled(n)),
+                         *(g for n in range(6, 10) for g in _seeded_graphs(n, 100, seed=n))],
+        CHECK_NAMES: [*(g for n in range(1, 5) for g in enumerate_labeled(n)),
+                      *(g for n in range(5, 10) for g in _seeded_graphs(n, 4, seed=n))],
+    }
+    sweep_module = importlib.import_module("toughlab.sweep")
+    tols = (1e-7, 0.0, -0.5, -1.0, -3.0)
+
+    def records(checks):
+        return [evaluate_graph(write_graph6(g), g, checks, tol, 1e-7)
+                for g in corpora[checks] for tol in tols]
+
+    with_floor = {checks: records(checks) for checks in corpora}
+    monkeypatch.setattr(sweep_module, "GraphFacts", _NoFloor)
+    for checks, want in with_floor.items():
+        assert records(checks) == want
+    # the floor has records to change: tough-lower and alpha-mixing ones
+    # at each tol, and equality tags at the default one
+    names = Counter(type(r).__name__ + ":" + r[1] for rs in with_floor[DEFAULT_CHECKS] for r in rs)
+    assert names["Violation:tough-lower"] and names["Violation:alpha-mixing"]
+    assert names["Interesting:tough-lower-equality"]
 
 
 def test_independence_bound_values(petersen, c4, k4):

@@ -4,6 +4,7 @@ conventions."""
 import contextlib
 import io
 import json
+import itertools
 import math
 import random
 
@@ -25,11 +26,14 @@ from toughlab import (
     petersen_graph,
     spectral_summary,
     symmetric_eigenvalues,
+    xi_cut_floor,
 )
 from toughlab import spectra
+from toughlab.bounds import XI_FLOOR_MARGIN
 from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.spectra import adjacency_matrix, laplacian_matrix, normalized_laplacian_matrix
+from toughlab.sweep import GraphFacts
 
 from _oracles import has_nontrivial_bipartite_component, jacobi_eigenvalues
 
@@ -188,6 +192,46 @@ def test_top_normalized_eigenvalue_detects_bipartite_parts():
                 continue
             top = normalized_laplacian_spectrum(g)[0]
             assert (abs(top - 2) <= 1e-7) == has_nontrivial_bipartite_component(g)
+
+
+def _gnp(n, p, rng):
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < p])
+
+
+def _xi(g):
+    norm = normalized_laplacian_spectrum(g)
+    return max(abs(1.0 - norm[0]), abs(1.0 - norm[-2]))
+
+
+def test_the_cut_floor_is_under_the_solved_xi():
+    # every labeled graph with an edge on up to 6 vertices, then seeded
+    # G(n, p) on 7 to 16
+    rng = random.Random(29)
+    graphs = [g for n in range(2, 7) for g in enumerate_labeled(n) if g.m]
+    graphs += [_gnp(n, p, rng) for n in range(7, 17) for p in (0.2, 0.5, 0.8)
+               for _ in range(4)]
+    for g in graphs:
+        if g.m:
+            floor, xi = xi_cut_floor(g), _xi(g)
+            # a locally maximal cut holds at least half the edges
+            assert 0.0 <= floor <= 1.0 and floor - XI_FLOOR_MARGIN < xi, write_graph6(g)
+    with pytest.raises(ValueError, match="edge"):
+        xi_cut_floor(empty_graph(3))
+
+
+def test_the_cut_floor_is_sharp_on_bipartite_graphs(petersen):
+    # a bipartite graph with an edge has xi = 1, and its bipartition cuts
+    # every edge, so the floor is 1 and only the margin keeps it under xi
+    cube = Graph.from_edges(16, [(v, v ^ 1 << b) for v in range(16) for b in range(4)])
+    bipartite = [cycle_graph(n) for n in range(4, 13, 2)]
+    bipartite += [join(empty_graph(a), empty_graph(b)) for a in range(1, 5) for b in range(a, 6)]
+    for g in (*bipartite, cube, disjoint_union(cycle_graph(6), empty_graph(2))):
+        assert xi_cut_floor(g) == 1.0 and abs(_xi(g) - 1.0) <= 1e-12, write_graph6(g)
+        assert GraphFacts(write_graph6(g), g).xi_floor < _xi(g)
+    for g in (petersen, *(cycle_graph(n) for n in range(3, 12, 2))):
+        floor = xi_cut_floor(g)
+        assert floor < 1.0 and floor - XI_FLOOR_MARGIN < _xi(g)
 
 
 def test_eigenvalue_counts_with_multiplicity():

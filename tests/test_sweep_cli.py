@@ -6,8 +6,10 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -162,6 +164,68 @@ def test_an_eigensolver_failure_becomes_a_diagnostic(monkeypatch):
     assert [r for r in records if type(r) is Diagnostic] == [
         Diagnostic(2, "no convergence after 100 sweeps")]
     assert {r.graph6 for r in records if type(r) is not Diagnostic} == set(good)
+
+
+def counted_solves(monkeypatch) -> Counter:
+    """Count the Laplacian ("L") and normalized Laplacian ("N") solves."""
+    calls = Counter()
+    for key, name in (("L", "laplacian_spectrum"), ("N", "normalized_laplacian_spectrum")):
+        def solve(g, key=key, real=getattr(spectra, name)):
+            calls[key] += 1
+            return real(g)
+        monkeypatch.setattr(spectra, name, solve)
+    return calls
+
+
+def seeded_connected_lines(n, count, seed):
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    lines = []
+    while len(lines) < count:
+        mask = rng.getrandbits(len(pairs))
+        g = toughlab.Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+        if toughlab.is_connected(g):
+            lines.append((len(lines) + 1, write_graph6(g)))
+    return lines
+
+
+def test_each_spectrum_is_solved_only_where_a_check_reads_it(monkeypatch, capsys):
+    calls = counted_solves(monkeypatch)
+    lines = seeded_connected_lines(7, 1000, seed=1)
+    # default verify: the Laplacian on every graph, the normalized one only
+    # where the cut floor on xi leaves tough-lower or alpha-mixing open
+    report, _ = swept(SweepConfig(), lines)
+    assert report.graphs_checked == 1000 and calls["L"] == 1000
+    assert calls["N"] <= 150
+    for checks in (("cut-partition",), ("mixing",)):
+        calls.clear()
+        swept(SweepConfig(checks=checks), lines[:100])
+        assert calls == {"cut-partition": {"L": 100}, "mixing": {"N": 100}}[checks[0]]
+    calls.clear()
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for _, line in lines[:100])))
+    assert main(["extremal"]) == 0
+    assert calls == {"L": 100} and len(capsys.readouterr().out.splitlines()) == 100
+    # an edgeless graph solves nothing
+    calls.clear()
+    swept(SweepConfig(checks=CHECK_NAMES), [(1, write_graph6(empty_graph(5)))])
+    assert not calls
+
+
+def test_a_normalized_solve_failure_becomes_a_diagnostic_under_mixing(monkeypatch):
+    real = spectra.normalized_laplacian_spectrum
+    bad = path_graph(4)
+
+    def normalized_laplacian_spectrum(g):
+        if g == bad:
+            raise spectra.ConvergenceError("no convergence after 30 QL iterations")
+        return real(g)
+
+    monkeypatch.setattr(spectra, "normalized_laplacian_spectrum", normalized_laplacian_spectrum)
+    lines = [(1, write_graph6(star_graph(3))), (2, write_graph6(bad)), (3, "Cl")]
+    report, records = swept(SweepConfig(checks=("mixing",), tol=-5), lines)
+    assert report.graphs_checked == 2 and report.diagnostics == 1
+    assert [r for r in records if type(r) is Diagnostic] == [
+        Diagnostic(2, "no convergence after 30 QL iterations")]
 
 
 def test_parallel_sweep_is_deterministic():

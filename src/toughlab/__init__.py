@@ -35,7 +35,6 @@ from .spectra import (
     adjacency_spectrum,
     laplacian_spectrum,
     normalized_laplacian_spectrum,
-    spectral_summary,
     symmetric_eigenvalues,
     xi_cut_floor,
 )
@@ -50,13 +49,16 @@ from .invariants import (
 from .bounds import (
     EPS_EQ,
     algebraic_connectivity_cap,
-    independence_upper_bounds,
-    laplacian_toughness_bounds,
+    degree_independence_bound,
+    degree_toughness_terms,
+    laplacian_independence_bound,
+    laplacian_toughness_terms,
     mixing_gap,
     mixing_gap_single,
+    mixing_independence_bound,
     regular_toughness_bounds,
     semiregular_equality_check,
-    toughness_lower_terms,
+    spectral_toughness_term,
 )
 from .extremal import (
     ExtremalWitness,

@@ -1,19 +1,20 @@
 """Evaluators for every toughness / independence inequality.
 
-All evaluators are pure formulas returning plain bound values; callers (the
-sweep engine, the ``bounds`` command, the acceptance suite) compare them
-against the exact invariants.  EPS_EQ is the default equality detection
-window: the equality flags of the ``bounds`` report, ``GraphFacts.verdict``
-and the default of ``verify --eq-tol``.  It is 1e-7: the Householder and QL
-eigensolver leaves each eigenvalue within about 1e-15 times the matrix norm
-of the exact one, far inside the window, while the nearest non-equality
-case on the small corpora sits 0.0238 away.
+All evaluators are pure formulas over numbers.  ``sweep.GraphFacts``
+decides which degree or eigenvalue of a graph feeds each, and the checks
+and the reports compare the values against the exact invariants.  EPS_EQ
+is the default equality detection window: the equality flags of the
+``bounds`` report, ``GraphFacts.verdict`` and the default of ``verify
+--eq-tol``.  It is 1e-7: the Householder and QL eigensolver leaves each
+eigenvalue within about 1e-15 times the matrix norm of the exact one, far
+inside the window, while the nearest non-equality case on the small
+corpora sits 0.0238 away.
 
 ``regular_toughness_bounds`` and ``algebraic_connectivity_cap`` serve only
 the ``bounds`` report, which keeps their columns.  No check reads them:
-on a regular graph Brouwer's d/lambda - 1 is the spectral term of
-``toughness_lower_terms``, and the cap is the gap bound of
-``laplacian_toughness_bounds`` rearranged, equality case included.
+on a regular graph Brouwer's d/lambda - 1 is ``spectral_toughness_term``,
+and the cap is the gap bound of ``laplacian_toughness_terms``
+rearranged, equality case included.
 
 The two mixing evaluators take integers (an edge count, two volumes, 2m)
 and the normalized deviation rather than a graph and vertex sets.  Their
@@ -22,12 +23,6 @@ centre and right side, which do not depend on the edge count, come from
 formula.  ``mixing_scale`` gives the per-volume factor a(nu) of a floor
 under the two-set right side, which lets the mixing check screen a pair
 of volumes, and their complement mirrors, without a square root.
-
-The checks read the formula helpers (``degree_toughness_terms``,
-``spectral_toughness_term``, ``laplacian_toughness_terms`` and the three
-independence bounds) with the degrees ``GraphFacts`` holds; the
-graph-level functions, which the ``bounds`` report reads, compute the
-degrees and call the same helpers.
 
 ``tough-lower`` and ``alpha-mixing`` read xi only through T(xi) =
 dmin(xi + 1)/(dmax xi) - 2, which falls as xi grows, and M(xi) =
@@ -45,11 +40,11 @@ from f to xi: more than 10^4 times the few unit roundoffs each evaluated
 formula carries.  T(f) >= T(xi) and M(f) <= M(xi) thus hold as
 evaluated, and as rounding is monotone so does M(f) + tol <= M(xi) + tol.
 
-Division guards: the lower-bound terms divide by dmax and by the normalized
-deviation xi, so they raise ValueError on a graph with no edge, as the
-independence bounds do; on a graph with an edge the eigenvalue trace gives
-xi >= 1/(n - 1), and neither division needs a guard.  The regular bounds
-need none either: degree d >= 1 gives mu_1 >= d + 1, so lambda >= 1.
+Division guards: the toughness terms divide by dmax and xi, and the degree
+and Laplacian independence bounds by dmax + dmin and mu_1.  Each is read
+only on a graph with an edge, where dmax >= 1, mu_1 >= 2 and the
+eigenvalue trace gives xi >= 1/(n - 1), so none needs a guard.  Nor do
+the regular bounds: degree d >= 1 gives mu_1 >= d + 1, so lambda >= 1.
 """
 
 from __future__ import annotations
@@ -57,8 +52,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .graphs import Graph, VertexSet, degree_profile, iter_bits
-from .spectra import SpectralSummary
+from .graphs import Graph, VertexSet, iter_bits
 
 EPS_EQ = 1e-7
 # puts xi a(nu_x) a(nu_y) (see mixing_scale) under every rounding of the rhs
@@ -82,24 +76,13 @@ def spectral_toughness_term(dmax: int, dmin: int, xi: float) -> float:
     return dmin * (xi + 1.0) / (dmax * xi) - 2.0
 
 
-def toughness_lower_terms(
-    g: Graph, summary: SpectralSummary
-) -> tuple[float, float, float]:
-    """The three lower-bound terms from max/min degree and the normalized
-    deviation: 1/dmax, (dmax + dmin)/(dmax * n), and
-    dmin*(xi + 1)/(dmax*xi) - 2."""
-    if g.m < 1:
-        raise ValueError("lower-bound terms need at least one edge")
-    dmax, dmin, _ = degree_profile(g)
-    return (*degree_toughness_terms(g.n, dmax, dmin),
-            spectral_toughness_term(dmax, dmin, summary.xi))
-
-
 def laplacian_toughness_terms(
     n: int, dmin: int, mu1: float, mu_second: float
 ) -> tuple[float, float]:
-    """(product, gap) Laplacian lower bounds from n, dmin, mu_1 and
-    mu_{n-1}, as ``laplacian_toughness_bounds``."""
+    """(product, gap) Laplacian lower bounds on toughness from n, dmin,
+    mu_1 and mu_{n-1}: mu_1 mu_{n-1} / (n (mu_1 - dmin)) and
+    mu_{n-1} / (mu_1 - mu_{n-1}).  A degenerate denominator (a complete
+    graph, of infinite toughness) gives +inf."""
     d1 = n * (mu1 - dmin)
     d2 = mu1 - mu_second
     product = mu1 * mu_second / d1 if d1 > 1e-12 else math.inf
@@ -107,42 +90,21 @@ def laplacian_toughness_terms(
     return product, gap
 
 
-def laplacian_toughness_bounds(
-    g: Graph, summary: SpectralSummary
-) -> tuple[float, float]:
-    """The two Laplacian lower bounds on toughness.
-
-    Product form: mu_1 * mu_{n-1} / (n * (mu_1 - dmin)).  Gap form:
-    mu_{n-1} / (mu_1 - mu_{n-1}).  Degenerate denominators (complete
-    graphs) yield +inf; such graphs have infinite toughness and are skipped
-    by slack checks.
-    """
-    _, dmin, _ = degree_profile(g)
-    return laplacian_toughness_terms(
-        g.n, dmin, summary.laplacian_radius, summary.algebraic_connectivity)
-
-
-def regular_toughness_bounds(
-    g: Graph, summary: SpectralSummary
-) -> tuple[float, float, float] | None:
-    """(d/lambda - 1, d/lambda - 2, Alon's cubic-saving bound) for regular
-    graphs of degree >= 1, None otherwise.
+def regular_toughness_bounds(d: int, lam: float) -> tuple[float, float, float]:
+    """(d/lambda - 1, d/lambda - 2, Alon's cubic-saving bound) for a
+    d-regular graph with d >= 1 and adjacency deviation lambda.
 
     The first value is the Brouwer-conjecture bound, the second Brouwer's
     unconditional strict bound, the third (d^2/(d*lambda + lambda^2) - 1)/3.
     """
-    dmax, dmin, _ = degree_profile(g)
-    if dmax != dmin or dmax < 1 or summary.lambda_reg is None:
-        return None
-    d = dmax
-    lam = summary.lambda_reg
     return (d / lam - 1.0, d / lam - 2.0, (d * d / (d * lam + lam * lam) - 1.0) / 3.0)
 
 
-def algebraic_connectivity_cap(summary: SpectralSummary, tau: Fraction) -> float:
-    """Upper bound tau/(tau + 1) * mu_1 on the algebraic connectivity."""
+def algebraic_connectivity_cap(mu1: float, tau: Fraction) -> float:
+    """Upper bound tau/(tau + 1) * mu_1 on the algebraic connectivity, from
+    the Laplacian radius mu_1 and the toughness tau."""
     t = float(tau)
-    return t / (t + 1.0) * summary.laplacian_radius
+    return t / (t + 1.0) * mu1
 
 
 def mixing_terms(nu_x: int, nu_y: int, two_m: int, xi: float) -> tuple[float, float]:
@@ -229,27 +191,9 @@ def laplacian_independence_bound(n: int, dmin: int, mu1: float) -> float:
     return n * (mu1 - dmin) / mu1
 
 
-def independence_upper_bounds(
-    g: Graph, summary: SpectralSummary
-) -> tuple[float, float, float]:
-    """Three upper bounds on the independence number.
-
-    degree ratio n*dmax/(dmax + dmin); volume bound 2m*xi/(dmin*(xi + 1))
-    (+inf when isolated vertices force dmin = 0); Laplacian bound
-    n*(mu_1 - dmin)/mu_1.
-    """
-    if g.m < 1:
-        raise ValueError("independence bounds need at least one edge")
-    dmax, dmin, _ = degree_profile(g)
-    return (degree_independence_bound(g.n, dmax, dmin),
-            mixing_independence_bound(g.m, dmin, summary.xi),
-            laplacian_independence_bound(g.n, dmin, summary.laplacian_radius))
-
-
-def semiregular_equality_check(
-    g: Graph, ind: VertexSet, summary: SpectralSummary
-) -> bool:
-    """Check the equality structure of the Laplacian independence bound.
+def semiregular_equality_check(g: Graph, ind: VertexSet, dmin: int, mu1: float) -> bool:
+    """Check the equality structure of the Laplacian independence bound on
+    ``g``, of minimum degree dmin and Laplacian radius mu_1.
 
     For an independent set attaining the bound, the bipartite subgraph of
     edges between the set and its complement must be biregular: every
@@ -259,8 +203,7 @@ def semiregular_equality_check(
     for v in iter_bits(ind):
         if g.rows[v] & ind:
             raise ValueError("witness set is not independent")
-    _, dmin, _ = degree_profile(g)
-    other_deg = summary.laplacian_radius - dmin
+    other_deg = mu1 - dmin
     rounded = round(other_deg)
     if abs(other_deg - rounded) > 1e-6:
         return False
@@ -274,15 +217,14 @@ def semiregular_equality_check(
     return True
 
 
-def cut_partition_ratios(summary: SpectralSummary) -> tuple[float, float]:
+def cut_partition_ratios(mu1: float, mu_second: float) -> tuple[float, float]:
     """Bounds tying a cut set S, and a grouping X | Y of the components it
-    leaves with |X| <= |Y|, to the Laplacian spectrum.
+    leaves with |X| <= |Y|, to the Laplacian radius mu_1 and the algebraic
+    connectivity mu_{n-1}.
 
     Returns (cap on |X| over n, floor on |S| over |X|):
     |X| <= (mu_1 - mu_{n-1})/(2 mu_1) * n and
     |S| >= 2 mu_{n-1}/(mu_1 - mu_{n-1}) * |X|.
     """
-    mu1 = summary.laplacian_radius
-    mu_second = summary.algebraic_connectivity
     return (mu1 - mu_second) / (2.0 * mu1), 2.0 * mu_second / (mu1 - mu_second)
 

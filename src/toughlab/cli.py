@@ -24,8 +24,9 @@ from typing import Iterator
 from .bounds import (
     EPS_EQ,
     algebraic_connectivity_cap,
+    degree_toughness_terms,
     regular_toughness_bounds,
-    toughness_lower_terms,
+    spectral_toughness_term,
 )
 from .extremal import build_extremal
 from .formats import (
@@ -43,7 +44,7 @@ from .invariants import (
     toughness,
     vertex_connectivity,
 )
-from .spectra import ConvergenceError, adjacency_spectrum, spectral_summary
+from .spectra import ConvergenceError, SpectralSummary, adjacency_spectrum
 from .sweep import (
     CHECK_NAMES,
     DEFAULT_CHECKS,
@@ -157,7 +158,7 @@ def _spectra_record(g6: str, g: Graph) -> dict:
         # xi and lambda read a second eigenvalue
         return {"n": 1, "m": 0, "adjacency": [0.0], "laplacian": [0.0],
                 "normalized": [0.0], "xi": None, "lambda": None}
-    summary = spectral_summary(g)
+    summary = SpectralSummary(g)
     return {
         "n": g.n,
         "m": g.m,
@@ -173,16 +174,20 @@ def _bounds_record(g6: str, g: Graph) -> dict:
     """Every bound value, with the equality flags against exact toughness,
     for a connected graph.  Undefined and infinite bounds are None."""
     facts = GraphFacts(g6, g)
+    dmax, dmin, summary = facts.dmax, facts.dmin, facts.summary
     terms, lap, reg = (None,) * 3, (None,) * 2, (None,) * 3
     cap, equalities = None, (False, False)
-    if facts.summary is not None:
-        terms = toughness_lower_terms(g, facts.summary)
+    if summary is not None:
+        # connected with n >= 2, so dmax >= 1 and xi > 0
+        terms = (*degree_toughness_terms(g.n, dmax, dmin),
+                 spectral_toughness_term(dmax, dmin, summary.xi))
         lap = facts.lap_bounds
-        reg = regular_toughness_bounds(g, facts.summary) or reg
+        if summary.lambda_reg is not None:
+            reg = regular_toughness_bounds(dmax, summary.lambda_reg)
     if facts.bounded:
-        cap = algebraic_connectivity_cap(facts.summary, facts.cert.value)
+        cap = algebraic_connectivity_cap(summary.laplacian_radius, facts.cert.value)
         equalities = facts.lap_equalities(EPS_EQ)
-    values = (g.n, g.m, facts.dmin, facts.dmax, _tau_text(facts.cert), *terms, *lap, *reg, cap,
+    values = (g.n, g.m, dmin, dmax, _tau_text(facts.cert), *terms, *lap, *reg, cap,
               *equalities)
     return {key: None if isinstance(v, float) and not math.isfinite(v) else v
             for key, v in zip(BOUNDS_COLUMNS[1:], values)}

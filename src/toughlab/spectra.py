@@ -16,11 +16,11 @@ The three spectrum functions hand the solver the matrices their builders
 make, which are exactly symmetric and finite, without its input copy and
 checks; other callers get both.  A ``SpectralSummary`` solves the
 Laplacian and the normalized Laplacian each on its first read, so a caller
-pays only for the spectra it reads; ``spectral_summary`` solves both at
-once.  A regular graph's ``lambda_reg`` comes from the Laplacian spectrum,
-as L = dI - A.  ``xi_cut_floor`` bounds the normalized deviation xi from
-below by one vertex bipartition, with no solve.  ``adjacency_spectrum``
-gives the full adjacency spectrum of any graph.
+pays only for the spectra it reads, one solve each.  A regular graph's
+``lambda_reg`` comes from the Laplacian spectrum, as L = dI - A.
+``xi_cut_floor`` bounds the normalized deviation xi from below by one
+vertex bipartition, with no solve.  ``adjacency_spectrum`` gives the full
+adjacency spectrum of any graph.
 
 Eigenvalue order conventions: all spectra are returned descending.  The
 normalized Laplacian uses the isolated-vertex convention of zeroing the
@@ -272,14 +272,6 @@ class SpectralSummary:
     @property
     def algebraic_connectivity(self) -> float:
         return self.laplacian_eigs[-2]
-
-
-def spectral_summary(g: Graph) -> SpectralSummary:
-    """The spectra the bounds read and the derived quantities, both
-    spectra solved now: two solves.  Requires n >= 2."""
-    summary = SpectralSummary(g)
-    _ = summary.laplacian_eigs, summary.normalized_eigs
-    return summary
 
 
 def xi_cut_floor(g: Graph) -> float:

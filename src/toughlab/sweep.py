@@ -119,8 +119,7 @@ class GraphFacts:
     @cached_property
     def xi_floor(self) -> float:
         """A number the solved xi cannot be below, found without a solve:
-        a cut's floor less XI_FLOOR_MARGIN (see ``bounds``).  Needs m >= 1.
-        Where xi is read anyway, ``evaluate_graph`` sets it to xi."""
+        a cut's floor less XI_FLOOR_MARGIN (see ``bounds``).  Needs m >= 1."""
         return xi_cut_floor(self.g) - XI_FLOOR_MARGIN
 
     @cached_property
@@ -206,7 +205,7 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
     """Independence number under its three bounds, biregular at equality.
     The mixing bound grows with xi, so xi is read only where the bound at
     xi's floor leaves a violation possible (see ``bounds``)."""
-    g, alpha, dmin = f.g, f.alpha_cert.alpha, f.dmin
+    g, alpha, dmin, mu1 = f.g, f.alpha_cert.alpha, f.dmin, f.summary.laplacian_radius
     degree_b = degree_independence_bound(g.n, f.dmax, dmin)
     if alpha > degree_b + tol:
         yield Violation(f.g6, "alpha-degree", float(alpha), degree_b)
@@ -215,11 +214,11 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
         mixing_b = mixing_independence_bound(g.m, dmin, f.summary.xi)
         if alpha > mixing_b + tol:
             yield Violation(f.g6, "alpha-mixing", float(alpha), mixing_b)
-    laplacian_b = laplacian_independence_bound(g.n, dmin, f.summary.laplacian_radius)
+    laplacian_b = laplacian_independence_bound(g.n, dmin, mu1)
     if alpha > laplacian_b + tol:
         yield Violation(f.g6, "alpha-laplacian", float(alpha), laplacian_b)
     if abs(alpha - laplacian_b) <= eps_eq:
-        if semiregular_equality_check(g, f.alpha_cert.witness, f.summary):
+        if semiregular_equality_check(g, f.alpha_cert.witness, dmin, mu1):
             yield Interesting(f.g6, "alpha-laplacian-equality")
         else:
             yield Violation(f.g6, "alpha-semiregular", float(alpha), laplacian_b)
@@ -376,7 +375,8 @@ def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[R
     more blocks has tau <= |S| / 2.
     """
     g = f.g
-    cap_ratio, floor_ratio = cut_partition_ratios(f.summary)
+    cap_ratio, floor_ratio = cut_partition_ratios(
+        f.summary.laplacian_radius, f.summary.algebraic_connectivity)
     cap = cap_ratio * g.n
     records: dict[tuple[int, int], list[Violation]] = {}
     for size_s in range(math.ceil(2 * f.cert.value), g.n - 1):
@@ -492,9 +492,7 @@ def evaluate_graph(
     checks skip edgeless ones.  A check body may still return no record on
     a value, as ``cut-partition`` does, walking no cut set, when no
     (|S|, |X|) has a record.  Each spectrum is solved only if a check
-    reads it; with ``mixing`` on, which reads xi on every graph with an
-    edge, xi is solved first and stands as its own floor, so the cut floor
-    is not computed.  A graph the checks cannot evaluate raises:
+    reads it.  A graph the checks cannot evaluate raises:
     SweepConfigError for mixing above MIXING_MAX_N vertices, and
     ConvergenceError from the eigensolver; ``sweep`` turns either into a
     diagnostic for its line.
@@ -504,8 +502,6 @@ def evaluate_graph(
         raise SweepConfigError(
             f"mixing check caps at n = {MIXING_MAX_N} (subset-pair explosion), got n = {g.n}")
     facts = GraphFacts(g6, g)
-    if "mixing" in checks and facts.has_edge:
-        facts.xi_floor = facts.summary.xi
     records: list[Record] = []
     for name, (check, needs) in CHECKS.items():
         if name in checks and getattr(facts, needs):

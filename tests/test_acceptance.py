@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from toughlab import (
+    SpectralSummary,
     algebraic_connectivity_cap,
     independence_number,
     join,
@@ -25,9 +26,8 @@ from toughlab import (
     mixing_gap_single,
     petersen_graph,
     semiregular_equality_check,
-    spectral_summary,
+    spectral_toughness_term,
     toughness,
-    toughness_lower_terms,
     vertex_connectivity,
     write_graph6,
 )
@@ -125,9 +125,9 @@ def test_criterion_3_equality_iff_join_structure(master_report):
 
 def test_criterion_4_regular_reduction_on_petersen():
     g = petersen_graph()
-    s = spectral_summary(g)
-    spectral_term = toughness_lower_terms(g, s)[2]
-    d_over_lambda = 3.0 / s.lambda_reg - 1.0
+    f = GraphFacts(write_graph6(g), g)
+    spectral_term = spectral_toughness_term(f.dmax, f.dmin, f.summary.xi)
+    d_over_lambda = 3.0 / f.summary.lambda_reg - 1.0
     start = time.perf_counter()
     brute = brute_toughness(g)
     brute_seconds = time.perf_counter() - start
@@ -175,7 +175,7 @@ def test_criterion_6_mixing_sweep():
     g = petersen_graph()
     witness = independence_number(g).witness
     lhs, rhs = mixing_gap_single(edge_boundary(g, witness, witness), volume(g, witness),
-                                 2 * g.m, spectral_summary(g).xi)
+                                 2 * g.m, SpectralSummary(g).xi)
     ok = (
         not violations
         and abs(lhs - 4.8) <= 1e-8
@@ -207,9 +207,9 @@ def test_criterion_7_join_spectrum_cross_check():
 def test_criterion_8_independence_bound_sweep(alpha_report):
     bad = violations_for(alpha_report, ("alpha-",))
     g = petersen_graph()
-    s = spectral_summary(g)
+    f = GraphFacts(write_graph6(g), g)
     witness = independence_number(g).witness
-    biregular = semiregular_equality_check(g, witness, s)
+    biregular = semiregular_equality_check(g, witness, f.dmin, f.summary.laplacian_radius)
     inside = {(g.rows[v] & ~witness).bit_count()
               for v in range(10) if witness >> v & 1}
     outside = {(g.rows[v] & witness).bit_count()
@@ -232,7 +232,7 @@ def test_criterion_9_connectivity_cap_sweep(master_report):
     cap_equal, gap_equal, structural = set(), set(), set()
     for f in corpus:
         mu1, mu_second = f.summary.laplacian_radius, f.summary.algebraic_connectivity
-        cap = algebraic_connectivity_cap(f.summary, f.cert.value)
+        cap = algebraic_connectivity_cap(mu1, f.cert.value)
         gap = f.lap_bounds[1]
         if mu_second > cap + 1e-12 or not math.isclose(
                 mu_second - cap, (mu1 - mu_second) * (gap - f.tau) / (f.tau + 1),

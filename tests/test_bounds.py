@@ -18,18 +18,20 @@ import pytest
 
 import toughlab
 from toughlab import (
+    SpectralSummary,
     algebraic_connectivity_cap,
     complete_graph,
+    degree_independence_bound,
+    degree_toughness_terms,
     independence_number,
-    independence_upper_bounds,
-    laplacian_toughness_bounds,
+    laplacian_independence_bound,
     mask_of,
     mixing_gap,
     mixing_gap_single,
+    mixing_independence_bound,
     regular_toughness_bounds,
     semiregular_equality_check,
-    spectral_summary,
-    toughness_lower_terms,
+    spectral_toughness_term,
 )
 from toughlab.bounds import (
     MIXING_MIRROR_MARGIN,
@@ -47,49 +49,57 @@ from toughlab.sweep import CHECK_NAMES, DEFAULT_CHECKS, GraphFacts, Violation, e
 from _oracles import component_sets, edge_boundary, to_adj, volume
 
 
+def facts_of(g):
+    return GraphFacts(write_graph6(g), g)
+
+
+def lower_terms(f):
+    """The three toughness lower-bound terms, read as the ``bounds`` report
+    reads them: the degrees from ``GraphFacts``, then xi."""
+    return (*degree_toughness_terms(f.g.n, f.dmax, f.dmin),
+            spectral_toughness_term(f.dmax, f.dmin, f.summary.xi))
+
+
+def regular_bounds(f):
+    """The regular bounds of a regular graph of degree >= 1."""
+    return regular_toughness_bounds(f.dmax, f.summary.lambda_reg)
+
+
 def test_lower_terms(petersen, p3, c4):
-    s = spectral_summary(petersen)
-    terms = toughness_lower_terms(petersen, s)
+    terms = lower_terms(facts_of(petersen))
     assert abs(terms[0] - 1 / 3) <= 1e-9
     assert abs(terms[1] - 0.2) <= 1e-9
     assert abs(terms[2] - 0.5) <= 1e-8
-    terms = toughness_lower_terms(p3, spectral_summary(p3))
+    terms = lower_terms(facts_of(p3))
     assert abs(terms[0] - 0.5) <= 1e-9
     assert abs(terms[1] - 0.5) <= 1e-9
     assert abs(terms[2] + 1.0) <= 1e-8
-    terms = toughness_lower_terms(c4, spectral_summary(c4))
+    terms = lower_terms(facts_of(c4))
     assert abs(terms[2]) <= 1e-8
 
 
-def test_lower_terms_require_an_edge():
-    from toughlab import empty_graph
-    g = empty_graph(3)
-    with pytest.raises(ValueError, match="lower-bound terms need at least one edge"):
-        toughness_lower_terms(g, spectral_summary(g))
-
-
 def test_laplacian_bounds(c4, claw, petersen):
-    product, gap = laplacian_toughness_bounds(c4, spectral_summary(c4))
+    product, gap = facts_of(c4).lap_bounds
     assert abs(product - 1) <= 1e-8 and abs(gap - 1) <= 1e-8
-    product, gap = laplacian_toughness_bounds(claw, spectral_summary(claw))
+    product, gap = facts_of(claw).lap_bounds
     assert abs(product - 1 / 3) <= 1e-8 and abs(gap - 1 / 3) <= 1e-8
-    product, gap = laplacian_toughness_bounds(petersen, spectral_summary(petersen))
+    product, gap = facts_of(petersen).lap_bounds
     assert abs(product - 0.5) <= 1e-8 and abs(gap - 2 / 3) <= 1e-8
 
 
 def test_regular_bounds(petersen, k4, c4, claw):
-    got = regular_toughness_bounds(petersen, spectral_summary(petersen))
-    assert got is not None
+    got = regular_bounds(facts_of(petersen))
     assert abs(got[0] - 0.5) <= 1e-8
     assert abs(got[1] + 0.5) <= 1e-8
     assert abs(got[2] + 1 / 30) <= 1e-8
-    got = regular_toughness_bounds(k4, spectral_summary(k4))
+    got = regular_bounds(facts_of(k4))
     # lambda = 1: d/lambda - 1 = 2, strict form 1, saving form 5/12
     assert abs(got[0] - 2) <= 1e-8 and abs(got[1] - 1) <= 1e-8
     assert abs(got[2] - 5 / 12) <= 1e-8
-    got = regular_toughness_bounds(c4, spectral_summary(c4))
+    got = regular_bounds(facts_of(c4))
     assert abs(got[0]) <= 1e-8 and abs(got[1] + 1) <= 1e-8 and abs(got[2] + 1 / 6) <= 1e-8
-    assert regular_toughness_bounds(claw, spectral_summary(claw)) is None
+    # the claw is not regular, so the report leaves its regular columns empty
+    assert SpectralSummary(claw).lambda_reg is None
 
 
 def test_regular_records_match_the_bounds_at_negative_tolerances(petersen):
@@ -106,9 +116,9 @@ def test_regular_records_match_the_bounds_at_negative_tolerances(petersen):
     fired = Counter()
     for tol in (-1.0, -2.0, -3.0):
         for f in corpus:
-            brouwer = regular_toughness_bounds(f.g, f.summary)[0]
+            brouwer = regular_bounds(f)[0]
             d = f.g.rows[0].bit_count()
-            bound = max(toughness_lower_terms(f.g, f.summary))
+            bound = max(lower_terms(f))
             assert abs(bound - max(1.0 / d, 2.0 / f.g.n, brouwer)) <= 1e-12, f.g6
             want = [("tough-lower", bound.hex(), f.tau.hex())] if bound > f.tau + tol else []
             got = [(r.check, r.lhs.hex(), r.rhs.hex())
@@ -120,24 +130,23 @@ def test_regular_records_match_the_bounds_at_negative_tolerances(petersen):
     assert 0 < fired[-1.0] < fired[-2.0] == fired[-3.0] == len(corpus)
     for f in corpus + [GraphFacts(write_graph6(g), g)
                        for g in (petersen, cycle_graph(9), cycle_graph(12))]:
-        brouwer = regular_toughness_bounds(f.g, f.summary)[0]
-        assert abs(brouwer - toughness_lower_terms(f.g, f.summary)[2]) <= 1e-12, f.g6
+        assert abs(regular_bounds(f)[0] - lower_terms(f)[2]) <= 1e-12, f.g6
 
 
 def test_connectivity_cap(petersen, c4, claw):
-    s = spectral_summary(petersen)
-    cap = algebraic_connectivity_cap(s, Fraction(4, 3))
+    s = SpectralSummary(petersen)
+    cap = algebraic_connectivity_cap(s.laplacian_radius, Fraction(4, 3))
     assert abs(cap - 20 / 7) <= 1e-8 and s.algebraic_connectivity <= cap + 1e-7
-    s = spectral_summary(c4)
-    cap = algebraic_connectivity_cap(s, Fraction(1))
+    s = SpectralSummary(c4)
+    cap = algebraic_connectivity_cap(s.laplacian_radius, Fraction(1))
     assert abs(cap - 2) <= 1e-8 and abs(s.algebraic_connectivity - cap) <= 1e-7
-    s = spectral_summary(claw)
-    cap = algebraic_connectivity_cap(s, Fraction(1, 3))
+    s = SpectralSummary(claw)
+    cap = algebraic_connectivity_cap(s.laplacian_radius, Fraction(1, 3))
     assert abs(cap - 1) <= 1e-8 and abs(s.algebraic_connectivity - cap) <= 1e-7
 
 
 def test_mixing_values(c4, petersen):
-    xi = spectral_summary(c4).xi
+    xi = SpectralSummary(c4).xi
     x, y, full = 1 << 0, 1 << 2, c4.full_mask
     lhs, rhs = mixing_gap(edge_boundary(c4, x, y), volume(c4, x), volume(c4, y), 2 * c4.m, xi)
     assert abs(lhs - 0.5) <= 1e-9 and abs(rhs - 1.5) <= 1e-8
@@ -146,14 +155,14 @@ def test_mixing_values(c4, petersen):
     assert abs(lhs) <= 1e-9 and abs(rhs) <= 1e-9
     x = mask_of([0, 1, 2, 3])
     lhs, rhs = mixing_gap_single(edge_boundary(petersen, x, x), volume(petersen, x),
-                                 2 * petersen.m, spectral_summary(petersen).xi)
+                                 2 * petersen.m, SpectralSummary(petersen).xi)
     assert abs(lhs - 4.8) <= 1e-8 and abs(rhs - 4.8) <= 1e-8
 
 
 def test_mixing_requires_an_edge():
     from toughlab import empty_graph
     g = empty_graph(3)
-    xi = spectral_summary(g).xi
+    xi = SpectralSummary(g).xi
     with pytest.raises(ValueError):
         mixing_gap(edge_boundary(g, 1, 2), volume(g, 1), volume(g, 2), 2 * g.m, xi)
     with pytest.raises(ValueError):
@@ -328,7 +337,7 @@ def test_mixing_records_match_the_per_pair_definition():
     graphs = violations = partial = 0
     for g in corpus:
         g6 = write_graph6(g)
-        sides = _reference_mixing(g, spectral_summary(g).xi) if g.m else []
+        sides = _reference_mixing(g, SpectralSummary(g).xi) if g.m else []
         for tol in (1e-7, -0.05, -0.5, -1.0):
             want = [(check, lhs.hex(), rhs.hex())
                     for check, lhs, rhs in sides if lhs > rhs + tol]
@@ -357,7 +366,7 @@ def test_mixing_records_match_the_per_pair_definition_on_the_float_boundary():
         if not g.m:
             continue
         g6 = write_graph6(g)
-        sides = _reference_mixing(g, spectral_summary(g).xi)
+        sides = _reference_mixing(g, SpectralSummary(g).xi)
         for tol in (0.0, -2.0 ** -40):
             want = [(check, lhs.hex(), rhs.hex())
                     for check, lhs, rhs in sides if lhs > rhs + tol]
@@ -415,7 +424,7 @@ def test_mixing_and_cut_partition_evaluate_only_groups_that_can_violate(monkeypa
     evaluated = 0
     for g in graphs:
         g6, two_m = write_graph6(g), 2 * g.m
-        xi = spectral_summary(g).xi
+        xi = SpectralSummary(g).xi
         # at 1e-7 no triple violates and no cut size can give a record, so
         # the screens decide every (vol X, vol Y) block, each unordered
         # pair against its floor alone, and every |S|
@@ -456,7 +465,8 @@ def _reference_cut_partition(g, summary):
     """(check, lhs, rhs) for every cut set and grouping of the blocks it
     leaves, in the check's order, with the blocks from ``component_sets``,
     each with the comparison that makes it a record."""
-    cap_ratio, floor_ratio = cut_partition_ratios(summary)
+    cap_ratio, floor_ratio = cut_partition_ratios(
+        summary.laplacian_radius, summary.algebraic_connectivity)
     cap = cap_ratio * g.n
     adj = to_adj(g)
     sides = []
@@ -506,15 +516,15 @@ def test_cut_partition_records_match_the_per_grouping_definition():
 
 
 class _NoFloor(GraphFacts):
-    """Facts whose floor on xi is 0 whatever is set, so it decides nothing."""
+    """Facts whose floor on xi is 0, so it decides nothing."""
 
-    xi_floor = property(lambda self: 0.0, lambda self, value: None)
+    xi_floor = 0.0
 
 
 def test_the_xi_floor_changes_no_record(monkeypatch):
     # default checks on every labeled graph up to 5 vertices and on seeded
-    # ones up to 9; all checks, where mixing makes xi its own floor, on
-    # fewer, as mixing at a negative tol records most subset pairs
+    # ones up to 9; all checks on fewer, as mixing at a negative tol
+    # records most subset pairs
     corpora = {
         DEFAULT_CHECKS: [*(g for n in range(1, 6) for g in enumerate_labeled(n)),
                          *(g for n in range(6, 10) for g in _seeded_graphs(n, 100, seed=n))],
@@ -540,33 +550,44 @@ def test_the_xi_floor_changes_no_record(monkeypatch):
 
 
 def test_independence_bound_values(petersen, c4, k4):
-    s = spectral_summary(petersen)
-    got = independence_upper_bounds(petersen, s)
+    def bounds(g):
+        f = facts_of(g)
+        return (degree_independence_bound(g.n, f.dmax, f.dmin),
+                mixing_independence_bound(g.m, f.dmin, f.summary.xi),
+                laplacian_independence_bound(g.n, f.dmin, f.summary.laplacian_radius))
+
+    got = bounds(petersen)
     assert abs(got[0] - 5) <= 1e-8 and abs(got[1] - 4) <= 1e-7 and abs(got[2] - 4) <= 1e-7
-    got = independence_upper_bounds(c4, spectral_summary(c4))
+    got = bounds(c4)
     assert all(abs(x - 2) <= 1e-7 for x in got)
-    got = independence_upper_bounds(k4, spectral_summary(k4))
+    got = bounds(k4)
     assert abs(got[0] - 2) <= 1e-8 and abs(got[1] - 1) <= 1e-7 and abs(got[2] - 1) <= 1e-7
 
 
 def test_semiregular_structure(petersen, c4, claw):
-    s = spectral_summary(petersen)
-    ind = independence_number(petersen).witness
-    assert semiregular_equality_check(petersen, ind, s)
-    assert semiregular_equality_check(c4, mask_of([0, 2]), spectral_summary(c4))
-    assert semiregular_equality_check(claw, mask_of([1, 2, 3]), spectral_summary(claw))
+    def biregular(g, ind):
+        f = facts_of(g)
+        return semiregular_equality_check(g, ind, f.dmin, f.summary.laplacian_radius)
+
+    assert biregular(petersen, independence_number(petersen).witness)
+    assert biregular(c4, mask_of([0, 2]))
+    assert biregular(claw, mask_of([1, 2, 3]))
     with pytest.raises(ValueError, match="independent"):
-        semiregular_equality_check(c4, mask_of([0, 1]), spectral_summary(c4))
+        biregular(c4, mask_of([0, 1]))
 
 
 def test_cut_partition_values(c4, claw, petersen):
     # (cap on |X|, floor on |S|) = (cap ratio * n, floor ratio * |X|)
-    cap_ratio, floor_ratio = cut_partition_ratios(spectral_summary(c4))
+    def ratios(g):
+        s = SpectralSummary(g)
+        return cut_partition_ratios(s.laplacian_radius, s.algebraic_connectivity)
+
+    cap_ratio, floor_ratio = ratios(c4)
     assert abs(cap_ratio * 4 - 1) <= 1e-8 and abs(floor_ratio * 1 - 2) <= 1e-8
-    cap_ratio, floor_ratio = cut_partition_ratios(spectral_summary(claw))
+    cap_ratio, floor_ratio = ratios(claw)
     assert abs(cap_ratio * 4 - 1.5) <= 1e-8 and abs(floor_ratio * 1 - 2 / 3) <= 1e-8
     # the cut {0, 1, 2, 3} leaves three 2-vertex blocks; X is one of them
-    cap_ratio, floor_ratio = cut_partition_ratios(spectral_summary(petersen))
+    cap_ratio, floor_ratio = ratios(petersen)
     assert abs(cap_ratio * 10 - 3) <= 1e-7
     assert abs(floor_ratio * 2 - 8 / 3) <= 1e-7
 
@@ -642,5 +663,5 @@ def test_slack_is_nonnegative_for_finite_toughness():
         facts = GraphFacts(write_graph6(g), g)
         if facts.cert.infinite:
             continue
-        for value in (*toughness_lower_terms(g, facts.summary), *facts.lap_bounds):
+        for value in (*lower_terms(facts), *facts.lap_bounds):
             assert facts.tau + 1e-7 >= value

@@ -11,6 +11,7 @@ import pytest
 
 from toughlab import (
     Graph,
+    SpectralSummary,
     build_extremal,
     complete_graph,
     degree_profile,
@@ -23,7 +24,6 @@ from toughlab import (
     join,
     laplacian_spectrum,
     mask_of,
-    spectral_summary,
     toughness,
     vertex_connectivity,
 )
@@ -110,7 +110,7 @@ def test_joins_with_a_disconnected_side_have_connectivity_k():
                         continue
                     g = join(base, other)
                     assert vertex_connectivity(g).kappa == k
-                    assert abs(spectral_summary(g).algebraic_connectivity - k) <= 1e-8
+                    assert abs(SpectralSummary(g).algebraic_connectivity - k) <= 1e-8
 
 
 def test_constructive_family_sweep():
@@ -122,7 +122,7 @@ def test_constructive_family_sweep():
                 if not extremal._eigen_condition(base, delta, n):
                     continue
                 g = build_extremal(base, n)
-                s = spectral_summary(g)
+                s = SpectralSummary(g)
                 assert degree_profile(g)[1] == delta
                 assert abs(s.laplacian_radius - n) <= 1e-8
                 assert abs(s.algebraic_connectivity - delta) <= 1e-8

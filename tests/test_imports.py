@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every module
-imports only the standard library, the test run imports the package that
-PYTHONPATH names, and every package name the README quotes evaluates.
+imports only the standard library, ``bounds`` reads no graph-level module,
+the test run imports the package that PYTHONPATH names, every package name
+the README quotes evaluates, and the README's Python examples run.
 
 The package re-exports its API from ``__init__``, so that module is left
 out of the unused-name check; ``from __future__`` imports are directives,
@@ -72,6 +73,16 @@ def test_absolute_imports_are_found():
     assert absolute_imports(source) == {"numpy", "json", "os", "scipy"}
 
 
+def test_bounds_imports_only_graphs_and_not_degree_profile():
+    # bounds holds formulas over numbers: GraphFacts reads the degrees and
+    # spectra of a graph, and bounds needs graphs only for the biregular
+    # structure check
+    tree = ast.parse((Path(toughlab.__file__).parent / "bounds.py").read_text(encoding="utf-8"))
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert {node.module for node in relative} == {"graphs"}
+    assert "degree_profile" not in {alias.name for node in relative for alias in node.names}
+
+
 def test_a_pythonpath_entry_holding_the_package_is_imported(tmp_path):
     # a copy of the package on PYTHONPATH wins over the checkout's src
     # when pytest runs from the checkout with its configuration
@@ -114,3 +125,11 @@ def test_a_package_name_the_readme_quotes_evaluates(name):
         except ModuleNotFoundError:
             break
     eval(name, {"toughlab": toughlab})
+
+
+def test_the_readme_python_examples_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -14,6 +14,7 @@ import pytest
 from toughlab import (
     ConvergenceError,
     Graph,
+    SpectralSummary,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -24,7 +25,6 @@ from toughlab import (
     adjacency_spectrum,
     normalized_laplacian_spectrum,
     petersen_graph,
-    spectral_summary,
     symmetric_eigenvalues,
     xi_cut_floor,
 )
@@ -123,16 +123,16 @@ def test_normalized_examples(c4, petersen):
 
 
 def test_summary_examples(petersen, c4, k4):
-    s = spectral_summary(petersen)
+    s = SpectralSummary(petersen)
     assert abs(s.xi - 2 / 3) <= 1e-8 and abs(s.lambda_reg - 2) <= 1e-8
-    s = spectral_summary(c4)
+    s = SpectralSummary(c4)
     assert abs(s.xi - 1) <= 1e-8 and abs(s.lambda_reg - 2) <= 1e-8
-    s = spectral_summary(k4)
+    s = SpectralSummary(k4)
     assert abs(s.xi - 1 / 3) <= 1e-8 and abs(s.lambda_reg - 1) <= 1e-8
     irregular = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
-        spectral_summary(Graph.from_edges(1, []))
-    assert spectral_summary(irregular).lambda_reg is None
+        SpectralSummary(Graph.from_edges(1, []))
+    assert SpectralSummary(irregular).lambda_reg is None
 
 
 def test_summary_solves_twice_for_every_graph(monkeypatch, claw, c4):
@@ -140,12 +140,22 @@ def test_summary_solves_twice_for_every_graph(monkeypatch, claw, c4):
     solve = spectra.symmetric_eigenvalues
     monkeypatch.setattr(spectra, "symmetric_eigenvalues",
                         lambda m: calls.append("solve") or solve(m))
-    assert spectral_summary(claw).lambda_reg is None
-    assert calls == ["solve", "solve"]
+    # construction solves nothing; each spectrum is solved on first read
+    for g in (claw, c4):
+        calls.clear()
+        s = SpectralSummary(g)
+        assert calls == []
+        _ = s.xi, s.laplacian_eigs, s.xi, s.laplacian_eigs
+        assert calls == ["solve", "solve"]
+    # lambda_reg needs no solve on an irregular graph, and on a regular one
+    # only L, as L = dI - A
     calls.clear()
-    assert spectral_summary(c4).lambda_reg is not None
-    assert calls == ["solve", "solve"]
-    # `toughlab spectra` adds the adjacency solve
+    assert SpectralSummary(claw).lambda_reg is None
+    assert calls == []
+    s = SpectralSummary(c4)
+    assert s.lambda_reg is not None
+    assert calls == ["solve"] and "laplacian_eigs" in vars(s) and "normalized_eigs" not in vars(s)
+    # `toughlab spectra` reads both spectra and adds the adjacency solve
     for g in (claw, c4):
         calls.clear()
         monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(g) + "\n"))

@@ -54,7 +54,6 @@ from .bounds import (
     laplacian_independence_bound,
     laplacian_toughness_terms,
     mixing_gap,
-    mixing_gap_single,
     mixing_independence_bound,
     regular_toughness_bounds,
     semiregular_equality_check,

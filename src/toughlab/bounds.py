@@ -16,13 +16,13 @@ on a regular graph Brouwer's d/lambda - 1 is ``spectral_toughness_term``,
 and the cap is the gap bound of ``laplacian_toughness_terms``
 rearranged, equality case included.
 
-The two mixing evaluators take integers (an edge count, two volumes, 2m)
-and the normalized deviation rather than a graph and vertex sets.  Their
-centre and right side, which do not depend on the edge count, come from
-``mixing_terms`` and ``mixing_terms_single``, the one place of each
-formula.  ``mixing_scale`` gives the per-volume factor a(nu) of a floor
-under the two-set right side, which lets the mixing check screen a pair
-of volumes, and their complement mirrors, without a square root.
+The mixing evaluator takes integers (an edge count, two volumes, 2m) and
+the normalized deviation rather than a graph and vertex sets.  Its centre
+and right side, which do not depend on the edge count, come from
+``mixing_terms``, the one place of the formula.  ``mixing_scale`` gives
+the per-volume factor a(nu) of a floor under the right side, which lets
+the mixing check screen a pair of volumes, and their complement mirrors,
+without a square root.
 
 ``tough-lower`` and ``alpha-mixing`` read xi only through T(xi) =
 dmin(xi + 1)/(dmax xi) - 2, which falls as xi grows, and M(xi) =
@@ -57,8 +57,7 @@ from .graphs import Graph, VertexSet, iter_bits
 EPS_EQ = 1e-7
 # puts xi a(nu_x) a(nu_y) (see mixing_scale) under every rounding of the rhs
 MIXING_SCREEN_FACTOR = 1.0 - 2.0 ** -46
-# times 2m, lowers that floor, and the single-set rhs, under the rhs of
-# every complement mirror (see mixing_scale)
+# times 2m, lowers that floor under every complement mirror's rhs
 MIXING_MIRROR_MARGIN = 2.0 ** -49
 # lowers a cut's floor on xi under the solved xi, whatever its rounding
 XI_FLOOR_MARGIN = 1e-9
@@ -108,7 +107,7 @@ def algebraic_connectivity_cap(mu1: float, tau: Fraction) -> float:
 
 
 def mixing_terms(nu_x: int, nu_y: int, two_m: int, xi: float) -> tuple[float, float]:
-    """(centre, rhs) of the two-set mixing inequality for sets X, Y of
+    """(centre, rhs) of the mixing inequality for sets X, Y of
     volumes nu_x, nu_y in a graph of 2m = two_m and normalized deviation
     xi: the volume-expected edge count nu_x nu_y / 2m and xi times the
     variance-style envelope.  Neither depends on e(X, Y)."""
@@ -146,29 +145,10 @@ def mixing_scale(nu: int, two_m: int) -> float:
 def mixing_gap(
     e: int, nu_x: int, nu_y: int, two_m: int, xi: float
 ) -> tuple[float, float]:
-    """Two-set mixing inequality sides for sets X, Y with e = e(X, Y)
+    """Mixing inequality sides for sets X, Y with e = e(X, Y)
     (edge_boundary) and volumes nu_x, nu_y, as in mixing_terms: (deviation
     |e - centre| of e from its volume-expected value, rhs)."""
     centre, rhs = mixing_terms(nu_x, nu_y, two_m, xi)
-    return abs(e - centre), rhs
-
-
-def mixing_terms_single(nu_x: int, two_m: int, xi: float) -> tuple[float, float]:
-    """(centre, rhs) of the single-set mixing inequality for X against
-    itself, as mixing_terms with nu_y = nu_x but the envelope
-    xi nu_x (1 - nu_x / 2m)."""
-    if two_m < 1:
-        raise ValueError("mixing needs at least one edge")
-    nu_v = float(two_m)
-    return nu_x * nu_x / nu_v, xi * nu_x * (1.0 - nu_x / nu_v)
-
-
-def mixing_gap_single(
-    e: int, nu_x: int, two_m: int, xi: float
-) -> tuple[float, float]:
-    """Single-set mixing inequality sides for X against itself, with
-    e = e(X, X) and nu_x as in mixing_gap."""
-    centre, rhs = mixing_terms_single(nu_x, two_m, xi)
     return abs(e - centre), rhs
 
 

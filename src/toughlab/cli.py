@@ -7,7 +7,8 @@ on stdout; human-readable tables with --table; summaries go to stderr.
 
 Exit codes: 0 clean, 1 sweep violations (or the diagnostic that stops a
 strict-mode sweep), 2 usage, input or I/O errors, or a per-graph command's
-bad line: every command reports one as ``line N: message`` and reads on.
+bad line: every command reports one as ``line N: message`` and reads on;
+141 (128 + SIGPIPE) when the reader of stdout closes it, as in ``| head``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from typing import Iterator
 
@@ -354,10 +356,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except (FormatError, SweepConfigError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

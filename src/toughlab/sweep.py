@@ -42,11 +42,9 @@ from .bounds import (
     laplacian_independence_bound,
     laplacian_toughness_terms,
     mixing_gap,
-    mixing_gap_single,
     mixing_independence_bound,
     mixing_scale,
     mixing_terms,
-    mixing_terms_single,
     semiregular_equality_check,
     spectral_toughness_term,
 )
@@ -225,7 +223,8 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
 
 
 def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    """Both mixing inequalities over every subset pair.
+    """The mixing inequality over every ordered subset pair.  At X = Y its
+    right side is xi vol X (1 - vol X / 2m), the lemma's single-set form.
 
     A pair (x, y) has the integer code vol[y] * (2m + 1) + e(x, y), where
     e(x, y) counts the ordered adjacent pairs (u, v) with u in x and v in
@@ -238,9 +237,8 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
 
     In a code set, the codes of one vol[y] form one block of 2m + 1 bits.
     In a block the centre and the right side are fixed, and the rounded
-    e - centre is monotone in the integer e, so |e - centre| is largest at
-    the block's smallest or largest e: the block can hold a violation only
-    if one of those two does.
+    e - centre is monotone in the integer e, so the block can hold a
+    violation only if its smallest or largest e does.
 
     Each block stands for up to eight.  As e(x, y) = e(y, x), the blocks
     (nu_x, nu_y) and (nu_y, nu_x) hold the same e.  As vol(V - x) =
@@ -252,19 +250,15 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     nu_x <= nu_y <= m are screened, against xi a(nu_x) a(nu_y) scaled by
     MIXING_SCREEN_FACTOR, a floor under the right side of both
     orientations, less MIXING_MIRROR_MARGIN * 2m for what the mirrors'
-    own roundings can add: one multiplication per block, with a(nu)
-    computed once per volume.  The single-set inequality is screened per
-    vol[x] <= m in the same way, with the smallest and largest e(x, x),
-    as e(V - x, V - x) = 2m - 2 vol x + e(x, x).
+    own roundings can add: one multiplication per block.
 
     Only a block that fails the screen gets the exact test of each of its
     orientations (``mixing_terms``), each on its own block and floats, and
-    only an orientation that fails that has each triple evaluated, once;
-    only the violating triples are kept.  Only when some triple violates
-    are the pairs replayed in order: a row x whose volume has a violating
-    triple gets its codes in y order, the subset sums of its weights
-    doubled one vertex at a time, so the check holds O(n 2^n) codes at
-    once.
+    only an orientation that fails that has each triple evaluated, once.
+    Only when some triple violates are the pairs replayed in order: a row
+    x whose volume has a violating triple gets its codes in y order, the
+    subset sums of its weights doubled one vertex at a time, so the check
+    holds O(n 2^n) codes at once.
     """
     g = f.g
     two_m, xi = 2 * g.m, f.summary.xi
@@ -272,37 +266,22 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     block_mask = (1 << base) - 1
     margin = MIXING_MIRROR_MARGIN * two_m
     subsets = range(g.full_mask + 1)
-    # diagonal[x] = e(x, x), doubled one vertex at a time
-    vol, diagonal = [0], [0]
-    for row in g.rows:
-        degree = row.bit_count()
-        diagonal += [d + 2 * (row & x).bit_count() for x, d in enumerate(diagonal)]
+    vol = [0]
+    for degree in f.degrees:
         vol += [nu + degree for nu in vol]
     # the rows whose code sets are built: each orbit has one with vol <= m
     low = [nu <= g.m for nu in vol]
     low_rows = list(compress(subsets, low))
-    heads = [row.bit_count() * base for row in g.rows]
+    heads = [degree * base for degree in f.degrees]
     # sums[k] has bit c set iff some y gives the pair (low_rows[k], y) the code c
     sums = [1] * len(low_rows)
     for head, row in zip(heads, g.rows):
         weight = [head + (row & x).bit_count() for x in low_rows]
         sums = list(map(or_, sums, map(lshift, sums, weight)))
     codes_of = dict.fromkeys(compress(vol, low), 0)
-    diagonals_of = codes_of.copy()
-    for nu, d, codes in zip(compress(vol, low), compress(diagonal, low), sums):
+    for nu, codes in zip(compress(vol, low), sums):
         codes_of[nu] |= codes
-        diagonals_of[nu] |= 1 << d
     vols = sorted(codes_of)
-    # the volumes whose single-set block can hold a violation
-    single = set()
-    for nu in vols:
-        centre, rhs = mixing_terms_single(nu, two_m, xi)
-        block = diagonals_of[nu]
-        if _block_can_violate(block, centre, rhs - margin + tol):
-            for nu_a, block_a in {nu: block, two_m - nu: block << two_m - 2 * nu}.items():
-                centre, rhs = mixing_terms_single(nu_a, two_m, xi)
-                if _block_can_violate(block_a, centre, rhs + tol):
-                    single.add(nu_a)
     # violating[vol[x]][code] = (lhs, rhs) of each violating triple
     violating: dict[int, dict[int, tuple[float, float]]] = {}
     nu_v = float(two_m)
@@ -324,13 +303,9 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
                             sides = mixing_gap(e, nu_a, nu_b, two_m, xi)
                             if sides[0] > sides[1] + tol:
                                 violating.setdefault(nu_a, {})[offset + e] = sides
-    if not violating and not single:
+    if not violating:
         return
     for x in subsets:
-        if vol[x] in single:
-            lhs, rhs = mixing_gap_single(diagonal[x], vol[x], two_m, xi)
-            if lhs > rhs + tol:
-                yield Violation(f.g6, "mixing-single", lhs, rhs)
         sides_of = violating.get(vol[x])
         if sides_of:
             row_codes = [0]  # row_codes[y] is the code of (x, y)

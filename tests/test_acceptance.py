@@ -23,7 +23,7 @@ from toughlab import (
     independence_number,
     join,
     laplacian_spectrum,
-    mixing_gap_single,
+    mixing_gap,
     petersen_graph,
     semiregular_equality_check,
     spectral_toughness_term,
@@ -174,16 +174,16 @@ def test_criterion_6_mixing_sweep():
                             lines())
     g = petersen_graph()
     witness = independence_number(g).witness
-    lhs, rhs = mixing_gap_single(edge_boundary(g, witness, witness), volume(g, witness),
-                                 2 * g.m, SpectralSummary(g).xi)
+    lhs, rhs = mixing_gap(edge_boundary(g, witness, witness), volume(g, witness),
+                          volume(g, witness), 2 * g.m, SpectralSummary(g).xi)
     ok = (
         not violations
         and abs(lhs - 4.8) <= 1e-8
         and abs(rhs - 4.8) <= 1e-8
     )
-    report("mixing inequalities over all subset pairs, n <= 5", ok,
+    report("mixing inequality over all subset pairs, n <= 5", ok,
            f"{rep.graphs_checked} graphs, {len(violations)} violations, "
-           f"Petersen single-set {lhs:.9f} = {rhs:.9f}")
+           f"Petersen (X, X) {lhs:.9f} = {rhs:.9f}")
 
 
 def test_criterion_7_join_spectrum_cross_check():

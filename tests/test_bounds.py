@@ -27,7 +27,6 @@ from toughlab import (
     laplacian_independence_bound,
     mask_of,
     mixing_gap,
-    mixing_gap_single,
     mixing_independence_bound,
     regular_toughness_bounds,
     semiregular_equality_check,
@@ -39,7 +38,6 @@ from toughlab.bounds import (
     cut_partition_ratios,
     mixing_scale,
     mixing_terms,
-    mixing_terms_single,
 )
 from toughlab.cli import BOUNDS_COLUMNS, main
 from toughlab.formats import enumerate_labeled, write_graph6
@@ -154,8 +152,8 @@ def test_mixing_values(c4, petersen):
                           2 * c4.m, xi)
     assert abs(lhs) <= 1e-9 and abs(rhs) <= 1e-9
     x = mask_of([0, 1, 2, 3])
-    lhs, rhs = mixing_gap_single(edge_boundary(petersen, x, x), volume(petersen, x),
-                                 2 * petersen.m, SpectralSummary(petersen).xi)
+    lhs, rhs = mixing_gap(edge_boundary(petersen, x, x), volume(petersen, x),
+                          volume(petersen, x), 2 * petersen.m, SpectralSummary(petersen).xi)
     assert abs(lhs - 4.8) <= 1e-8 and abs(rhs - 4.8) <= 1e-8
 
 
@@ -166,7 +164,7 @@ def test_mixing_requires_an_edge():
     with pytest.raises(ValueError):
         mixing_gap(edge_boundary(g, 1, 2), volume(g, 1), volume(g, 2), 2 * g.m, xi)
     with pytest.raises(ValueError):
-        mixing_gap_single(edge_boundary(g, 1, 1), volume(g, 1), 2 * g.m, xi)
+        mixing_gap(edge_boundary(g, 1, 1), volume(g, 1), volume(g, 1), 2 * g.m, xi)
 
 
 def test_mixing_screen_floor_is_under_the_rhs_of_both_orientations():
@@ -188,6 +186,19 @@ def test_mixing_screen_floor_is_under_the_rhs_of_both_orientations():
 # the xi of the floor test above
 SCREEN_XIS = [1.0, 0.5, 1 / 3, 2.0 ** -20, *(random.Random(17).random() for _ in range(6))]
 SCREEN_TOLS = (1e-7, 0.0, -2.0 ** -40, -0.05)
+
+
+def test_the_pair_inequality_at_y_equal_x_is_the_single_set_one():
+    # every 2m up to 90 (n <= 10) and every volume it allows: at Y = X the
+    # pair terms are the single-set centre vol X^2 / 2m and right side
+    # xi vol X (1 - vol X / 2m), so the pair check tests that inequality too
+    for two_m in range(2, 91, 2):
+        nu_v = float(two_m)
+        for nu in range(two_m + 1):
+            for xi in SCREEN_XIS:
+                centre, rhs = mixing_terms(nu, nu, two_m, xi)
+                assert centre == nu * nu / nu_v, (two_m, nu, xi)
+                assert abs(rhs - xi * nu * (1.0 - nu / nu_v)) <= 2 * math.ulp(nu_v), (two_m, nu, xi)
 
 
 def _least_passing_xi(passes, estimate):
@@ -269,33 +280,6 @@ def test_the_mirrored_mixing_screen_passes_no_violation_of_any_orientation():
                             assert_no_violation(e, bounds_of(xi, tol), xi, tol)
 
 
-def test_the_mirrored_single_set_screen_passes_no_violation_of_either_orientation():
-    # every 2m up to 90, every nu <= m and every even e(X, X) <= nu, at the
-    # fixed xi and the least one the screen passes e at: an e the screen
-    # passes violates neither for X nor for V - X, with
-    # e(V - X, V - X) = 2m - 2 nu + e(X, X)
-    for two_m in range(2, 91, 2):
-        margin = MIXING_MIRROR_MARGIN * two_m
-        for nu in range(two_m // 2 + 1):
-
-            def limit(xi, tol):
-                return mixing_terms_single(nu, two_m, xi)[1] - margin + tol
-
-            centre = mixing_terms_single(nu, two_m, 1.0)[0]
-            for e in range(0, nu + 1, 2):
-                deviation = abs(e - centre)
-                for tol in SCREEN_TOLS:
-                    least = _least_passing_xi(
-                        lambda xi: not deviation > limit(xi, tol),
-                        (deviation - tol + margin) / (limit(1.0, margin) or 1.0))
-                    for xi in SCREEN_XIS if least is None else [*SCREEN_XIS, least]:
-                        if deviation > limit(xi, tol):
-                            continue
-                        for e_a, nu_a in ((e, nu), (two_m - 2 * nu + e, two_m - nu)):
-                            lhs, rhs = mixing_gap_single(e_a, nu_a, two_m, xi)
-                            assert lhs <= rhs + tol, (two_m, xi, tol, nu, e, nu_a)
-
-
 def _seeded_graphs(n, count, seed):
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
@@ -311,8 +295,6 @@ def _reference_mixing(g, xi):
     vol = [volume(g, x) for x in range(g.full_mask + 1)]
     sides = []
     for x, nu_x in enumerate(vol):
-        lhs = abs(edge_boundary(g, x, x) - nu_x * nu_x / nu_v)
-        sides.append(("mixing-single", lhs, xi * nu_x * (1.0 - nu_x / nu_v)))
         for y, nu_y in enumerate(vol):
             lhs = abs(edge_boundary(g, x, y) - nu_x * nu_y / nu_v)
             rhs = xi * math.sqrt(nu_x * nu_y * (1.0 - nu_x / nu_v) * (1.0 - nu_y / nu_v))
@@ -345,9 +327,8 @@ def test_mixing_records_match_the_per_pair_definition():
                    for r in evaluate_graph(g6, g, ("mixing",), tol, 1e-7)]
             assert got == want, (g6, tol)
             violations += len(got)
-            pairs = sum(check == "mixing-pair" for check, _, _ in got)
             # a violating and a clean pair mean a violating and a clean triple
-            partial += tol == -0.05 and 0 < pairs < (g.full_mask + 1) ** 2
+            partial += tol == -0.05 and 0 < len(got) < (g.full_mask + 1) ** 2
         graphs += 1
     assert graphs == 1 + 2 + 8 + 64 + 1024 + 300 + 4 + 2
     assert violations > 90_000
@@ -373,6 +354,35 @@ def test_mixing_records_match_the_per_pair_definition_on_the_float_boundary():
             got = [(r.check, r.lhs.hex(), r.rhs.hex())
                    for r in evaluate_graph(g6, g, ("mixing",), tol, 1e-7)]
             assert got == want, (g6, tol)
+
+
+def test_every_single_set_violation_has_its_diagonal_pair_record():
+    # every labeled graph with n <= 5: each X that violates the single-set
+    # inequality, computed from its definition, has the (X, X) record among
+    # the sweep's, with the same lhs bits.  Records come in the reference's
+    # x-major pair order, so the index of (X, X) finds its record
+    found = 0
+    for g in (g for n in range(1, 6) for g in enumerate_labeled(n)):
+        if not g.m:
+            continue
+        g6, xi, nu_v, size = write_graph6(g), SpectralSummary(g).xi, 2.0 * g.m, g.full_mask + 1
+        sides = _reference_mixing(g, xi)
+        for tol in (-0.05, -0.5):
+            records = evaluate_graph(g6, g, ("mixing",), tol, 1e-7)
+            index = [k for k, (_, lhs, rhs) in enumerate(sides) if lhs > rhs + tol]
+            assert len(index) == len(records), (g6, tol)
+            record_of = dict(zip(index, records))
+            for x in range(size):
+                nu = volume(g, x)
+                lhs = abs(edge_boundary(g, x, x) - nu * nu / nu_v)
+                rhs = xi * nu * (1.0 - nu / nu_v)
+                if lhs > rhs + tol:
+                    record = record_of.get(x * size + x)
+                    assert record is not None, (g6, tol, x)
+                    assert record.check == "mixing-pair" and record.lhs == lhs, (g6, tol, x)
+                    assert abs(record.rhs - rhs) <= 2 * math.ulp(nu_v), (g6, tol, x)
+                    found += 1
+    assert found > 12_000
 
 
 def test_mixing_memory_stays_linear_in_the_subset_count():

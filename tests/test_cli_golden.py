@@ -88,7 +88,7 @@ GOLDEN = {
     (("verify",), "all-5"): (0, "f02f00fc2f044c058e279d31825aa116e379df0f0bc06eef628b941b990321ee"),
     (("verify", "--checks", "all"), "all-le4"): (0, "d351329e9340cace0c5089a57634191da6c9d9eb0b4444a1ac4fae7da100fede"),
     (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): (0, "d351329e9340cace0c5089a57634191da6c9d9eb0b4444a1ac4fae7da100fede"),
-    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): (1, "ea566e5b7db4d153ddfe5ee6176fd00a2ef6d0e5e6f255cb7b20e8b41d74deb1"),
+    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): (1, "9ef0dbbc06dcd194559a02b006a2416be4b9daa78813bc886d882e3bd7417e0b"),
     (("verify", "--checks", "tough-lower,cut-partition"), "all-5"): (0, "27abe4fae213acb17a47bb023c55a9c8abf86fed4e3b57a32cab2f92d80f1e1d"),
     (("bounds",), "conn-le5"): (0, "24b3e5d9b65829941afeafb2ee08a28e563ad6697f62b321c8ee11bb6a8df46c"),
     (("bounds", "--csv"), "conn-le5"): (0, "166e4f713356770a77afacfce1b2193937ff3bbd509dd07f816ad2d273023edd"),
@@ -108,7 +108,7 @@ GOLDEN = {
     (("verify",), "sample-7"): (0, "824cfdd3e652ed48e5cfdb95bcc6af2f3589296bcf51119c6c16aa4db8db7ccf"),
     (("bounds",), "sample-7"): (0, "d82adae4c61ef64c2e387997eddf6b738658168433b56dc04e48f8f7d0c10c29"),
     (("spectra",), "sample-7"): (0, "de71b2ca1fe9d22a4cdb743e83a3e91280ca74c2f5bad0bf4581976377384aec"),
-    (("verify", "--checks", "mixing", "--tol", "-0.5"), "gnp-9-10"): (1, "d0d9d642367a8691e03f8785ac6e23b26ae8f691f864ad7cbe7e2fc12c0d1fa7"),
+    (("verify", "--checks", "mixing", "--tol", "-0.5"), "gnp-9-10"): (1, "6b8705146111222f8b13784565f390e42ea78f7ba9ec7cd7d6ff1a6705d234b6"),
 }
 
 # verify entries: sha256 of the sorted stdout lines
@@ -116,7 +116,7 @@ SORTED_GOLDEN = {
     (("verify",), "all-5"): "6f58a2d72b935835ac06a733fbd32079bb2fbe35fc46489867ced02da19f5830",
     (("verify", "--checks", "all"), "all-le4"): "a3e74b225f4952e39b974ef523e528d981f8916da9c67e2775329620b4c0f8f4",
     (("verify", "--checks", "all", "--jobs", "2"), "all-le4"): "a3e74b225f4952e39b974ef523e528d981f8916da9c67e2775329620b4c0f8f4",
-    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): "9a472d56698ce1a1f56930fe4d31ba8406ca3de2505c033c57e4b6d6126be22d",
+    (("verify", "--checks", "all", "--tol", "-0.5"), "all-le4"): "1dca6e5082d3b0dc4436706efdf6f3292efaecbac5e875e189089d74763b2909",
     (("verify", "--checks", "tough-lower,cut-partition"), "all-5"): "38bf4ae1aaad85d5c83f1dc56aaa4064d51d1c5cd9bc0c931cd47bd8282a3906",
     (("verify", "--gen", "5", "--connected"), "none"): "6f58a2d72b935835ac06a733fbd32079bb2fbe35fc46489867ced02da19f5830",
     (("verify",), "sample-7"): "9efa2feb01201a9a513829d596ae38682c1a1f8fcbddd37de9823bfc0b0e1258",

@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every module
 imports only the standard library, ``bounds`` reads no graph-level module,
 the test run imports the package that PYTHONPATH names, every package name
-the README quotes evaluates, and the README's Python examples run.
+the README quotes evaluates, the README's check table names each check's
+records, and the README's Python examples run.
 
 The package re-exports its API from ``__init__``, so that module is left
 out of the unused-name check; ``from __future__`` imports are directives,
@@ -10,6 +11,7 @@ not names.
 
 import ast
 import importlib
+import itertools
 import os
 import re
 import shutil
@@ -20,6 +22,9 @@ from pathlib import Path
 import pytest
 
 import toughlab
+from toughlab.bounds import EPS_EQ
+from toughlab.formats import enumerate_labeled, write_graph6
+from toughlab.sweep import Violation
 
 MODULES = sorted(p for p in Path(toughlab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -109,9 +114,29 @@ def test_the_readme_quotes_package_names():
     assert "toughlab.CHECKS" in README_NAMES
 
 
+CHECK_TABLE = README[README.index("| name | records | meaning |"):].split("\n\n", 1)[0]
+
+
 def test_the_readme_check_table_lists_every_check_in_order():
-    table = README[README.index("| name | meaning |"):].split("\n\n", 1)[0]
-    assert tuple(re.findall(r"^\| `([\w-]+)` \|", table, re.M)) == toughlab.CHECK_NAMES
+    assert tuple(re.findall(r"^\| `([\w-]+)` \|", CHECK_TABLE, re.M)) == toughlab.CHECK_NAMES
+
+
+def test_the_readme_check_table_names_every_record_of_each_check():
+    # at --tol -5 nearly every inequality fails, and at the default tol
+    # the equality records show; each check runs alone, so each record name
+    # it yields over every labeled graph with n <= 5 is known to be its own,
+    # and must be listed in its row's records cell
+    listed = {name: set(re.findall(r"`([\w-]+)`", cell)) for name, cell in
+              re.findall(r"^\| `([\w-]+)` \| ([^|]*) \|", CHECK_TABLE, re.M)}
+    seen = {name: set() for name in toughlab.CHECK_NAMES}
+    for g in (g for n in range(1, 6) for g in enumerate_labeled(n)):
+        g6 = write_graph6(g)
+        for name, tol in itertools.product(toughlab.CHECK_NAMES, (-5.0, 1e-7)):
+            seen[name] |= {r.check if type(r) is Violation else r.tag
+                           for r in toughlab.evaluate_graph(g6, g, (name,), tol, EPS_EQ)}
+    for name, records in seen.items():
+        assert records <= listed[name], (name, records - listed[name])
+    assert sum(map(len, seen.values())) >= 13
 
 
 @pytest.mark.parametrize("name", README_NAMES)

@@ -389,6 +389,23 @@ def run_cli(args, stdin_text=""):
         env={**os.environ, "PYTHONPATH": CHILD_PATH})
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "6"],
+    ["verify", "--gen", "5", "--checks", "all", "--tol", "-0.5"],
+    ["verify", "--gen", "5", "--checks", "all", "--tol", "-0.5", "--jobs", "2"],
+], ids=" ".join)
+def test_a_reader_that_closes_stdout_early_gets_status_141_and_no_error(argv):
+    # as `toughlab ... | head -1`: each stream is far larger than a pipe's
+    # buffer, so the writer is still writing when its reader goes away
+    child = subprocess.Popen([sys.executable, "-m", "toughlab", *argv], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": CHILD_PATH})
+    assert child.stdout.readline()
+    child.stdout.close()
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
 def test_importing_the_cli_loads_no_multiprocessing():
     # nor does a per-graph command, which runs on the sweep loop
     probe = ("import io, sys, toughlab.cli; print('multiprocessing' in sys.modules); "

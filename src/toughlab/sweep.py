@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import (
     EPS_EQ,
+    LAP_SCREEN_MARGIN,
     MIXING_MIRROR_MARGIN,
     MIXING_SCREEN_FACTOR,
     XI_FLOOR_MARGIN,
@@ -57,7 +58,7 @@ from .invariants import (
     independence_number,
     toughness,
 )
-from .spectra import ConvergenceError, SpectralSummary, xi_cut_floor
+from .spectra import ConvergenceError, SpectralSummary, local_max_cut, xi_cut_floor
 
 MIXING_MAX_N = 10
 
@@ -99,9 +100,16 @@ class GraphFacts:
     speak about, connected and not complete (so n >= 2); ``has_edge``
     marks the graphs the mixing and independence checks need, m >= 1.
     ``summary`` solves each spectrum on its first read.  The independence
-    and toughness certificates, the floor on xi, the two Laplacian bounds
-    and the join witness are computed on first read and kept; toughness
-    reads the independence number for its stopping rule.
+    and toughness certificates, a locally maximal cut, the floors on xi and
+    mu_1 and the ceiling on mu_{n-1} that the cut and the certificate give
+    with no solve, the two Laplacian bounds and the join witness are
+    computed on first read and kept; toughness reads the independence
+    number for its stopping rule.
+
+    The checks read a spectrum only where its floor or ceiling leaves a
+    record possible (see ``bounds``): on seeded connected 7-vertex graphs
+    default ``verify`` solves the normalized Laplacian for about 9 % of
+    graphs and the Laplacian for about 4 %.
     """
 
     def __init__(self, g6: str, g: Graph) -> None:
@@ -115,10 +123,47 @@ class GraphFacts:
         self.summary = SpectralSummary(g) if g.n >= 2 else None
 
     @cached_property
+    def cut(self) -> int:
+        """The edge count of a locally maximal cut (``local_max_cut``);
+        needs m >= 1."""
+        return local_max_cut(self.g)
+
+    @cached_property
     def xi_floor(self) -> float:
         """A number the solved xi cannot be below, found without a solve:
-        a cut's floor less XI_FLOOR_MARGIN (see ``bounds``).  Needs m >= 1."""
-        return xi_cut_floor(self.g) - XI_FLOOR_MARGIN
+        the cut's floor less XI_FLOOR_MARGIN (see ``bounds``).  Needs m >= 1."""
+        return xi_cut_floor(self.g, self.cut) - XI_FLOOR_MARGIN
+
+    @cached_property
+    def mu1_floor(self) -> float:
+        """A floor on the Laplacian radius mu_1 with no solve: dmax + 1
+        (Grone and Merris) or 4 cut / n, the Rayleigh quotient on L of
+        the vector that is +1 on one side of the cut and -1 on the other,
+        whichever is larger.  Needs m >= 1."""
+        return max(self.dmax + 1.0, 4.0 * self.cut / self.g.n)
+
+    @cached_property
+    def mu_second_ceiling(self) -> float:
+        """A ceiling on the algebraic connectivity mu_{n-1} with no solve:
+        on a graph that is not complete it is at most the vertex
+        connectivity (Fiedler), which is at most dmin and at most |S| for
+        the toughness certificate's cut S.  Needs ``bounded``."""
+        return float(min(self.dmin, self.cert.tau_num))
+
+    @cached_property
+    def lap_screen(self) -> tuple[float, float]:
+        """(product, gap) Laplacian bounds at mu1_floor and
+        mu_second_ceiling: both bounds fall as mu_1 rises and rise with
+        mu_{n-1}, so each is over its solved value less LAP_SCREEN_MARGIN.
+        Needs ``bounded``."""
+        return laplacian_toughness_terms(
+            self.g.n, self.dmin, self.mu1_floor, self.mu_second_ceiling)
+
+    def lap_reaches(self, k: int, limit: float) -> bool:
+        """The solved Laplacian bound k (0 product, 1 gap) may reach
+        ``limit``: false only where ``lap_screen`` keeps it
+        LAP_SCREEN_MARGIN under ``limit``, with no solve."""
+        return self.lap_screen[k] >= limit - LAP_SCREEN_MARGIN
 
     @cached_property
     def alpha_cert(self) -> IndependenceCertificate:
@@ -191,19 +236,31 @@ def _check_tough_lower(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Rec
     return _lower_bound(f, "tough-lower", value, tol, eps_eq)
 
 
+def _lap_lower_bound(f: GraphFacts, k: int, name: str, tol: float,
+                     eps_eq: float) -> Iterator[Record]:
+    """Toughness over the solved Laplacian bound k (0 product, 1 gap),
+    solved only where the screen leaves it within reach of a violation,
+    over tau + tol, or of the equality window, from tau - eps_eq."""
+    if f.lap_reaches(k, min(f.tau + tol, f.tau - eps_eq)):
+        yield from _lower_bound(f, name, f.lap_bounds[k], tol, eps_eq)
+
+
 def _check_lap_product(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    return _lower_bound(f, "lap-product", f.lap_bounds[0], tol, eps_eq)
+    return _lap_lower_bound(f, 0, "lap-product", tol, eps_eq)
 
 
 def _check_lap_gap(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    return _lower_bound(f, "lap-gap", f.lap_bounds[1], tol, eps_eq)
+    return _lap_lower_bound(f, 1, "lap-gap", tol, eps_eq)
 
 
 def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Independence number under its three bounds, biregular at equality.
     The mixing bound grows with xi, so xi is read only where the bound at
-    xi's floor leaves a violation possible (see ``bounds``)."""
-    g, alpha, dmin, mu1 = f.g, f.alpha_cert.alpha, f.dmin, f.summary.laplacian_radius
+    xi's floor leaves a violation possible.  Likewise the Laplacian bound
+    grows with mu_1, so mu_1 is read only where the bound at its floor,
+    less LAP_SCREEN_MARGIN, leaves alpha within reach of a violation,
+    under it by tol, or of the equality window (see ``bounds``)."""
+    g, alpha, dmin = f.g, f.alpha_cert.alpha, f.dmin
     degree_b = degree_independence_bound(g.n, f.dmax, dmin)
     if alpha > degree_b + tol:
         yield Violation(f.g6, "alpha-degree", float(alpha), degree_b)
@@ -212,6 +269,11 @@ def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Re
         mixing_b = mixing_independence_bound(g.m, dmin, f.summary.xi)
         if alpha > mixing_b + tol:
             yield Violation(f.g6, "alpha-mixing", float(alpha), mixing_b)
+    floor = f.mu1_floor
+    if floor > 0.0 and (laplacian_independence_bound(g.n, dmin, floor) - LAP_SCREEN_MARGIN
+                        > max(alpha - tol, alpha + eps_eq)):
+        return  # alpha is out of reach of a record at any mu_1 above the floor
+    mu1 = f.summary.laplacian_radius
     laplacian_b = laplacian_independence_bound(g.n, dmin, mu1)
     if alpha > laplacian_b + tol:
         yield Violation(f.g6, "alpha-laplacian", float(alpha), laplacian_b)
@@ -389,13 +451,15 @@ def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[R
 
 
 def _check_extremal_iff(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    """Numeric equality in both Laplacian bounds iff the join structure."""
-    verdict = f.verdict(eps_eq)
-    structural = float(verdict.structural)
-    if verdict.product_equality != verdict.structural:
-        yield Violation(f.g6, "extremal-iff-product", float(verdict.product_equality), structural)
-    if verdict.gap_equality != verdict.structural:
-        yield Violation(f.g6, "extremal-iff-gap", float(verdict.gap_equality), structural)
+    """Numeric equality in both Laplacian bounds iff the join structure,
+    as in ``GraphFacts.verdict``; a bound the screen keeps under
+    tau - eps_eq is not at equality, and is not solved."""
+    limit = f.tau - eps_eq
+    equal = [f.lap_reaches(k, limit) and f.at_tau(f.lap_bounds[k], eps_eq) for k in (0, 1)]
+    structural = f.structural
+    for name, equality in zip(("extremal-iff-product", "extremal-iff-gap"), equal):
+        if equality != structural:
+            yield Violation(f.g6, name, float(equality), float(structural))
 
 
 # name -> (check, the GraphFacts flag a graph needs for the check to run)
@@ -467,7 +531,9 @@ def evaluate_graph(
     checks skip edgeless ones.  A check body may still return no record on
     a value, as ``cut-partition`` does, walking no cut set, when no
     (|S|, |X|) has a record.  Each spectrum is solved only if a check
-    reads it.  A graph the checks cannot evaluate raises:
+    reads it, and ``tough-lower``, ``lap-product``, ``lap-gap``,
+    ``alpha-bounds`` and ``extremal-iff`` read one only where its floor or
+    ceiling (``GraphFacts``) leaves a record possible.  A graph the checks cannot evaluate raises:
     SweepConfigError for mixing above MIXING_MAX_N vertices, and
     ConvergenceError from the eigensolver; ``sweep`` turns either into a
     diagnostic for its line.

@@ -40,6 +40,7 @@ from toughlab.bounds import (
     mixing_terms,
 )
 from toughlab.cli import BOUNDS_COLUMNS, main
+from toughlab.extremal import build_extremal
 from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.graphs import Graph, component_masks, cycle_graph
 from toughlab.sweep import CHECK_NAMES, DEFAULT_CHECKS, GraphFacts, Violation, evaluate_graph
@@ -526,37 +527,64 @@ def test_cut_partition_records_match_the_per_grouping_definition():
 
 
 class _NoFloor(GraphFacts):
-    """Facts whose floor on xi is 0, so it decides nothing."""
+    """Facts whose floors on xi and mu_1 are 0 and whose ceiling on
+    mu_{n-1} is infinite, so they decide nothing."""
 
     xi_floor = 0.0
+    mu1_floor = 0.0
+    mu_second_ceiling = math.inf
+
+
+def _floor_joins(seed):
+    """Joins of seeded bases on 1 to 4 vertices with isolated vertices,
+    n up to 9, that clear the eigenvalue floor: both Laplacian bounds sit
+    at toughness, so their screens must fall through to a solve."""
+    rng = random.Random(seed)
+    for delta in range(1, 5):
+        for h in _seeded_graphs(delta, 3, seed=rng.getrandbits(32)):
+            for n in range(delta + 2, 10):
+                g = build_extremal(h, n)
+                if facts_of(g).structural:
+                    yield g
 
 
 def test_the_xi_floor_changes_no_record(monkeypatch):
-    # default checks on every labeled graph up to 5 vertices and on seeded
-    # ones up to 9; all checks on fewer, as mixing at a negative tol
-    # records most subset pairs
+    # default checks on every labeled graph up to 5 vertices, on seeded
+    # ones up to 9 and on floor joins; all checks on fewer, as mixing at
+    # a negative tol records most subset pairs
     corpora = {
         DEFAULT_CHECKS: [*(g for n in range(1, 6) for g in enumerate_labeled(n)),
-                         *(g for n in range(6, 10) for g in _seeded_graphs(n, 100, seed=n))],
+                         *(g for n in range(6, 10) for g in _seeded_graphs(n, 100, seed=n)),
+                         *_floor_joins(seed=30)],
         CHECK_NAMES: [*(g for n in range(1, 5) for g in enumerate_labeled(n)),
                       *(g for n in range(5, 10) for g in _seeded_graphs(n, 4, seed=n))],
     }
     sweep_module = importlib.import_module("toughlab.sweep")
-    tols = (1e-7, 0.0, -0.5, -1.0, -3.0)
+    # (tol, eps_eq): a wider equality window moves the screens' limits only
+    # where tol > -eps_eq; at 0.5 some Laplacian bounds under tau are in it
+    windows = [(tol, 1e-7) for tol in (1e-7, 0.0, -0.5, -1.0, -3.0)]
+    windows = {DEFAULT_CHECKS: windows + [(1e-7, 1e-3), (0.0, 1e-3), (1e-7, 0.5)],
+               CHECK_NAMES: windows}
 
     def records(checks):
-        return [evaluate_graph(write_graph6(g), g, checks, tol, 1e-7)
-                for g in corpora[checks] for tol in tols]
+        return [evaluate_graph(write_graph6(g), g, checks, tol, eps_eq)
+                for g in corpora[checks] for tol, eps_eq in windows[checks]]
 
     with_floor = {checks: records(checks) for checks in corpora}
     monkeypatch.setattr(sweep_module, "GraphFacts", _NoFloor)
     for checks, want in with_floor.items():
         assert records(checks) == want
-    # the floor has records to change: tough-lower and alpha-mixing ones
-    # at each tol, and equality tags at the default one
+    # the floors have records to change: violations of each bound at each
+    # tol, equality tags at the default one, the Laplacian ones on the
+    # floor joins, and extremal-iff ones in the 0.5 window
     names = Counter(type(r).__name__ + ":" + r[1] for rs in with_floor[DEFAULT_CHECKS] for r in rs)
     assert names["Violation:tough-lower"] and names["Violation:alpha-mixing"]
+    assert names["Violation:lap-product"] and names["Violation:lap-gap"]
+    assert names["Violation:alpha-laplacian"]
+    assert names["Violation:extremal-iff-product"] and names["Violation:extremal-iff-gap"]
     assert names["Interesting:tough-lower-equality"]
+    assert names["Interesting:lap-product-equality"] and names["Interesting:lap-gap-equality"]
+    assert names["Interesting:alpha-laplacian-equality"]
 
 
 def test_independence_bound_values(petersen, c4, k4):

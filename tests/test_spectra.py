@@ -25,11 +25,12 @@ from toughlab import (
     adjacency_spectrum,
     normalized_laplacian_spectrum,
     petersen_graph,
+    star_graph,
     symmetric_eigenvalues,
     xi_cut_floor,
 )
 from toughlab import spectra
-from toughlab.bounds import XI_FLOOR_MARGIN
+from toughlab.bounds import LAP_SCREEN_MARGIN, XI_FLOOR_MARGIN, laplacian_independence_bound
 from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.spectra import adjacency_matrix, laplacian_matrix, normalized_laplacian_matrix
@@ -242,6 +243,42 @@ def test_the_cut_floor_is_sharp_on_bipartite_graphs(petersen):
     for g in (petersen, *(cycle_graph(n) for n in range(3, 12, 2))):
         floor = xi_cut_floor(g)
         assert floor < 1.0 and floor - XI_FLOOR_MARGIN < _xi(g)
+
+
+def test_the_laplacian_floor_and_ceiling_hold_and_are_sharp():
+    # every connected non-complete labeled graph on up to 6 vertices, then
+    # seeded G(n, p) on 7 to 16: mu_1 is over its floor and mu_{n-1} under
+    # its ceiling, so the bounds at them are on the far side of the solved
+    # ones, less the margin
+    rng = random.Random(30)
+    graphs = [g for n in range(3, 7) for g in enumerate_labeled(n, connected_only=True)]
+    graphs += [_gnp(n, p, rng) for n in range(7, 17) for p in (0.2, 0.5, 0.8)
+               for _ in range(4)]
+    checked = 0
+    for g in graphs:
+        f = GraphFacts(write_graph6(g), g)
+        if not f.bounded:
+            continue
+        checked += 1
+        lap = laplacian_spectrum(g)
+        assert f.mu1_floor <= lap[0] + 1e-12 and f.mu_second_ceiling >= lap[-2] - 1e-12, f.g6
+        assert all(screen >= solved - LAP_SCREEN_MARGIN
+                   for screen, solved in zip(f.lap_screen, f.lap_bounds)), f.g6
+        assert (laplacian_independence_bound(g.n, f.dmin, f.mu1_floor)
+                <= laplacian_independence_bound(g.n, f.dmin, lap[0]) + LAP_SCREEN_MARGIN)
+    assert checked > 27_000
+    # the star K_{1,k}: mu_1 = dmax + 1 = n and mu_{n-1} = |S| = 1 for its centre
+    for k in range(2, 11):
+        f = GraphFacts(write_graph6(star_graph(k)), star_graph(k))
+        lap = laplacian_spectrum(f.g)
+        assert f.mu1_floor == f.dmax + 1 == k + 1 and abs(lap[0] - (k + 1)) <= 1e-12
+        assert f.mu_second_ceiling == f.cert.tau_num == 1 and abs(lap[-2] - 1) <= 1e-12
+    # K_{a,a} and the 4-cube: the cut takes every edge and mu_1 = 4 cut / n
+    cube = Graph.from_edges(16, [(v, v ^ 1 << b) for v in range(16) for b in range(4)])
+    for g in (*(join(empty_graph(a), empty_graph(a)) for a in range(2, 6)), cube):
+        f = GraphFacts(write_graph6(g), g)
+        assert f.cut == g.m and f.mu1_floor == 4 * g.m / g.n > f.dmax + 1
+        assert abs(laplacian_spectrum(g)[0] - f.mu1_floor) <= 1e-12, f.g6
 
 
 def test_eigenvalue_counts_with_multiplicity():

@@ -192,11 +192,13 @@ def seeded_connected_lines(n, count, seed):
 def test_each_spectrum_is_solved_only_where_a_check_reads_it(monkeypatch, capsys):
     calls = counted_solves(monkeypatch)
     lines = seeded_connected_lines(7, 1000, seed=1)
-    # default verify: the Laplacian on every graph, the normalized one only
-    # where the cut floor on xi leaves tough-lower or alpha-mixing open
+    # default verify: the normalized Laplacian only where the cut floor on
+    # xi leaves tough-lower or alpha-mixing open, and the Laplacian only
+    # where the floor on mu_1 and the ceiling on mu_{n-1} leave a Laplacian
+    # record open (measured: 46 of these 1000)
     report, _ = swept(SweepConfig(), lines)
-    assert report.graphs_checked == 1000 and calls["L"] == 1000
-    assert calls["N"] <= 150
+    assert report.graphs_checked == 1000
+    assert calls["N"] <= 150 and calls["L"] <= 120
     for checks in (("cut-partition",), ("mixing",)):
         calls.clear()
         swept(SweepConfig(checks=checks), lines[:100])
@@ -205,6 +207,12 @@ def test_each_spectrum_is_solved_only_where_a_check_reads_it(monkeypatch, capsys
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for _, line in lines[:100])))
     assert main(["extremal"]) == 0
     assert calls == {"L": 100} and len(capsys.readouterr().out.splitlines()) == 100
+    # the bounds and spectra reports read both spectra, each solved once
+    for command in ("bounds", "spectra"):
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for _, line in lines[:100])))
+        assert main([command]) == 0
+        assert calls == {"L": 100, "N": 100} and len(capsys.readouterr().out.splitlines()) == 100
     # an edgeless graph solves nothing
     calls.clear()
     swept(SweepConfig(checks=CHECK_NAMES), [(1, write_graph6(empty_graph(5)))])
@@ -226,6 +234,30 @@ def test_a_normalized_solve_failure_becomes_a_diagnostic_under_mixing(monkeypatc
     assert report.graphs_checked == 2 and report.diagnostics == 1
     assert [r for r in records if type(r) is Diagnostic] == [
         Diagnostic(2, "no convergence after 30 QL iterations")]
+
+
+def test_a_laplacian_solve_failure_becomes_a_diagnostic_under_cut_partition(monkeypatch):
+    real = spectra.laplacian_spectrum
+    bad = path_graph(5)
+
+    def laplacian_spectrum(g):
+        if g == bad:
+            raise spectra.ConvergenceError("no convergence after 30 QL iterations")
+        return real(g)
+
+    monkeypatch.setattr(spectra, "laplacian_spectrum", laplacian_spectrum)
+    lines = [(1, write_graph6(star_graph(3))), (2, write_graph6(bad)), (3, "Cl")]
+    report, records = swept(SweepConfig(checks=("cut-partition",)), lines)
+    assert report.graphs_checked == 2 and report.diagnostics == 1
+    assert [r for r in records if type(r) is Diagnostic] == [
+        Diagnostic(2, "no convergence after 30 QL iterations")]
+    # default checks leave the Laplacian of P5 unread at the default tol, so
+    # it gets its records; at tol -5 every Laplacian record is in reach
+    report, records = swept(SweepConfig(), lines)
+    assert report.graphs_checked == 3 and report.diagnostics == 0
+    assert Interesting(write_graph6(bad), "tough-lower-equality") in records
+    report, _ = swept(SweepConfig(tol=-5), lines)
+    assert report.graphs_checked == 2 and report.diagnostics == 1
 
 
 def test_parallel_sweep_is_deterministic():

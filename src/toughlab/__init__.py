@@ -36,7 +36,6 @@ from .spectra import (
     laplacian_spectrum,
     normalized_laplacian_spectrum,
     symmetric_eigenvalues,
-    xi_cut_floor,
 )
 from .invariants import (
     ConnectivityCertificate,

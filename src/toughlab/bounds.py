@@ -24,58 +24,20 @@ the per-volume factor a(nu) of a floor under the right side, which lets
 the mixing check screen a pair of volumes, and their complement mirrors,
 without a square root.
 
-``tough-lower`` and ``alpha-mixing`` read xi only through T(xi) =
-dmin(xi + 1)/(dmax xi) - 2, which falls as xi grows, and M(xi) =
-2m xi/(dmin(xi + 1)), which grows.  So a floor f under the solved xi can
-decide them without a solve: where T(f) is at most the two degree terms,
-their maximum is the ``tough-lower`` value bit for bit, and where
-alpha <= M(f) + tol no ``alpha-mixing`` record can appear.  The floor is a
-cut's (``spectra.xi_cut_floor``), within 2^-52 of a number at most the
-exact xi, less XI_FLOOR_MARGIN; the solver's xi is within a small multiple
-of 1e-16 times the norm of the normalized Laplacian, at most 2, of the
-exact xi.  A floor of 0 or less decides nothing.  Otherwise
-0 < f < xi - 0.99e-9 and xi <= 1 + 1e-14, so T falls by at least
-(dmin/dmax) 0.98e-9 / f and M grows by at least (2m/dmin) 0.99e-9 / 4.1
-from f to xi: more than 10^4 times the few unit roundoffs each evaluated
-formula carries.  T(f) >= T(xi) and M(f) <= M(xi) thus hold as
-evaluated, and as rounding is monotone so does M(f) + tol <= M(xi) + tol.
-
-``lap-product``, ``lap-gap``, ``extremal-iff`` and ``alpha-laplacian``
-read the Laplacian spectrum the same way.  On a graph with an edge,
-mu_1 >= dmax + 1 (Grone and Merris) and mu_1 >= 4 cut / n, the Rayleigh
-quotient on L of the vector that is +1 and -1 on the two sides of the cut
-of ``spectra.local_max_cut``.  On a connected graph that is not complete,
-mu_{n-1} <= kappa (Fiedler), and kappa <= dmin and kappa <= |S| for the
-toughness certificate's cut S.  The product bound P = mu_1 mu_{n-1} /
-(n (mu_1 - dmin)) and the gap bound G = mu_{n-1} / (mu_1 - mu_{n-1})
-fall as mu_1 rises and rise with mu_{n-1}, and the independence bound
-B = n (mu_1 - dmin) / mu_1 rises with mu_1.  So at the floor F = max(dmax
-+ 1, 4 cut / n) and the ceiling C = min(dmin, |S|) (``sweep.GraphFacts``),
-a toughness bound that sits LAP_SCREEN_MARGIN under the limit
-min(tau + tol, tau - eps_eq) can give neither a violation nor an equality
-record (``extremal-iff``, which has no violation side, uses tau - eps_eq),
-and no ``alpha-laplacian``, ``-semiregular`` or ``-equality`` record can
-appear where B(F) sits LAP_SCREEN_MARGIN over max(alpha - tol, alpha +
-eps_eq).  A floor of 0 or less decides nothing.  On seeded connected
-7-vertex graphs default ``verify`` solves L for about 4 % of graphs.
-
-LAP_SCREEN_MARGIN = 1e-9 covers three errors for every n <= 64, where a
-screened toughness bound lies under tau <= kappa / 2 <= (n - 2) / 2 < 32,
-a screened B(F) under n and every number compared under 128.  (1) The
-solver's mu_1 and mu_{n-1} lie within e = 100 2^-52 |L| < 3e-12 of the
-exact ones, as |L| <= 2 dmax < 128 (against numpy they differ by under
-8e-14 on G(64, p)).  The exact spectrum has mu_1 - mu_{n-1} >= 1 and
-mu_1 - dmin >= 1, so G moves by at most (mu_1 + mu_{n-1}) e /
-(mu_1 - mu_{n-1})^2 <= (1 + 2G) e < 64 e, P by at most
-(mu_1 / (n (mu_1 - dmin)) + mu_{n-1} dmin / (n (mu_1 - dmin)^2)) e <
-(1 + n) e, and B by n dmin e / mu_1^2 <= n e / 4: under 2e-10.  (2) C is
-an integer and F is exact but for the rounding of 4 cut / n, under
-2^-53 64 < 7.2e-15, which moves G by C / (F - C)^2 = G^2 / C <= G^2 <
-(n + 2)^2 / 4 times as much, P by under n times and B by under n / 4
-times: under 8e-12.  (3) Each formula and comparison rounds numbers under
-128 a few times, each by at most 2^-46: under 1e-12.  The sum is under
-2.1e-10, so a screened bound's solved value misses its limit by more than
-7e-10, and the check's own comparisons, rounding included, give no record.
+Five checks screen their spectra with no solve (``sweep``).  From a
+locally maximal cut with ``cut`` edges (``spectra.local_max_cut``), xi >=
+(2 cut - m) / m, as the top normalized eigenvalue is at least the Rayleigh
+quotient 4 cut / 2m of D^{1/2} (1_S - 1_{V-S}); mu_1 >= F = max(dmax + 1,
+4 cut / n), by Grone and Merris and the Rayleigh quotient of 1_S -
+1_{V-S} on L; and on a connected graph that is not complete, mu_{n-1} <=
+C = min(dmin, |S|) for the toughness certificate's cut S, as mu_{n-1} <=
+kappa (Fiedler).  T(xi) = dmin (xi + 1) / (dmax xi) - 2 falls as xi grows
+and M(xi) = 2m xi / (dmin (xi + 1)) grows; the product and gap bounds
+fall as mu_1 rises and rise with mu_{n-1}; B = n (mu_1 - dmin) / mu_1
+rises with mu_1.  Each bound at its floor or ceiling is a ratio of
+integers, and tol and eps_eq are exact binary fractions, so each screen
+compares exactly, and where it skips a solve the exact bound cannot reach
+a record.
 
 Division guards: the toughness terms divide by dmax and xi, and the degree
 and Laplacian independence bounds by dmax + dmin and mu_1.  Each is read
@@ -96,11 +58,6 @@ EPS_EQ = 1e-7
 MIXING_SCREEN_FACTOR = 1.0 - 2.0 ** -46
 # times 2m, lowers that floor under every complement mirror's rhs
 MIXING_MIRROR_MARGIN = 2.0 ** -49
-# lowers a cut's floor on xi under the solved xi, whatever its rounding
-XI_FLOOR_MARGIN = 1e-9
-# keeps a Laplacian bound at a floor on mu_1 and a ceiling on mu_{n-1}
-# on the far side of its solved value, whatever the solver's error
-LAP_SCREEN_MARGIN = 1e-9
 
 
 def degree_toughness_terms(n: int, dmax: int, dmin: int) -> tuple[float, float]:

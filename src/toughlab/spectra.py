@@ -19,9 +19,8 @@ Laplacian and the normalized Laplacian each on its first read, so a caller
 pays only for the spectra it reads, one solve each.  A regular graph's
 ``lambda_reg`` comes from the Laplacian spectrum, as L = dI - A.
 ``local_max_cut`` finds one locally maximal vertex bipartition with no
-solve, and ``xi_cut_floor`` bounds the normalized deviation xi from below
-by it.  ``adjacency_spectrum`` gives the full adjacency spectrum of any
-graph.
+solve; its edge count bounds xi and mu_1 from below (see ``bounds``).
+``adjacency_spectrum`` gives the full adjacency spectrum of any graph.
 
 Eigenvalue order conventions: all spectra are returned descending.  The
 normalized Laplacian uses the isolated-vertex convention of zeroing the
@@ -282,7 +281,7 @@ def local_max_cut(g: Graph) -> int:
     Each vertex in turn joins the side opposite most of its placed
     neighbours; then single vertices change sides while that grows the
     cut.  The cut ends locally maximal, so it holds at least m / 2 edges.
-    ``xi_cut_floor`` and the sweep's floor on mu_1 both read it.
+    The sweep's floors on xi and mu_1 read it.
     """
     if g.m < 1:
         raise ValueError("the cut floor needs at least one edge")
@@ -303,19 +302,3 @@ def local_max_cut(g: Graph) -> int:
                 moved = True
     return sum((rows[v] & ~side).bit_count() for v in iter_bits(side))
 
-
-def xi_cut_floor(g: Graph, cut: int | None = None) -> float:
-    """A floor on the normalized deviation xi of ``g`` from the bipartition
-    S | V - S of ``local_max_cut``, with no solve.  ``cut`` is its edge
-    count, computed here when not given.  Requires m >= 1.
-
-    The vector D^{1/2}(1_S - 1_{V-S}) has squared length 2m and Rayleigh
-    quotient 4 e(S, V - S) / 2m on the normalized Laplacian, isolated
-    vertices included (their entries are 0).  So the top eigenvalue is at
-    least 2 e(S, V - S) / m, and xi >= 2 e(S, V - S) / m - 1.  As the cut
-    is locally maximal, the floor lies in [0, 1].  The only rounding is
-    the division: the result is within 2^-52 of the exact floor.
-    """
-    if cut is None:
-        cut = local_max_cut(g)
-    return 2.0 * cut / g.m - 1.0

@@ -33,10 +33,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import (
     EPS_EQ,
-    LAP_SCREEN_MARGIN,
     MIXING_MIRROR_MARGIN,
     MIXING_SCREEN_FACTOR,
-    XI_FLOOR_MARGIN,
     cut_partition_ratios,
     degree_independence_bound,
     degree_toughness_terms,
@@ -58,7 +56,7 @@ from .invariants import (
     independence_number,
     toughness,
 )
-from .spectra import ConvergenceError, SpectralSummary, local_max_cut, xi_cut_floor
+from .spectra import ConvergenceError, SpectralSummary, local_max_cut
 
 MIXING_MAX_N = 10
 
@@ -91,6 +89,12 @@ class EqualityVerdict(NamedTuple):
     consistent: bool
 
 
+def _shifted(num: int, den: int, t: float) -> tuple[int, int]:
+    """num / den + t exactly, as (numerator, denominator > 0); den > 0."""
+    p, q = t.as_integer_ratio()
+    return num * q + p * den, den * q
+
+
 class GraphFacts:
     """What the checks and reports read about one graph, each computed once.
 
@@ -100,16 +104,15 @@ class GraphFacts:
     speak about, connected and not complete (so n >= 2); ``has_edge``
     marks the graphs the mixing and independence checks need, m >= 1.
     ``summary`` solves each spectrum on its first read.  The independence
-    and toughness certificates, a locally maximal cut, the floors on xi and
-    mu_1 and the ceiling on mu_{n-1} that the cut and the certificate give
-    with no solve, the two Laplacian bounds and the join witness are
-    computed on first read and kept; toughness reads the independence
-    number for its stopping rule.
+    and toughness certificates, a locally maximal cut, the floor on mu_1
+    that it gives, the two Laplacian bounds at that floor with no solve and
+    at the solved spectrum, and the join witness are computed on first read
+    and kept; toughness reads the independence number for its stopping rule.
 
-    The checks read a spectrum only where its floor or ceiling leaves a
-    record possible (see ``bounds``): on seeded connected 7-vertex graphs
-    default ``verify`` solves the normalized Laplacian for about 9 % of
-    graphs and the Laplacian for about 4 %.
+    The checks read a spectrum only where a bound at its floor or ceiling,
+    compared exactly, leaves a record possible (see ``bounds``): on seeded
+    connected 7-vertex graphs default ``verify`` solves the normalized
+    Laplacian for about 9 % of graphs and the Laplacian for about 4 %.
     """
 
     def __init__(self, g6: str, g: Graph) -> None:
@@ -129,41 +132,30 @@ class GraphFacts:
         return local_max_cut(self.g)
 
     @cached_property
-    def xi_floor(self) -> float:
-        """A number the solved xi cannot be below, found without a solve:
-        the cut's floor less XI_FLOOR_MARGIN (see ``bounds``).  Needs m >= 1."""
-        return xi_cut_floor(self.g, self.cut) - XI_FLOOR_MARGIN
+    def mu1_floor(self) -> tuple[int, int]:
+        """A floor on the Laplacian radius mu_1 with no solve, as (numerator,
+        denominator): dmax + 1 (Grone and Merris) or 4 cut / n, the
+        Rayleigh quotient on L of the vector that is +1 on one side of the
+        cut and -1 on the other, whichever is larger.  Needs m >= 1."""
+        n, four_cut = self.g.n, 4 * self.cut
+        return (four_cut, n) if four_cut > (self.dmax + 1) * n else (self.dmax + 1, 1)
 
     @cached_property
-    def mu1_floor(self) -> float:
-        """A floor on the Laplacian radius mu_1 with no solve: dmax + 1
-        (Grone and Merris) or 4 cut / n, the Rayleigh quotient on L of
-        the vector that is +1 on one side of the cut and -1 on the other,
-        whichever is larger.  Needs m >= 1."""
-        return max(self.dmax + 1.0, 4.0 * self.cut / self.g.n)
+    def lap_screen(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(product, gap) Laplacian bounds, each as (numerator,
+        denominator > 0), at mu1_floor and the ceiling min(dmin, |S|) on
+        mu_{n-1} for the toughness certificate's cut S (see ``bounds``):
+        each is at least the bound at the exact spectrum.  Needs ``bounded``."""
+        num, den = self.mu1_floor
+        c = min(self.dmin, self.cert.tau_num)
+        return (num * c, self.g.n * (num - self.dmin * den)), (c * den, num - c * den)
 
-    @cached_property
-    def mu_second_ceiling(self) -> float:
-        """A ceiling on the algebraic connectivity mu_{n-1} with no solve:
-        on a graph that is not complete it is at most the vertex
-        connectivity (Fiedler), which is at most dmin and at most |S| for
-        the toughness certificate's cut S.  Needs ``bounded``."""
-        return float(min(self.dmin, self.cert.tau_num))
-
-    @cached_property
-    def lap_screen(self) -> tuple[float, float]:
-        """(product, gap) Laplacian bounds at mu1_floor and
-        mu_second_ceiling: both bounds fall as mu_1 rises and rise with
-        mu_{n-1}, so each is over its solved value less LAP_SCREEN_MARGIN.
-        Needs ``bounded``."""
-        return laplacian_toughness_terms(
-            self.g.n, self.dmin, self.mu1_floor, self.mu_second_ceiling)
-
-    def lap_reaches(self, k: int, limit: float) -> bool:
-        """The solved Laplacian bound k (0 product, 1 gap) may reach
-        ``limit``: false only where ``lap_screen`` keeps it
-        LAP_SCREEN_MARGIN under ``limit``, with no solve."""
-        return self.lap_screen[k] >= limit - LAP_SCREEN_MARGIN
+    def lap_reaches(self, k: int, t: float) -> bool:
+        """The Laplacian bound k (0 product, 1 gap) may reach tau + t:
+        false only where ``lap_screen`` is under tau + t, with no solve."""
+        num, den = self.lap_screen[k]
+        limit, scale = _shifted(self.cert.tau_num, self.cert.tau_den, t)
+        return num * scale >= limit * den
 
     @cached_property
     def alpha_cert(self) -> IndependenceCertificate:
@@ -227,21 +219,23 @@ def _lower_bound(f: GraphFacts, name: str, value: float, tol: float,
 
 def _check_tough_lower(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Toughness over the largest of the three lower-bound terms.  The
-    spectral term falls as xi grows, so xi is read only where the term at
-    xi's floor could top the two degree terms (see ``bounds``)."""
-    value = max(degree_toughness_terms(f.g.n, f.dmax, f.dmin))
-    floor = f.xi_floor
-    if floor <= 0.0 or spectral_toughness_term(f.dmax, f.dmin, floor) > value:
-        value = max(value, spectral_toughness_term(f.dmax, f.dmin, f.summary.xi))
+    spectral term T falls as xi grows and xi >= e / m, e = 2 cut - m >= 0
+    (see ``bounds``), so xi is read only where T(e / m) exceeds both degree
+    terms, max(n, dmax + dmin) / (dmax n), in integers."""
+    n, dmax, dmin = f.g.n, f.dmax, f.dmin
+    value = max(degree_toughness_terms(n, dmax, dmin))
+    if 2 * dmin * f.cut * n > (2 * dmax * n + max(n, dmax + dmin)) * (2 * f.cut - f.g.m):
+        value = max(value, spectral_toughness_term(dmax, dmin, f.summary.xi))
     return _lower_bound(f, "tough-lower", value, tol, eps_eq)
 
 
 def _lap_lower_bound(f: GraphFacts, k: int, name: str, tol: float,
                      eps_eq: float) -> Iterator[Record]:
     """Toughness over the solved Laplacian bound k (0 product, 1 gap),
-    solved only where the screen leaves it within reach of a violation,
-    over tau + tol, or of the equality window, from tau - eps_eq."""
-    if f.lap_reaches(k, min(f.tau + tol, f.tau - eps_eq)):
+    solved only where its exact value at the screen reaches
+    min(tau + tol, tau - eps_eq), the least value that can give a
+    violation or fall in the equality window."""
+    if f.lap_reaches(k, min(tol, -eps_eq)):
         yield from _lower_bound(f, name, f.lap_bounds[k], tol, eps_eq)
 
 
@@ -256,22 +250,23 @@ def _check_lap_gap(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]
 def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Independence number under its three bounds, biregular at equality.
     The mixing bound grows with xi, so xi is read only where the bound at
-    xi's floor leaves a violation possible.  Likewise the Laplacian bound
-    grows with mu_1, so mu_1 is read only where the bound at its floor,
-    less LAP_SCREEN_MARGIN, leaves alpha within reach of a violation,
-    under it by tol, or of the equality window (see ``bounds``)."""
+    xi's floor e / m, m e / (dmin cut), is under alpha - tol.  Likewise
+    the Laplacian bound grows with mu_1, so mu_1 is read only where the
+    bound at its floor is at most alpha + max(-tol, eps_eq), the largest
+    value that can give a violation or fall in the equality window.  Both
+    comparisons are exact, in integers (see ``bounds``)."""
     g, alpha, dmin = f.g, f.alpha_cert.alpha, f.dmin
     degree_b = degree_independence_bound(g.n, f.dmax, dmin)
     if alpha > degree_b + tol:
         yield Violation(f.g6, "alpha-degree", float(alpha), degree_b)
-    floor = f.xi_floor
-    if floor <= 0.0 or alpha > mixing_independence_bound(g.m, dmin, floor) + tol:
+    limit, scale = _shifted(alpha, 1, -tol)
+    if g.m * (2 * f.cut - g.m) * scale < limit * dmin * f.cut:
         mixing_b = mixing_independence_bound(g.m, dmin, f.summary.xi)
         if alpha > mixing_b + tol:
             yield Violation(f.g6, "alpha-mixing", float(alpha), mixing_b)
-    floor = f.mu1_floor
-    if floor > 0.0 and (laplacian_independence_bound(g.n, dmin, floor) - LAP_SCREEN_MARGIN
-                        > max(alpha - tol, alpha + eps_eq)):
+    num, den = f.mu1_floor
+    limit, scale = _shifted(alpha, 1, max(-tol, eps_eq))
+    if g.n * (num - dmin * den) * scale > limit * num:
         return  # alpha is out of reach of a record at any mu_1 above the floor
     mu1 = f.summary.laplacian_radius
     laplacian_b = laplacian_independence_bound(g.n, dmin, mu1)
@@ -452,10 +447,9 @@ def _check_cut_partition(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[R
 
 def _check_extremal_iff(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Numeric equality in both Laplacian bounds iff the join structure,
-    as in ``GraphFacts.verdict``; a bound the screen keeps under
-    tau - eps_eq is not at equality, and is not solved."""
-    limit = f.tau - eps_eq
-    equal = [f.lap_reaches(k, limit) and f.at_tau(f.lap_bounds[k], eps_eq) for k in (0, 1)]
+    as in ``GraphFacts.verdict``; a bound whose exact value at the screen
+    is under tau - eps_eq is not at equality, and is not solved."""
+    equal = [f.lap_reaches(k, -eps_eq) and f.at_tau(f.lap_bounds[k], eps_eq) for k in (0, 1)]
     structural = f.structural
     for name, equality in zip(("extremal-iff-product", "extremal-iff-gap"), equal):
         if equality != structural:
@@ -532,8 +526,9 @@ def evaluate_graph(
     a value, as ``cut-partition`` does, walking no cut set, when no
     (|S|, |X|) has a record.  Each spectrum is solved only if a check
     reads it, and ``tough-lower``, ``lap-product``, ``lap-gap``,
-    ``alpha-bounds`` and ``extremal-iff`` read one only where its floor or
-    ceiling (``GraphFacts``) leaves a record possible.  A graph the checks cannot evaluate raises:
+    ``alpha-bounds`` and ``extremal-iff`` read one only where a bound at
+    its floor or ceiling (``GraphFacts``), compared exactly, leaves a
+    record possible.  A graph the checks cannot evaluate raises:
     SweepConfigError for mixing above MIXING_MAX_N vertices, and
     ConvergenceError from the eigensolver; ``sweep`` turns either into a
     diagnostic for its line.

@@ -43,7 +43,14 @@ from toughlab.cli import BOUNDS_COLUMNS, main
 from toughlab.extremal import build_extremal
 from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.graphs import Graph, component_masks, cycle_graph
-from toughlab.sweep import CHECK_NAMES, DEFAULT_CHECKS, GraphFacts, Violation, evaluate_graph
+from toughlab.sweep import (
+    CHECK_NAMES,
+    CHECKS,
+    DEFAULT_CHECKS,
+    GraphFacts,
+    Violation,
+    evaluate_graph,
+)
 
 from _oracles import component_sets, edge_boundary, to_adj, volume
 
@@ -527,12 +534,15 @@ def test_cut_partition_records_match_the_per_grouping_definition():
 
 
 class _NoFloor(GraphFacts):
-    """Facts whose floors on xi and mu_1 are 0 and whose ceiling on
-    mu_{n-1} is infinite, so they decide nothing."""
+    """Facts whose screens decide nothing: a cut of 0 puts xi's floor
+    under 0, a floor of 0 on mu_1 puts the independence bound at it under
+    alpha, and every Laplacian toughness bound may reach its limit."""
 
-    xi_floor = 0.0
-    mu1_floor = 0.0
-    mu_second_ceiling = math.inf
+    cut = 0
+    mu1_floor = (0, 1)
+
+    def lap_reaches(self, k, t):
+        return True
 
 
 def _floor_joins(seed):
@@ -567,17 +577,33 @@ def test_the_xi_floor_changes_no_record(monkeypatch):
                CHECK_NAMES: windows}
 
     def records(checks):
-        return [evaluate_graph(write_graph6(g), g, checks, tol, eps_eq)
+        return [(tol, evaluate_graph(write_graph6(g), g, checks, tol, eps_eq))
                 for g in corpora[checks] for tol, eps_eq in windows[checks]]
 
     with_floor = {checks: records(checks) for checks in corpora}
     monkeypatch.setattr(sweep_module, "GraphFacts", _NoFloor)
+    ties = 0
     for checks, want in with_floor.items():
-        assert records(checks) == want
+        for (tol, got), (_, screened) in zip(records(checks), want, strict=True):
+            # the unscreened records are the screened ones in order, plus
+            # alpha-mixing violations at exact ties M(xi) = alpha - tol that
+            # the float M(xi) + tol reads a few ulps under alpha
+            extra, k = [], 0
+            for r in got:
+                if k < len(screened) and r == screened[k]:
+                    k += 1
+                else:
+                    extra.append(r)
+            assert k == len(screened), (got, screened)
+            ties += len(extra)
+            assert all(r.check == "alpha-mixing" and tol <= 0 and
+                       abs(r.lhs - r.rhs - tol) <= 2e-15 for r in extra), extra
+    assert ties > 0
     # the floors have records to change: violations of each bound at each
     # tol, equality tags at the default one, the Laplacian ones on the
     # floor joins, and extremal-iff ones in the 0.5 window
-    names = Counter(type(r).__name__ + ":" + r[1] for rs in with_floor[DEFAULT_CHECKS] for r in rs)
+    names = Counter(type(r).__name__ + ":" + r[1]
+                    for _, rs in with_floor[DEFAULT_CHECKS] for r in rs)
     assert names["Violation:tough-lower"] and names["Violation:alpha-mixing"]
     assert names["Violation:lap-product"] and names["Violation:lap-gap"]
     assert names["Violation:alpha-laplacian"]
@@ -585,6 +611,87 @@ def test_the_xi_floor_changes_no_record(monkeypatch):
     assert names["Interesting:tough-lower-equality"]
     assert names["Interesting:lap-product-equality"] and names["Interesting:lap-gap-equality"]
     assert names["Interesting:alpha-laplacian-equality"]
+
+
+class _Reads(SpectralSummary):
+    """A graph's solved spectra that notes which a check reads: ``read`` is
+    [normalized Laplacian read, Laplacian read]."""
+
+    def __init__(self, solved):
+        self.g, self.solved, self.read = solved.g, solved, [False, False]
+
+    @property
+    def normalized_eigs(self):
+        self.read[0] = True
+        return self.solved.normalized_eigs
+
+    @property
+    def laplacian_eigs(self):
+        self.read[1] = True
+        return self.solved.laplacian_eigs
+
+
+def _exact_slacks(f):
+    """How far the screened bounds at the floors and ceiling, as Fractions,
+    sit over the values they must reach: (T(e / m) over the degree terms,
+    M(e / m) and B(F) over alpha, P(F, C) and G(F, C) over tau), where
+    e = 2 cut - m, F is the floor on mu_1 and C the ceiling on mu_{n-1};
+    the toughness ones only on a ``bounded`` graph."""
+    n, m, dmax, dmin, alpha = f.g.n, f.g.m, f.dmax, f.dmin, f.alpha_cert.alpha
+    xi = Fraction(2 * f.cut - m, m)
+    mu1 = max(Fraction(dmax + 1), Fraction(4 * f.cut, n))
+    mixing = 2 * m * xi / (dmin * (xi + 1)) - alpha
+    laplacian = n * (mu1 - dmin) / mu1 - alpha
+    if not f.bounded:
+        return None, mixing, laplacian, None, None
+    tau, mu2 = f.cert.value, min(dmin, f.cert.tau_num)
+    degree = max(Fraction(1, dmax), Fraction(dmax + dmin, dmax * n))
+    spectral = dmin * (xi + 1) / (dmax * xi) - 2 - degree if xi else math.inf
+    return (spectral, mixing, laplacian,
+            mu1 * mu2 / (n * (mu1 - dmin)) - tau, mu2 / (mu1 - mu2) - tau)
+
+
+def test_each_screen_solves_exactly_where_its_exact_bound_can_reach_its_limit():
+    # every connected labeled graph with n <= 6, each screened check alone:
+    # it reads a spectrum iff the bound at the spectrum's floor or ceiling,
+    # as a Fraction, can still reach the limit at which it gives a record.
+    # A window is (tol, eps_eq, and as Fractions the limits over the
+    # slacks: -tol for alpha-mixing, then those of the Laplacian screens)
+    windows = [(tol, eps_eq, -Fraction(tol), max(-Fraction(tol), Fraction(eps_eq)),
+                min(Fraction(tol), -Fraction(eps_eq)), -Fraction(eps_eq))
+               for tol in (1e-7, 0.0, -0.5, -1.0) for eps_eq in (1e-7, 1e-3)]
+    # and, where the spectral term at the floor falls between the degree
+    # terms, connected seeded G(7, 3/4) (over 1/dmax) and odd cycles
+    # (over (dmax + dmin) / (dmax n))
+    rng = random.Random(31)
+    dense = (Graph.from_edges(7, [p for k, p in enumerate(itertools.combinations(range(7), 2))
+                                  if mask >> k & 1])
+             for mask in (rng.getrandbits(21) | rng.getrandbits(21) for _ in range(300)))
+    seen = set()
+    for g in itertools.chain(
+            (g for n in range(2, 7) for g in enumerate_labeled(n, connected_only=True)), dense,
+            map(cycle_graph, (7, 9, 11))):
+        f = facts_of(g)
+        if not f.connected:
+            continue
+        solved = f.summary
+        spectral, mixing, laplacian, product, gap = _exact_slacks(f)
+        for tol, eps_eq, mixing_limit, alpha_limit, tau_limit, eq_limit in windows:
+            want = [("alpha-bounds", [mixing < mixing_limit, laplacian <= alpha_limit])]
+            if f.bounded:
+                want += [("tough-lower", [spectral > 0, False]),
+                         ("lap-product", [False, product >= tau_limit]),
+                         ("lap-gap", [False, gap >= tau_limit]),
+                         ("extremal-iff", [False, max(product, gap) >= eq_limit])]
+            for name, reads in want:
+                f.summary = spy = _Reads(solved)
+                f.__dict__.pop("lap_bounds", None)
+                list(CHECKS[name][0](f, tol, eps_eq))
+                assert spy.read == reads, (f.g6, name, tol, eps_eq)
+                seen.add((name, *reads))
+    # each screen both solves and skips, and alpha-bounds reads each spectrum
+    # alone and both
+    assert len(seen) == 12, seen
 
 
 def test_independence_bound_values(petersen, c4, k4):

@@ -7,6 +7,7 @@ import json
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,13 +28,17 @@ from toughlab import (
     petersen_graph,
     star_graph,
     symmetric_eigenvalues,
-    xi_cut_floor,
 )
 from toughlab import spectra
-from toughlab.bounds import LAP_SCREEN_MARGIN, XI_FLOOR_MARGIN, laplacian_independence_bound
+from toughlab.bounds import laplacian_independence_bound
 from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, write_graph6
-from toughlab.spectra import adjacency_matrix, laplacian_matrix, normalized_laplacian_matrix
+from toughlab.spectra import (
+    adjacency_matrix,
+    laplacian_matrix,
+    local_max_cut,
+    normalized_laplacian_matrix,
+)
 from toughlab.sweep import GraphFacts
 
 from _oracles import has_nontrivial_bipartite_component, jacobi_eigenvalues
@@ -215,6 +220,11 @@ def _xi(g):
     return max(abs(1.0 - norm[0]), abs(1.0 - norm[-2]))
 
 
+def _xi_floor(g):
+    """The exact floor (2 cut - m) / m on xi from a locally maximal cut."""
+    return Fraction(2 * local_max_cut(g) - g.m, g.m)
+
+
 def test_the_cut_floor_is_under_the_solved_xi():
     # every labeled graph with an edge on up to 6 vertices, then seeded
     # G(n, p) on 7 to 16
@@ -224,32 +234,31 @@ def test_the_cut_floor_is_under_the_solved_xi():
                for _ in range(4)]
     for g in graphs:
         if g.m:
-            floor, xi = xi_cut_floor(g), _xi(g)
+            floor, xi = _xi_floor(g), _xi(g)
             # a locally maximal cut holds at least half the edges
-            assert 0.0 <= floor <= 1.0 and floor - XI_FLOOR_MARGIN < xi, write_graph6(g)
+            assert 0 <= floor <= 1 and floor <= xi + 1e-12, write_graph6(g)
     with pytest.raises(ValueError, match="edge"):
-        xi_cut_floor(empty_graph(3))
+        local_max_cut(empty_graph(3))
 
 
 def test_the_cut_floor_is_sharp_on_bipartite_graphs(petersen):
     # a bipartite graph with an edge has xi = 1, and its bipartition cuts
-    # every edge, so the floor is 1 and only the margin keeps it under xi
+    # every edge, so the floor is 1
     cube = Graph.from_edges(16, [(v, v ^ 1 << b) for v in range(16) for b in range(4)])
     bipartite = [cycle_graph(n) for n in range(4, 13, 2)]
     bipartite += [join(empty_graph(a), empty_graph(b)) for a in range(1, 5) for b in range(a, 6)]
     for g in (*bipartite, cube, disjoint_union(cycle_graph(6), empty_graph(2))):
-        assert xi_cut_floor(g) == 1.0 and abs(_xi(g) - 1.0) <= 1e-12, write_graph6(g)
-        assert GraphFacts(write_graph6(g), g).xi_floor < _xi(g)
+        assert _xi_floor(g) == 1 and abs(_xi(g) - 1.0) <= 1e-12, write_graph6(g)
     for g in (petersen, *(cycle_graph(n) for n in range(3, 12, 2))):
-        floor = xi_cut_floor(g)
-        assert floor < 1.0 and floor - XI_FLOOR_MARGIN < _xi(g)
+        floor = _xi_floor(g)
+        assert floor < 1 and floor <= _xi(g) + 1e-12
 
 
 def test_the_laplacian_floor_and_ceiling_hold_and_are_sharp():
     # every connected non-complete labeled graph on up to 6 vertices, then
-    # seeded G(n, p) on 7 to 16: mu_1 is over its floor and mu_{n-1} under
-    # its ceiling, so the bounds at them are on the far side of the solved
-    # ones, less the margin
+    # seeded G(n, p) on 7 to 16: mu_1 is over its floor F and mu_{n-1}
+    # under its ceiling C, and the screen holds the exact bounds at them,
+    # on the far side of the solved ones up to solver error
     rng = random.Random(30)
     graphs = [g for n in range(3, 7) for g in enumerate_labeled(n, connected_only=True)]
     graphs += [_gnp(n, p, rng) for n in range(7, 17) for p in (0.2, 0.5, 0.8)
@@ -261,24 +270,28 @@ def test_the_laplacian_floor_and_ceiling_hold_and_are_sharp():
             continue
         checked += 1
         lap = laplacian_spectrum(g)
-        assert f.mu1_floor <= lap[0] + 1e-12 and f.mu_second_ceiling >= lap[-2] - 1e-12, f.g6
-        assert all(screen >= solved - LAP_SCREEN_MARGIN
-                   for screen, solved in zip(f.lap_screen, f.lap_bounds)), f.g6
-        assert (laplacian_independence_bound(g.n, f.dmin, f.mu1_floor)
-                <= laplacian_independence_bound(g.n, f.dmin, lap[0]) + LAP_SCREEN_MARGIN)
+        floor, ceiling = Fraction(*f.mu1_floor), min(f.dmin, f.cert.tau_num)
+        assert floor == max(f.dmax + 1, Fraction(4 * f.cut, g.n)), f.g6
+        assert floor <= lap[0] + 1e-12 and ceiling >= lap[-2] - 1e-12, f.g6
+        screen = [Fraction(*pair) for pair in f.lap_screen]
+        assert screen == [floor * ceiling / (g.n * (floor - f.dmin)),
+                          ceiling / (floor - ceiling)], f.g6
+        assert all(bound >= solved - 1e-12 for bound, solved in zip(screen, f.lap_bounds)), f.g6
+        assert (g.n * (floor - f.dmin) / floor
+                <= laplacian_independence_bound(g.n, f.dmin, lap[0]) + 1e-12)
     assert checked > 27_000
     # the star K_{1,k}: mu_1 = dmax + 1 = n and mu_{n-1} = |S| = 1 for its centre
     for k in range(2, 11):
         f = GraphFacts(write_graph6(star_graph(k)), star_graph(k))
         lap = laplacian_spectrum(f.g)
-        assert f.mu1_floor == f.dmax + 1 == k + 1 and abs(lap[0] - (k + 1)) <= 1e-12
-        assert f.mu_second_ceiling == f.cert.tau_num == 1 and abs(lap[-2] - 1) <= 1e-12
+        assert f.mu1_floor == (f.dmax + 1, 1) == (k + 1, 1) and abs(lap[0] - (k + 1)) <= 1e-12
+        assert min(f.dmin, f.cert.tau_num) == f.cert.tau_num == 1 and abs(lap[-2] - 1) <= 1e-12
     # K_{a,a} and the 4-cube: the cut takes every edge and mu_1 = 4 cut / n
     cube = Graph.from_edges(16, [(v, v ^ 1 << b) for v in range(16) for b in range(4)])
     for g in (*(join(empty_graph(a), empty_graph(a)) for a in range(2, 6)), cube):
         f = GraphFacts(write_graph6(g), g)
-        assert f.cut == g.m and f.mu1_floor == 4 * g.m / g.n > f.dmax + 1
-        assert abs(laplacian_spectrum(g)[0] - f.mu1_floor) <= 1e-12, f.g6
+        assert f.cut == g.m and f.mu1_floor == (4 * g.m, g.n) and 4 * g.m > (f.dmax + 1) * g.n
+        assert abs(laplacian_spectrum(g)[0] - 4 * g.m / g.n) <= 1e-12, f.g6
 
 
 def test_eigenvalue_counts_with_multiplicity():

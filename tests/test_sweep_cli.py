@@ -11,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from toughlab import (
     complete_graph,
     disjoint_union,
     empty_graph,
+    independence_number,
     parse_graph6,
     path_graph,
     spectra,
@@ -727,6 +729,25 @@ def test_cli_verify_accepts_a_negative_tol_and_a_zero_window(monkeypatch, capsys
     assert main(["verify", "--tol=-0.5", "--eq-tol", "0"]) == 1
     out, err = capsys.readouterr()
     assert out and err.startswith("{")
+
+
+@pytest.mark.parametrize("line, tol, code, records", [
+    ("C]", "0", 0, [["C]", "alpha-laplacian-equality"]]),
+    ("CF", "0", 0, [["CF", "alpha-laplacian-equality"]]),
+    ("Ck", "-1", 1, [["Ck", "alpha-degree", 2.0, 2.6666666666666665],
+                     ["Ck", "alpha-laplacian", 2.0, 2.82842712474619]]),
+])
+def test_a_mixing_bound_tied_with_alpha_minus_tol_is_no_violation(monkeypatch, capsys, line,
+                                                                  tol, code, records):
+    # C4, the claw and P4 are bipartite, so xi = 1 and M(xi) = m / dmin,
+    # which is alpha - tol on each; the solved xi reads a few ulps under 1
+    g = parse_graph6(line)
+    dmin = min(map(int.bit_count, g.rows))
+    assert Fraction(g.m, dmin) == independence_number(g).alpha - int(tol)
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    assert main(["verify", "--checks", "alpha-bounds", "--tol", tol]) == code
+    out = [json.loads(text) for text in capsys.readouterr().out.splitlines()]
+    assert [[v for k, v in r.items() if k != "kind"] for r in out] == records
 
 
 def test_cli_alpha_kappa(petersen):

@@ -100,12 +100,14 @@ def detect_join_form(g: Graph, *, degrees: list[int] | None = None) -> ExtremalW
     adjacent to the whole nonempty base, and the part is independent with
     at least two vertices.  The scan is complete for the family: in any
     such join every isolated-side vertex proposes the isolated side itself.
+    Each of the n - delta vertices of that side has degree delta, so a
+    graph with fewer vertices of minimum degree is no such join.
     """
     n = g.n
     if degrees is None:
         _, _, degrees = degree_profile(g)
     delta = min(degrees)
-    if not 1 <= delta <= n - 2:
+    if not 1 <= delta <= n - 2 or degrees.count(delta) < n - delta:
         return None
     for v in range(n):
         if degrees[v] != delta:

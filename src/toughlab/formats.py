@@ -72,22 +72,23 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError(f"graph6 payload truncated: {len(payload)} bytes, expected {expected}")
     if len(payload) > expected:
         raise FormatError(f"graph6 payload has trailing data: {len(payload)} bytes, expected {expected}")
-    if payload and (ord(payload[-1]) - 63) & ((1 << (6 * expected - nbits)) - 1):
+    # the payload as one int, pair k at bit nbits - 1 - k once the padding is out
+    bits = 0
+    for ch in payload:
+        bits = bits << 6 | ord(ch) - 63
+    pad = 6 * expected - nbits
+    if bits & ((1 << pad) - 1):
         raise FormatError("graph6 padding bits are not zero")
+    bits >>= pad
     rows = [0] * n
     pairs = _graph6_pairs(n)
-    k = 0
-    for ch in payload:
-        group = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            if k >= nbits:
-                break
-            if group >> shift & 1:
-                i, j = pairs[k]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    m = sum(r.bit_count() for r in rows) // 2
+    m = bits.bit_count()
+    while bits:
+        low = bits & -bits
+        i, j = pairs[nbits - low.bit_length()]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        bits ^= low
     return Graph(n, tuple(rows), m)
 
 

@@ -11,8 +11,9 @@ predecessor list ``pred``: a candidate pair is skipped when its common
 neighbors already match the best cut, and otherwise its flow starts from
 the paths through them and stops at the best cut, all without changing the
 reported separator (the one closest to the pair's first vertex, which every
-maximum flow gives).  Certificates carry the witnessing sets so tests and
-reports can re-check optimality independently.
+maximum flow gives).  ``independence_bracket`` brackets the independence
+number by two greedy bounds with no search.  Certificates carry the
+witnessing sets so tests and reports can re-check optimality independently.
 """
 
 from __future__ import annotations
@@ -167,6 +168,33 @@ def toughness(g: Graph, *, alpha: int | None = None) -> ToughnessCertificate:
             step = cut + low
             cut = (((step ^ cut) >> 2) // low) | step
     return ToughnessCertificate(best_num, best_den, best_cut, best_den, False)
+
+
+def independence_bracket(rows: tuple[int, ...]) -> tuple[int, int]:
+    """(lo, hi) with lo <= alpha <= hi, from one greedy pass and no search.
+
+    Visits the vertices by ascending degree, ties by label.  A vertex with
+    no neighbour among those taken so far joins an independent set, whose
+    size is lo.  Each vertex also joins the first clique of a cover that
+    lies inside its neighbourhood, or starts a new one; the cover
+    partitions the vertices into hi cliques, and an independent set meets
+    each clique at most once.
+    """
+    degrees = [row.bit_count() for row in rows]
+    taken = lo = 0  # the independent set and its neighbours
+    cliques: list[int] = []
+    for v in sorted(range(len(rows)), key=degrees.__getitem__):
+        row = rows[v]
+        if not taken >> v & 1:
+            lo += 1
+            taken |= row | 1 << v
+        for k, clique in enumerate(cliques):
+            if clique & row == clique:
+                cliques[k] = clique | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return lo, len(cliques)
 
 
 def independence_number(g: Graph) -> IndependenceCertificate:

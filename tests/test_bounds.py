@@ -41,7 +41,7 @@ from toughlab.bounds import (
 )
 from toughlab.cli import BOUNDS_COLUMNS, main
 from toughlab.extremal import build_extremal
-from toughlab.formats import enumerate_labeled, write_graph6
+from toughlab.formats import enumerate_labeled, parse_graph6, write_graph6
 from toughlab.graphs import Graph, component_masks, cycle_graph
 from toughlab.sweep import (
     CHECK_NAMES,
@@ -137,6 +137,32 @@ def test_regular_records_match_the_bounds_at_negative_tolerances(petersen):
     for f in corpus + [GraphFacts(write_graph6(g), g)
                        for g in (petersen, cycle_graph(9), cycle_graph(12))]:
         assert abs(regular_bounds(f)[0] - lower_terms(f)[2]) <= 1e-12, f.g6
+
+
+def test_the_degree_terms_are_compared_exactly():
+    # GK@}iW has tau = 2/3 and the degree term 1/6, so at tol = -1/2 the
+    # term ties tau + tol.  In floats 2/3 - 1/2 reads 0.16666666666666663,
+    # under the 0.16666666666666666 of 1/6, which gave a false violation;
+    # exactly, only a tol below -1/2 gives one
+    f = GraphFacts("GK@}iW", parse_graph6("GK@}iW"))
+    assert (f.cert.value, f.dmax, f.g.n) == (Fraction(2, 3), 6, 8)
+    assert f.dmax + f.dmin <= f.g.n and 1 / 6 > f.tau - 0.5
+    assert evaluate_graph(f.g6, f.g, ("tough-lower",), -0.5, 1e-7) == []
+    assert evaluate_graph(f.g6, f.g, ("tough-lower",), math.nextafter(-0.5, -1), 1e-7) == [
+        Violation(f.g6, "tough-lower", 1 / 6, 2 / 3)]
+    # the equality window is closed at both ends: the claw has tau = 1/3,
+    # its degree term
+    claw = toughlab.star_graph(3)
+    for eps_eq in (0.0, 1e-7):
+        assert [r.tag for r in evaluate_graph(write_graph6(claw), claw, ("tough-lower",),
+                                              1e-7, eps_eq)] == ["tough-lower-equality"]
+    # alpha-degree, n dmax / (dmax + dmin) against alpha + tol: a star
+    # K1,4 has alpha = 4 and the bound 5 * 4 / 5 = 4
+    star = toughlab.star_graph(4)
+    for tol, fired in ((0.0, False), (math.nextafter(0.0, -1), True), (-1.0, True)):
+        got = [r[1] for r in evaluate_graph(write_graph6(star), star, ("alpha-bounds",),
+                                            tol, 1e-7)]
+        assert ("alpha-degree" in got) == fired, tol
 
 
 def test_connectivity_cap(petersen, c4, claw):

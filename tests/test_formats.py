@@ -50,6 +50,37 @@ def test_roundtrip_random_up_to_word_budget():
         assert parse_graph6(write_graph6(g)) == g
 
 
+def graph6_of(n, bits):
+    """The short-form graph6 record whose payload, before its zero
+    padding, is the nbits-bit integer ``bits``, first pair at the top."""
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    word = bits << pad
+    groups = (nbits + pad) // 6
+    return chr(n + 63) + "".join(chr((word >> 6 * (groups - 1 - k) & 63) + 63)
+                                 for k in range(groups))
+
+
+def test_parse_matches_networkx_on_every_payload_and_on_seeded_ones_to_62():
+    nx = pytest.importorskip("networkx")
+
+    def same(record):
+        want = nx.from_graph6_bytes(record.encode())
+        g = parse_graph6(record)
+        assert g.n == want.number_of_nodes() and g.m == want.number_of_edges(), record
+        assert set(g.edges()) == {tuple(sorted(e)) for e in want.edges()}, record
+
+    for n in range(1, 7):
+        for bits in range(1 << n * (n - 1) // 2):
+            same(graph6_of(n, bits))
+    rng = random.Random(62)
+    for n in range(7, 63):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            nbits = n * (n - 1) // 2
+            bits = sum(1 << k for k in range(nbits) if rng.random() < p)
+            same(graph6_of(n, bits))
+
+
 def test_63_and_64_vertices_round_trip_in_the_long_form():
     rng = random.Random(64)
     for n, header in ((63, "~??~"), (64, "~?@?")):

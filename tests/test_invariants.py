@@ -26,8 +26,14 @@ from toughlab import (
     vertex_connectivity,
     vertices_of,
 )
-from toughlab.formats import enumerate_labeled
-from toughlab.invariants import UNION_TABLE_VERTICES, _min_vertex_cut, _union_tables
+from toughlab.formats import enumerate_labeled, write_graph6
+from toughlab.invariants import (
+    UNION_TABLE_VERTICES,
+    _min_vertex_cut,
+    _union_tables,
+    independence_bracket,
+)
+from toughlab.sweep import GraphFacts
 
 from _oracles import (
     brute_alpha,
@@ -171,6 +177,37 @@ def test_independence_matches_oracle_with_valid_witness():
             for v in range(n):
                 if cert.witness >> v & 1:
                     assert g.rows[v] & cert.witness == 0
+
+
+def test_the_independence_bracket_holds_alpha_and_graph_facts_read_it():
+    # every labeled graph with n <= 6, and seeded G(n, p) with n = 7..14,
+    # connected or not
+    rng = random.Random(32)
+    pairs = {n: list(itertools.combinations(range(n), 2)) for n in range(7, 15)}
+    graphs = itertools.chain(
+        (g for n in range(1, 7) for g in enumerate_labeled(n)),
+        (Graph.from_edges(n, [e for e in pairs[n] if rng.random() < p])
+         for n in range(7, 15) for p in (0.3, 0.5, 0.7) for _ in range(5)))
+    closed = total = 0
+    for g in graphs:
+        lo, hi = independence_bracket(g.rows)
+        alpha = brute_alpha(g)
+        assert lo <= alpha <= hi, write_graph6(g)
+        assert GraphFacts(write_graph6(g), g).alpha == independence_number(g).alpha == alpha
+        closed += lo == hi
+        total += 1
+    # both ends are tight on most graphs, and not on all
+    assert total // 2 < closed < total
+
+
+def test_the_independence_bracket_on_known_graphs(c4, petersen):
+    assert independence_bracket(()) == (0, 0)
+    assert independence_bracket(complete_graph(6).rows) == (1, 1)
+    assert independence_bracket(empty_graph(5).rows) == (5, 5)
+    assert independence_bracket(c4.rows) == (2, 2)
+    assert independence_bracket(cycle_graph(5).rows) == (2, 3)
+    # triangle-free: the cover's cliques are edges and single vertices
+    assert independence_bracket(petersen.rows) == (4, 7)
 
 
 def test_connectivity_examples(c4, k4, petersen):

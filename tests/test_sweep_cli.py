@@ -221,6 +221,54 @@ def test_each_spectrum_is_solved_only_where_a_check_reads_it(monkeypatch, capsys
     assert not calls
 
 
+def counted_branch_and_bound(monkeypatch) -> list:
+    """The graphs the sweep runs the independence branch and bound on."""
+    runs = []
+
+    def counted(g):
+        runs.append(g)
+        return independence_number(g)
+    monkeypatch.setattr(SWEEP_MODULE, "independence_number", counted)
+    return runs
+
+
+def test_default_verify_runs_the_branch_and_bound_only_where_the_bracket_is_open(monkeypatch):
+    runs = counted_branch_and_bound(monkeypatch)
+    lines = seeded_connected_lines(7, 1000, seed=32)
+    report, records = swept(SweepConfig(), lines)
+    assert report.graphs_checked == 1000
+    # every graph ran it before the bracket; now only about 1 in 8 does
+    # (measured: 116 of these 1000)
+    assert len(runs) <= 200
+    # the bracket changes no record: with it always open, every graph
+    # runs the branch and bound and the records are the same
+    runs.clear()
+    monkeypatch.setattr(SWEEP_MODULE, "independence_bracket", lambda rows: (0, len(rows)))
+    again, same_records = swept(SweepConfig(), lines)
+    assert replace(again, wall_time=0) == replace(report, wall_time=0)
+    assert same_records == records
+    assert len(runs) == 1000
+
+
+def test_an_alpha_laplacian_equality_reads_the_branch_and_bound_witness(monkeypatch):
+    # K3,3: the bracket closes at alpha = 3 = n (mu_1 - dmin) / mu_1, and
+    # the semiregular test at that equality still gets the search's witness
+    g = toughlab.join(empty_graph(3), empty_graph(3))
+    assert toughlab.invariants.independence_bracket(g.rows) == (3, 3)
+    runs = counted_branch_and_bound(monkeypatch)
+    witnesses = []
+    real = SWEEP_MODULE.semiregular_equality_check
+
+    def check(g, ind, *args):
+        witnesses.append(ind)
+        return real(g, ind, *args)
+    monkeypatch.setattr(SWEEP_MODULE, "semiregular_equality_check", check)
+    g6 = write_graph6(g)
+    records = evaluate_graph(g6, g, SweepConfig().checks, 1e-7, 1e-7)
+    assert Interesting(g6, "alpha-laplacian-equality") in records
+    assert runs == [g] and witnesses == [independence_number(g).witness]
+
+
 def test_a_normalized_solve_failure_becomes_a_diagnostic_under_mixing(monkeypatch):
     real = spectra.normalized_laplacian_spectrum
     bad = path_graph(4)

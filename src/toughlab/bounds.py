@@ -24,20 +24,28 @@ the per-volume factor a(nu) of a floor under the right side, which lets
 the mixing check screen a pair of volumes, and their complement mirrors,
 without a square root.
 
-Five checks screen their spectra with no solve (``sweep``).  From a
-locally maximal cut with ``cut`` edges (``spectra.local_max_cut``), xi >=
-(2 cut - m) / m, as the top normalized eigenvalue is at least the Rayleigh
-quotient 4 cut / 2m of D^{1/2} (1_S - 1_{V-S}); mu_1 >= F = max(dmax + 1,
-4 cut / n), by Grone and Merris and the Rayleigh quotient of 1_S -
-1_{V-S} on L; and on a connected graph that is not complete, mu_{n-1} <=
-C = min(dmin, |S|) for the toughness certificate's cut S, as mu_{n-1} <=
-kappa (Fiedler).  T(xi) = dmin (xi + 1) / (dmax xi) - 2 falls as xi grows
-and M(xi) = 2m xi / (dmin (xi + 1)) grows; the product and gap bounds
-fall as mu_1 rises and rise with mu_{n-1}; B = n (mu_1 - dmin) / mu_1
-rises with mu_1.  Each bound at its floor or ceiling is a ratio of
-integers, and tol and eps_eq are exact binary fractions, so each screen
-compares exactly, and where it skips a solve the exact bound cannot reach
-a record.
+The checks decide on xi exactly and screen the Laplacian with no solve
+(``sweep``).  T(xi) = dmin (xi + 1) / (dmax xi) - 2 falls as xi grows and
+M(xi) = 2m xi / (dmin (xi + 1)) grows, so T or M against a rational limit
+is xi against a rational r, which ``sweep.GraphFacts.xi_at_least`` decides
+with integers alone: xi = 1 on disconnected and on bipartite graphs; xi
+is at least (2 cut - m) / m for a locally maximal cut with ``cut`` edges
+(``spectra.local_max_cut``), as the top normalized eigenvalue is at
+least the Rayleigh quotient 4 cut / 2m of D^{1/2} (1_S - 1_{V-S}), and at
+least ``spectra.top_normalized_floor`` less 1; short of those, two
+eigenvalue counts by ``spectra.inertia``.  The normalized Laplacian is
+solved only for the values a record prints.  For L, mu_1 >= F =
+max(dmax + 1, 4 cut / n), by Grone and Merris and the Rayleigh quotient of
+1_S - 1_{V-S} on L; and on a connected graph that is not complete,
+mu_{n-1} <= C = min(dmin, |S|) for the toughness certificate's cut S, as
+mu_{n-1} <= kappa (Fiedler).  The product and gap bounds fall as mu_1
+rises and rise with mu_{n-1}; B = n (mu_1 - dmin) / mu_1 rises with mu_1.
+Each bound at its floor or ceiling is a ratio of integers, and tol and
+eps_eq are exact binary fractions, so each screen compares exactly, and
+where it skips a solve the exact bound cannot reach a record.  Where L is
+solved, ``lap-product``, ``lap-gap``, ``extremal-iff``, ``cut-partition``
+and ``alpha-laplacian`` compare floats, as ``mixing`` does wherever it
+solves, and the semiregular test keeps its 1e-6 window.
 
 Division guards: the toughness terms divide by dmax and xi, and the degree
 and Laplacian independence bounds by dmax + dmin and mu_1.  Each is read

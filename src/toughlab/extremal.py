@@ -12,7 +12,6 @@ lives with the other per-graph facts in ``sweep``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import (
     MAX_VERTICES,
@@ -24,6 +23,7 @@ from .graphs import (
     iter_bits,
     join,
 )
+from .spectra import inertia
 
 
 @dataclass(frozen=True)
@@ -62,27 +62,15 @@ def _eigen_condition(base: Graph, delta: int, n: int) -> bool:
 
     L(base) + J - cI is n - delta > 0 on the all-ones vector and L(base) - cI
     on its complement, so the floor holds exactly when that integer matrix
-    is positive semidefinite.  Symmetric elimination over the rationals
-    decides that: a negative pivot, or a zero pivot with a nonzero rest of
-    its row, means no.  A floor c <= 0 holds at once, which covers delta = 1.
+    has no negative eigenvalue (``spectra.inertia``).  A floor c <= 0 holds
+    at once, which covers delta = 1.
     """
     c = 2 * delta - n
     if c <= 0:
         return True
     # off the diagonal, J - A(base) is 1 exactly on the non-adjacent pairs
-    a = [[Fraction(row.bit_count() + 1 - c if i == j else 1 - (row >> j & 1))
-          for j in range(delta)] for i, row in enumerate(base.rows)]
-    for k in range(delta):
-        pivot = a[k][k]
-        if pivot < 0 or pivot == 0 and any(a[k][k + 1:]):
-            return False
-        for i in range(k + 1, delta):
-            # a zero pivot passed only with a zero column below it
-            if a[i][k]:
-                factor = a[i][k] / pivot
-                for j in range(k + 1, delta):
-                    a[i][j] -= factor * a[k][j]
-    return True
+    return not inertia([[row.bit_count() + 1 - c if i == j else 1 - (row >> j & 1)
+                         for j in range(delta)] for i, row in enumerate(base.rows)])[0]
 
 
 def detect_join_form(g: Graph, *, degrees: list[int] | None = None) -> ExtremalWitness | None:

@@ -127,8 +127,12 @@ def toughness(g: Graph, *, alpha: int | None = None) -> ToughnessCertificate:
         raise ValueError("toughness requires a connected graph")
     if is_complete(g):
         return ToughnessCertificate(None, None, None, None, True)
-    if alpha is None:
-        alpha = independence_number(g).alpha
+    return _cut_walk(g, independence_number(g).alpha if alpha is None else alpha)
+
+
+def _cut_walk(g: Graph, alpha: int) -> ToughnessCertificate:
+    """``toughness`` of ``g``, connected and not complete, with independence
+    number ``alpha``: the walk alone, for a caller that has decided both."""
     n = g.n
     rows = g.rows
     full = g.full_mask

@@ -19,8 +19,19 @@ Laplacian and the normalized Laplacian each on its first read, so a caller
 pays only for the spectra it reads, one solve each.  A regular graph's
 ``lambda_reg`` comes from the Laplacian spectrum, as L = dI - A.
 ``local_max_cut`` finds one locally maximal vertex bipartition with no
-solve; its edge count bounds xi and mu_1 from below (see ``bounds``).
-``adjacency_spectrum`` gives the full adjacency spectrum of any graph.
+solve; its edge count bounds xi and mu_1 from below (see ``bounds``), and
+``top_normalized_floor`` takes one power step from it to a higher floor
+on the top normalized eigenvalue.  ``adjacency_spectrum`` gives the full
+adjacency spectrum of any graph.
+
+``inertia`` is the exact kernel: it counts the negative, zero and positive
+eigenvalues of a symmetric integer matrix with no float, by fraction-free
+symmetric elimination (Bareiss 1968).  By Sylvester's law of inertia the
+counts are the same for every matrix congruent to it, so sL - rD counts
+the eigenvalues of the normalized Laplacian N below, at and above r / s on
+a graph with no isolated vertex, as D^{-1/2} (L - cD) D^{-1/2} = N - cI.
+With the floors above, it decides every verdict of the sweep on xi, which
+solves N only to print a record's values (``sweep.GraphFacts.xi_at_least``).
 
 Eigenvalue order conventions: all spectra are returned descending.  The
 normalized Laplacian uses the isolated-vertex convention of zeroing the
@@ -283,6 +294,12 @@ def local_max_cut(g: Graph) -> int:
     cut.  The cut ends locally maximal, so it holds at least m / 2 edges.
     The sweep's floors on xi and mu_1 read it.
     """
+    rows, side = g.rows, _local_max_side(g)
+    return sum((rows[v] & ~side).bit_count() for v in iter_bits(side))
+
+
+def _local_max_side(g: Graph) -> int:
+    """The side S of ``local_max_cut``'s bipartition."""
     if g.m < 1:
         raise ValueError("the cut floor needs at least one edge")
     rows = g.rows
@@ -300,5 +317,71 @@ def local_max_cut(g: Graph) -> int:
             if 2 * same.bit_count() > row.bit_count():
                 side ^= 1 << v
                 moved = True
-    return sum((rows[v] & ~side).bit_count() for v in iter_bits(side))
+    return side
 
+
+def top_normalized_floor(g: Graph) -> tuple[int, int]:
+    """A floor on the top normalized Laplacian eigenvalue with no solve, as
+    (numerator, denominator > 0).  Requires m >= 1 and no isolated vertex.
+
+    It is the Rayleigh quotient x^T L x / x^T D x of x = D^{-1} L s, one
+    power step from the vector s that is +1 on ``local_max_cut``'s side S
+    and -1 off it, scaled to integers by the degrees' least common
+    multiple: (L s)_v is 2 s_v times the count of v's neighbours across
+    the cut.  It is at least 4 cut / 2m, the quotient of s itself: for
+    y = D^{1/2} s the moments y^T N^k y of the positive semidefinite
+    normalized Laplacian N have m_3 / m_2 >= m_2 / m_1 >= m_1 / m_0.
+    """
+    rows, side = g.rows, _local_max_side(g)
+    degrees = [row.bit_count() for row in rows]
+    scale = math.lcm(*degrees)
+    x = [scale // d * ((row & ~side).bit_count() if side >> v & 1 else -(row & side).bit_count())
+         for v, (row, d) in enumerate(zip(rows, degrees))]
+    return (sum((x[u] - x[v]) ** 2 for u, v in g.edges()),
+            sum(d * y * y for d, y in zip(degrees, x)))
+
+
+def inertia(matrix: list[list[int]]) -> tuple[int, int, int]:
+    """(negative, zero, positive) eigenvalue counts of a symmetric integer
+    matrix, exactly.  The input is not changed.
+
+    Symmetric elimination leaves a diagonal matrix congruent to the input,
+    whose sign counts are its eigenvalues' (Sylvester).  Bareiss's
+    fraction-free form keeps every entry an integer: with p the pivot and
+    q the one before it (1 at first), each remaining entry becomes
+    (p a_ij - a_ik a_kj) / q, an exact division, as every entry is then a
+    minor of the input; the true pivot p / q has the sign of p q.  The
+    pivot is the first diagonal entry left, or the first nonzero one after
+    it, swapped to the front.  Where every one is 0 but some a_ij is not,
+    the congruence x_i <- x_i + x_j first puts 2 a_ij on the diagonal; a
+    block left all zero adds its order to the zero count.
+    """
+    n = len(matrix)
+    a = matrix
+    neg = pos = 0
+    q = 1
+    while a:
+        if not a[0][0]:
+            a = [list(row) for row in a]
+            k = next((i for i, row in enumerate(a) if row[i]), -1)
+            if k < 0:
+                pair = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
+                            None)
+                if pair is None:
+                    break  # the rest is zero
+                k, j = pair
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for row in a:
+                    row[k] += row[j]
+            # the symmetric swap of 0 and k puts the pivot first
+            a[0], a[k] = a[k], a[0]
+            for row in a:
+                row[0], row[k] = row[k], row[0]
+        p, *col = a[0]
+        if (p > 0) == (q > 0):
+            pos += 1
+        else:
+            neg += 1
+        a = [[(p * x - f * y) // q for x, y in zip(row[1:], col)] for row, f in zip(a[1:], col)]
+        q = p
+    return neg, n - neg - pos, pos

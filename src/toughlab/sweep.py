@@ -26,7 +26,7 @@ import time
 from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, islice
 from operator import lshift, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -48,15 +48,22 @@ from .bounds import (
 )
 from .extremal import ExtremalWitness, detect_join_form
 from .formats import FormatError, graph6_record, parse_graph6
-from .graphs import Graph, component_masks, degree_profile, is_complete, is_connected
+from .graphs import Graph, component_masks, degree_profile, is_complete, is_connected, iter_bits
 from .invariants import (
     IndependenceCertificate,
     ToughnessCertificate,
+    _cut_walk,
     independence_bracket,
     independence_number,
     toughness,
 )
-from .spectra import ConvergenceError, SpectralSummary, local_max_cut
+from .spectra import (
+    ConvergenceError,
+    SpectralSummary,
+    inertia,
+    local_max_cut,
+    top_normalized_floor,
+)
 
 MIXING_MAX_N = 10
 
@@ -124,10 +131,12 @@ class GraphFacts:
     reads that witness, so it runs the branch and bound on every graph it
     reaches.
 
-    The checks read a spectrum only where a bound at its floor or ceiling,
-    compared exactly, leaves a record possible (see ``bounds``): on seeded
-    connected 7-vertex graphs default ``verify`` solves the normalized
-    Laplacian for about 9 % of graphs and the Laplacian for about 4 %.
+    Every verdict on xi asks one exact question, ``xi_at_least``, which
+    never solves: the normalized Laplacian is solved only to print a
+    record's lhs or rhs, for none of 8,000 seeded connected 7-vertex graphs
+    under the default checks.  The Laplacian checks read L only where a
+    bound at its floor or ceiling, compared exactly, leaves a record
+    possible (see ``bounds``), for about 4 % of those graphs.
     """
 
     def __init__(self, g6: str, g: Graph) -> None:
@@ -188,8 +197,92 @@ class GraphFacts:
 
     @cached_property
     def cert(self) -> ToughnessCertificate:
-        """Exact toughness certificate; requires a connected graph."""
-        return toughness(self.g, alpha=self.alpha)
+        """Exact toughness certificate; requires a connected graph.  On a
+        ``bounded`` graph it runs the cut walk alone, as ``__init__`` has
+        decided connectivity and completeness."""
+        if self.bounded:
+            return _cut_walk(self.g, self.alpha)
+        return toughness(self.g)
+
+    @cached_property
+    def bipartite(self) -> bool:
+        """Two sides hold every edge between them; needs a connected graph
+        with m >= 1."""
+        if self.cut == self.g.m:
+            return True
+        rows = self.g.rows
+        # the two sides: vertices at even and at odd distance from vertex 0
+        sides, reached, frontier = [1, 0], 1, 1
+        while frontier:
+            grown = 0
+            for v in iter_bits(frontier):
+                grown |= rows[v]
+            frontier = grown & ~reached
+            reached |= frontier
+            sides.reverse()
+            sides[0] |= frontier
+        return not any(rows[v] & side for side in sides for v in iter_bits(side))
+
+    @cached_property
+    def top_floor(self) -> tuple[int, int]:
+        """``spectra.top_normalized_floor``; needs a connected graph with
+        m >= 1."""
+        return top_normalized_floor(self.g)
+
+    def xi_at_least(self, num: int, den: int, strict: bool = False) -> bool:
+        """xi >= num / den, or xi > num / den when ``strict``, decided
+        exactly; den > 0 and m >= 1.  The normalized Laplacian is never
+        solved.
+
+        xi = 1 exactly on a disconnected graph, whose normalized Laplacian
+        has two zero eigenvalues, and on a connected bipartite one, whose
+        top eigenvalue is 2; on every other graph 0 < second smallest and
+        top < 2, so 0 < xi < 1.  xi is at least the top eigenvalue less 1,
+        so the cut floor (2 cut - m) / m (see ``bounds``) and then
+        ``top_floor`` less 1 may settle a yes.  Otherwise xi >= r iff the
+        top eigenvalue is at least 1 + r or the second smallest at most
+        1 - r, each decided by the inertia of an integer matrix den L - c D,
+        c = den + num or den - num (``spectra.inertia``), as a connected
+        graph has no isolated vertex.  The cheap answers come first.
+        """
+        def under(a: int, b: int) -> bool:
+            # r <= a / b, or r < a / b when strict: xi >= a / b settles yes
+            return num * b < a * den or num * b == a * den and not strict
+
+        m = self.g.m
+        if num <= 0:
+            return True
+        if not self.connected:
+            return under(1, 1)
+        if under(2 * self.cut - m, m):
+            return True
+        if self.bipartite:
+            return under(1, 1)
+        if num >= den:
+            return False
+        top, scale = self.top_floor
+        if under(top - scale, scale):
+            return True
+        _, zero, pos = self._normalized_inertia(den + num, den)
+        if pos or zero and not strict:
+            return True
+        neg, zero, _ = self._normalized_inertia(den - num, den)
+        return neg >= 2 or neg + zero >= 2 and not strict
+
+    @cached_property
+    def _adjacency(self) -> list[list[int]]:
+        """The 0/1 adjacency matrix, which the inertias scale."""
+        return [[row >> j & 1 for j in range(self.g.n)] for row in self.g.rows]
+
+    def _normalized_inertia(self, c: int, den: int) -> tuple[int, int, int]:
+        """The normalized Laplacian's eigenvalue counts below, at and above
+        c / den > 0: the inertia of den L - c D, on a graph with no
+        isolated vertex."""
+        off = -den
+        a = [[x and off for x in row] for row in self._adjacency]
+        for i, d in enumerate(self.degrees):
+            a[i][i] = (den - c) * d
+        return inertia(a)
 
     @cached_property
     def tau(self) -> float:
@@ -251,20 +344,43 @@ def _exact_lower_bound(f: GraphFacts, name: str, num: int, den: int, tol: float,
         yield Interesting(f.g6, f"{name}-equality")
 
 
-def _check_tough_lower(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
-    """Toughness over the largest of the three lower-bound terms.  The two
-    degree terms make max(n, dmax + dmin) / (dmax n), compared exactly.
-    The spectral term T falls as xi grows and xi >= e / m, e = 2 cut - m
-    >= 0 (see ``bounds``), so xi is read only where T(e / m) exceeds the
-    degree term, in integers; a solved T, a float, is compared in floats
-    where it is the larger."""
+def _exceeds(above: Callable[[int, int], bool], num: int, den: int, t: float) -> bool:
+    """``above(a, b)`` decides X > a / b, or X >= a / b, for one quantity
+    X; this decides it at num / den + t.  It asks at num / den first, whose
+    small integers keep the inertias cheap: for t > 0 a no there is final,
+    and for t < 0 a yes."""
+    if t:
+        base = above(num, den)
+        if base == (t < 0):
+            return base
+    return above(*_shifted(num, den, t))
+
+
+def _spectral_above(f: GraphFacts, num: int, den: int, or_equal: bool = False) -> bool:
+    """T(xi) > num / den, or >= when ``or_equal``, exactly; den > 0 and
+    ``bounded``.  T falls as xi grows, and T(xi) > v iff
+    xi ((v + 2) dmax - dmin) < dmin, as dmax xi > 0."""
+    k = (num + 2 * den) * f.dmax - f.dmin * den
+    return k <= 0 or not f.xi_at_least(f.dmin * den, k, strict=or_equal)
+
+
+def _check_tough_lower(f: GraphFacts, tol: float, eps_eq: float) -> Iterable[Record]:
+    """Toughness over the largest of the three lower-bound terms, decided
+    exactly.  The two degree terms make max(n, dmax + dmin) / (dmax n).
+    The spectral term T is compared through ``GraphFacts.xi_at_least``,
+    first with the degree term and, where it is the larger, with tau + tol
+    and the equality window; xi is solved only to print a violation."""
     n, dmax, dmin = f.g.n, f.dmax, f.dmin
     num, den = max(n, dmax + dmin), dmax * n
-    if 2 * dmin * f.cut * n > (2 * dmax * n + num) * (2 * f.cut - f.g.m):
+    if not _spectral_above(f, num, den):
+        return _exact_lower_bound(f, "tough-lower", num, den, tol, eps_eq)
+    above, tau = partial(_spectral_above, f), (f.cert.tau_num, f.cert.tau_den)
+    if _exceeds(above, *tau, tol):
         spectral = spectral_toughness_term(dmax, dmin, f.summary.xi)
-        if spectral > num / den:
-            return _lower_bound(f, "tough-lower", spectral, tol, eps_eq)
-    return _exact_lower_bound(f, "tough-lower", num, den, tol, eps_eq)
+        return [Violation(f.g6, "tough-lower", spectral, f.tau)]
+    if _exceeds(above, *tau, eps_eq) or not _exceeds(partial(above, or_equal=True), *tau, -eps_eq):
+        return []
+    return [Interesting(f.g6, "tough-lower-equality")]
 
 
 def _lap_lower_bound(f: GraphFacts, k: int, name: str, tol: float,
@@ -285,24 +401,30 @@ def _check_lap_gap(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]
     return _lap_lower_bound(f, 1, "lap-gap", tol, eps_eq)
 
 
+def _mixing_bound_reaches(f: GraphFacts, num: int, den: int) -> bool:
+    """M(xi) = 2m xi / (dmin (xi + 1)) >= num / den, exactly; den > 0.  M
+    grows with xi, and M(xi) >= v iff xi (2m - v dmin) >= v dmin; with no
+    edge at dmin = 0, M is +inf."""
+    k = 2 * f.g.m * den - num * f.dmin
+    return k > 0 and f.xi_at_least(num * f.dmin, k)
+
+
 def _check_alpha_bounds(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     """Independence number under its three bounds, biregular at equality.
     The degree bound n dmax / (dmax + dmin) is compared with alpha - tol
-    exactly.  The mixing bound grows with xi, so xi is read only where the
-    bound at xi's floor e / m, m e / (dmin cut), is under alpha - tol.
-    Likewise the Laplacian bound grows with mu_1, so mu_1 is read only
-    where the bound at its floor is at most alpha + max(-tol, eps_eq), the
-    largest value that can give a violation or fall in the equality
-    window.  Both screens are exact, in integers (see ``bounds``)."""
+    exactly, and so is the mixing bound M(xi), through
+    ``GraphFacts.xi_at_least``; xi is solved only to print a violation.
+    The Laplacian bound grows with mu_1, so mu_1 is read only where the
+    bound at its floor is at most alpha + max(-tol, eps_eq), the largest
+    value that can give a violation or fall in the equality window, in
+    integers (see ``bounds``)."""
     g, alpha, dmin = f.g, f.alpha, f.dmin
     if _above(alpha, 1, g.n * f.dmax, f.dmax + dmin, tol):
         yield Violation(f.g6, "alpha-degree", float(alpha),
                         degree_independence_bound(g.n, f.dmax, dmin))
-    limit, scale = _shifted(alpha, 1, -tol)
-    if g.m * (2 * f.cut - g.m) * scale < limit * dmin * f.cut:
-        mixing_b = mixing_independence_bound(g.m, dmin, f.summary.xi)
-        if alpha > mixing_b + tol:
-            yield Violation(f.g6, "alpha-mixing", float(alpha), mixing_b)
+    if not _exceeds(partial(_mixing_bound_reaches, f), alpha, 1, -tol):
+        yield Violation(f.g6, "alpha-mixing", float(alpha),
+                        mixing_independence_bound(g.m, dmin, f.summary.xi))
     num, den = f.mu1_floor
     limit, scale = _shifted(alpha, 1, max(-tol, eps_eq))
     if g.n * (num - dmin * den) * scale > limit * num:
@@ -355,9 +477,21 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     x whose volume has a violating triple gets its codes in y order, the
     subset sums of its weights doubled one vertex at a time, so the check
     holds O(n 2^n) codes at once.
+
+    The screen reads xi only through its product with each block's floor
+    factor, so before any solve the blocks give the least xi, R, that
+    passes every one.  The blocks of volume 0 hold only e = 0 at centre
+    0 under a right side of 0, in every orientation and in floats too, so
+    they violate exactly when tol < 0, and then R is +inf.  Where
+    ``GraphFacts.xi_at_least`` finds xi >= r, for r the next multiple of
+    2^-32 above R + 2^-32, every block passes the screen and there is no
+    record: that margin, over 2^-33 on the screen's side of each block, is
+    far above the float error of R, of the screen and of the solved xi,
+    all under 1e-12 where R is near xi.  Otherwise xi is solved and the
+    blocks are screened.
     """
     g = f.g
-    two_m, xi = 2 * g.m, f.summary.xi
+    two_m = 2 * g.m
     base = two_m + 1
     block_mask = (1 << base) - 1
     margin = MIXING_MIRROR_MARGIN * two_m
@@ -378,10 +512,26 @@ def _check_mixing(f: GraphFacts, tol: float, eps_eq: float) -> Iterator[Record]:
     for nu, codes in zip(compress(vol, low), sums):
         codes_of[nu] |= codes
     vols = sorted(codes_of)
-    # violating[vol[x]][code] = (lhs, rhs) of each violating triple
-    violating: dict[int, dict[int, tuple[float, float]]] = {}
     nu_v = float(two_m)
     scale = [mixing_scale(nu, two_m) for nu in vols]
+
+    # the least xi that passes every screen below; the blocks of vols[0] =
+    # 0, the empty set's volume, fail every one at tol < 0
+    need = math.inf
+    if tol >= 0:
+        need, slack = 0.0, margin - tol
+        for i in range(1, len(vols)):
+            nu_x, codes, scale_x = vols[i], codes_of[vols[i]], scale[i] * MIXING_SCREEN_FACTOR
+            for nu_y, scale_y in zip(vols[i:], scale[i:]):
+                block, centre = codes >> nu_y * base & block_mask, nu_x * nu_y / nu_v
+                dev = max(abs((block & -block).bit_length() - 1 - centre),
+                          abs(block.bit_length() - 1 - centre))
+                need = max(need, (dev + slack) / (scale_x * scale_y))
+    if need <= 0 or need <= 1 and f.xi_at_least(math.floor(need * 2 ** 32) + 2, 2 ** 32):
+        return
+    xi = f.summary.xi
+    # violating[vol[x]][code] = (lhs, rhs) of each violating triple
+    violating: dict[int, dict[int, tuple[float, float]]] = {}
     for i, nu_x in enumerate(vols):
         codes = codes_of[nu_x]
         scale_x = xi * scale[i] * MIXING_SCREEN_FACTOR
@@ -564,13 +714,15 @@ def evaluate_graph(
     checks skip edgeless ones.  A check body may still return no record on
     a value, as ``cut-partition`` does, walking no cut set, when no
     (|S|, |X|) has a record.  Each spectrum is solved only if a check
-    reads it, and ``tough-lower``, ``lap-product``, ``lap-gap``,
-    ``alpha-bounds`` and ``extremal-iff`` read one only where a bound at
-    its floor or ceiling (``GraphFacts``), compared exactly, leaves a
-    record possible.  A graph the checks cannot evaluate raises:
-    SweepConfigError for mixing above MIXING_MAX_N vertices, and
-    ConvergenceError from the eigensolver; ``sweep`` turns either into a
-    diagnostic for its line.
+    reads it.  ``tough-lower``, ``alpha-bounds`` and ``mixing`` decide on
+    xi exactly, with no solve, and solve the normalized Laplacian only to
+    print a record (``mixing`` also where xi may sit within 2^-31 of what
+    its blocks need); ``lap-product``, ``lap-gap``, ``extremal-iff`` and
+    ``alpha-bounds`` read L only where a bound at its floor or ceiling
+    (``GraphFacts``), compared exactly, leaves a record possible.  A graph
+    the checks cannot evaluate raises: SweepConfigError for mixing above
+    MIXING_MAX_N vertices, and ConvergenceError from the eigensolver;
+    ``sweep`` turns either into a diagnostic for its line.
     """
     checks = set(checks)
     if "mixing" in checks and g.n > MIXING_MAX_N:

@@ -4,7 +4,10 @@ The invariant oracles are deliberately implemented on dict-of-sets
 adjacency with plain BFS, sharing no code with the package's bitmask
 machinery, so oracle agreement is a real cross-check and not a tautology.
 ``volume`` and ``edge_boundary`` give the mixing definitions' set
-quantities straight from the adjacency rows.  ``jacobi_eigenvalues`` is a
+quantities straight from the adjacency rows.  ``eigenvalue_counts`` counts
+the eigenvalues of L or of the normalized Laplacian about a rational from
+sympy's Sturm root counts (``Poly.count_roots``) on their characteristic
+polynomials, and ``xi_reaches`` decides xi >= r from those counts.  ``jacobi_eigenvalues`` is a
 cyclic Jacobi diagonalizer, an eigenvalue algorithm that shares nothing
 with the package's Householder and QL solver; tests hold both it and
 numpy's ``eigvalsh`` against that solver.
@@ -12,6 +15,7 @@ numpy's ``eigvalsh`` against that solver.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -196,6 +200,66 @@ def edge_boundary(graph, x: int, y: int) -> int:
     v in y; hence edge_boundary(g, x, x) is twice the edge count inside x.
     """
     return sum((graph.rows[v] & y).bit_count() for v in range(graph.n) if x >> v & 1)
+
+
+@functools.cache
+def _characteristic_factors(graph, normalized: bool):
+    """(square-free factors of the characteristic polynomial of L, or of
+    D^{-1} L on the vertices with an edge, each as its coefficients, from
+    the highest, and its multiplicity; the number of vertices left out)."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    adj = to_adj(graph)
+    keep = [v for v in adj if adj[v] or not normalized]
+    if not keep:
+        return (), graph.n
+    qq = sympy.QQ
+    rows = [[qq(len(adj[v]) if u == v else -(u in adj[v]), len(adj[v]) if normalized else 1)
+             for u in keep] for v in keep]
+    matrix = DomainMatrix(rows, (len(keep), len(keep)), qq)
+    poly = sympy.Poly(matrix.charpoly(), sympy.Symbol("x"), domain=qq)
+    factors = tuple((tuple(Fraction(int(a.p), int(a.q)) for a in factor.all_coeffs()), k)
+                    for factor, k in poly.sqf_list()[1])
+    return factors, graph.n - len(keep)
+
+
+@functools.cache
+def _root_counts(coefficients: tuple[Fraction, ...], c: Fraction) -> tuple[int, int, int]:
+    """The real roots below, at and above c of the square-free polynomial
+    with these coefficients, from the highest, by sympy's Sturm counts."""
+    import sympy
+
+    factor = sympy.Poly([sympy.Rational(a.numerator, a.denominator) for a in coefficients],
+                        sympy.Symbol("x"), domain=sympy.QQ)
+    c = sympy.Rational(c.numerator, c.denominator)
+    up_to = factor.count_roots(None, c)
+    here = int(factor.eval(c) == 0)
+    return up_to - here, here, factor.count_roots() - up_to
+
+
+def eigenvalue_counts(graph, c: Fraction, normalized: bool) -> tuple[int, int, int]:
+    """(below, at, above) counts, with multiplicity, of the eigenvalues of L
+    (or of the normalized Laplacian) of ``graph`` about c, from the real
+    roots of det(xI - L) (or det(xI - D^{-1} L), on the vertices with an
+    edge; each isolated vertex adds an eigenvalue 0 of its own)."""
+    factors, isolated = _characteristic_factors(graph, normalized)
+    below, at, above = isolated * (c > 0), isolated * (c == 0), isolated * (c < 0)
+    for factor, k in factors:
+        counts = _root_counts(factor, c)
+        below, at, above = below + k * counts[0], at + k * counts[1], above + k * counts[2]
+    return below, at, above
+
+
+def xi_reaches(graph, r: Fraction, strict: bool = False) -> bool:
+    """xi >= r (xi > r when ``strict``) for a graph with an edge: the top
+    normalized eigenvalue is at least 1 + r, or the second smallest at
+    most 1 - r, each read from ``eigenvalue_counts``."""
+    _, at, above = eigenvalue_counts(graph, 1 + r, normalized=True)
+    below, at_low, _ = eigenvalue_counts(graph, 1 - r, normalized=True)
+    if strict:
+        return above >= 1 or below >= 2
+    return at + above >= 1 or below + at_low >= 2
 
 
 JACOBI_MAX_SWEEPS = 100

@@ -52,7 +52,7 @@ from toughlab.sweep import (
     evaluate_graph,
 )
 
-from _oracles import component_sets, edge_boundary, to_adj, volume
+from _oracles import component_sets, edge_boundary, to_adj, volume, xi_reaches
 
 
 def facts_of(g):
@@ -114,19 +114,28 @@ def test_regular_records_match_the_bounds_at_negative_tolerances(petersen):
     # connected non-complete regular labeled graph with 3 <= n <= 6 the check
     # bounds tau by the larger of Brouwer's bound, 1/d and 2/n, up to
     # rounding, and at each tol its records are that bound compared with tau
-    # in the check's own direction, bit for bit
+    # in the check's own direction, bit for bit, except at an exact tie
+    # 1/xi - 1 = tau + tol, which the check decides exactly: a record there
+    # iff xi < 1 / (tau + tol + 1), by sympy's root counts
     corpus = [GraphFacts(write_graph6(g), g) for n in range(3, 7) for g in enumerate_labeled(n)
               if len({row.bit_count() for row in g.rows}) == 1]
     corpus = [f for f in corpus if f.bounded]
     assert len(corpus) == 160
     fired = Counter()
+    ties = 0
     for tol in (-1.0, -2.0, -3.0):
         for f in corpus:
             brouwer = regular_bounds(f)[0]
             d = f.g.rows[0].bit_count()
             bound = max(lower_terms(f))
             assert abs(bound - max(1.0 / d, 2.0 / f.g.n, brouwer)) <= 1e-12, f.g6
-            want = [("tough-lower", bound.hex(), f.tau.hex())] if bound > f.tau + tol else []
+            above = bound > f.tau + tol
+            if abs(bound - (f.tau + tol)) <= 1e-12:
+                limit = f.cert.value + Fraction(tol)
+                above = max(Fraction(1, d), Fraction(2, f.g.n)) > limit or (
+                    limit <= -1 or not xi_reaches(f.g, 1 / (limit + 1)))
+                ties += 1
+            want = [("tough-lower", bound.hex(), f.tau.hex())] if above else []
             got = [(r.check, r.lhs.hex(), r.rhs.hex())
                    for r in evaluate_graph(f.g6, f.g, ("tough-lower",), tol, 1e-7)
                    if type(r) is Violation]
@@ -134,6 +143,7 @@ def test_regular_records_match_the_bounds_at_negative_tolerances(petersen):
             fired.update(tol for _ in got)
     # tau <= 2 on this corpus, so from tol = -2 on every graph has a record
     assert 0 < fired[-1.0] < fired[-2.0] == fired[-3.0] == len(corpus)
+    assert ties > 0
     for f in corpus + [GraphFacts(write_graph6(g), g)
                        for g in (petersen, cycle_graph(9), cycle_graph(12))]:
         assert abs(regular_bounds(f)[0] - lower_terms(f)[2]) <= 1e-12, f.g6
@@ -390,6 +400,34 @@ def test_mixing_records_match_the_per_pair_definition_on_the_float_boundary():
             assert got == want, (g6, tol)
 
 
+def test_mixing_reads_xi_only_where_its_blocks_may_need_more(monkeypatch):
+    # xi is solved only where xi_at_least cannot show that xi passes every
+    # block's screen, and the records still match the per-pair definition
+    # at the solved xi, bit for bit.  An exact tie with what a block needs
+    # solves at tol = 2^-40, under the 2^-32 margin, and not at 1e-7
+    corpus = [g for n in range(2, 6) for g in enumerate_labeled(n) if g.m]
+    sides_of = [_reference_mixing(g, SpectralSummary(g).xi) for g in corpus]
+    spectra_module = importlib.import_module("toughlab.spectra")
+    real, solves = spectra_module.normalized_laplacian_spectrum, Counter()
+
+    def counted(g):
+        solves[tol] += 1
+        return real(g)
+    monkeypatch.setattr(spectra_module, "normalized_laplacian_spectrum", counted)
+    for g, sides in zip(corpus, sides_of):
+        g6 = write_graph6(g)
+        for tol in (2.0 ** -40, 1e-7):
+            want = [(check, lhs.hex(), rhs.hex())
+                    for check, lhs, rhs in sides if lhs > rhs + tol]
+            got = [(r.check, r.lhs.hex(), r.rhs.hex())
+                   for r in evaluate_graph(g6, g, ("mixing",), tol, 1e-7)]
+            assert got == want, (g6, tol)
+    # every bipartite or disconnected graph ties at xi = 1 (a side, or a
+    # component, as X = Y), so at 2^-40 many solve; at 1e-7 none do
+    # (measured: 476 and none of these 1,094)
+    assert solves[2.0 ** -40] > 300 and solves[1e-7] <= len(corpus) // 100, solves
+
+
 def test_every_single_set_violation_has_its_diagonal_pair_record():
     # every labeled graph with n <= 5: each X that violates the single-set
     # inequality, computed from its definition, has the (X, X) record among
@@ -560,11 +598,13 @@ def test_cut_partition_records_match_the_per_grouping_definition():
 
 
 class _NoFloor(GraphFacts):
-    """Facts whose screens decide nothing: a cut of 0 puts xi's floor
-    under 0, a floor of 0 on mu_1 puts the independence bound at it under
-    alpha, and every Laplacian toughness bound may reach its limit."""
+    """Facts whose screens decide nothing: a cut of 0 and a top floor of 0
+    put xi's two floors under 0, a floor of 0 on mu_1 puts the
+    independence bound at it under alpha, and every Laplacian toughness
+    bound may reach its limit."""
 
     cut = 0
+    top_floor = (0, 1)
     mu1_floor = (0, 1)
 
     def lap_reaches(self, k, t):
@@ -608,23 +648,10 @@ def test_the_xi_floor_changes_no_record(monkeypatch):
 
     with_floor = {checks: records(checks) for checks in corpora}
     monkeypatch.setattr(sweep_module, "GraphFacts", _NoFloor)
-    ties = 0
     for checks, want in with_floor.items():
-        for (tol, got), (_, screened) in zip(records(checks), want, strict=True):
-            # the unscreened records are the screened ones in order, plus
-            # alpha-mixing violations at exact ties M(xi) = alpha - tol that
-            # the float M(xi) + tol reads a few ulps under alpha
-            extra, k = [], 0
-            for r in got:
-                if k < len(screened) and r == screened[k]:
-                    k += 1
-                else:
-                    extra.append(r)
-            assert k == len(screened), (got, screened)
-            ties += len(extra)
-            assert all(r.check == "alpha-mixing" and tol <= 0 and
-                       abs(r.lhs - r.rhs - tol) <= 2e-15 for r in extra), extra
-    assert ties > 0
+        # every xi verdict is exact with or without its floors, so the
+        # unscreened records are the screened ones
+        assert records(checks) == want
     # the floors have records to change: violations of each bound at each
     # tol, equality tags at the default one, the Laplacian ones on the
     # floor joins, and extremal-iff ones in the 0.5 window
@@ -659,36 +686,40 @@ class _Reads(SpectralSummary):
 
 def _exact_slacks(f):
     """How far the screened bounds at the floors and ceiling, as Fractions,
-    sit over the values they must reach: (T(e / m) over the degree terms,
-    M(e / m) and B(F) over alpha, P(F, C) and G(F, C) over tau), where
-    e = 2 cut - m, F is the floor on mu_1 and C the ceiling on mu_{n-1};
-    the toughness ones only on a ``bounded`` graph."""
-    n, m, dmax, dmin, alpha = f.g.n, f.g.m, f.dmax, f.dmin, f.alpha_cert.alpha
-    xi = Fraction(2 * f.cut - m, m)
+    sit over the values they must reach: (B(F) over alpha, P(F, C) and
+    G(F, C) over tau), where F is the floor on mu_1 and C the ceiling on
+    mu_{n-1}; the toughness ones only on a ``bounded`` graph."""
+    n, dmax, dmin, alpha = f.g.n, f.dmax, f.dmin, f.alpha_cert.alpha
     mu1 = max(Fraction(dmax + 1), Fraction(4 * f.cut, n))
-    mixing = 2 * m * xi / (dmin * (xi + 1)) - alpha
     laplacian = n * (mu1 - dmin) / mu1 - alpha
     if not f.bounded:
-        return None, mixing, laplacian, None, None
+        return laplacian, None, None
     tau, mu2 = f.cert.value, min(dmin, f.cert.tau_num)
-    degree = max(Fraction(1, dmax), Fraction(dmax + dmin, dmax * n))
-    spectral = dmin * (xi + 1) / (dmax * xi) - 2 - degree if xi else math.inf
-    return (spectral, mixing, laplacian,
-            mu1 * mu2 / (n * (mu1 - dmin)) - tau, mu2 / (mu1 - mu2) - tau)
+    return laplacian, mu1 * mu2 / (n * (mu1 - dmin)) - tau, mu2 / (mu1 - mu2) - tau
+
+
+def _prints_xi(records, degree):
+    """A violation of ``records`` prints a value of xi: alpha-mixing, or
+    tough-lower where its lhs is not the float ``degree`` term."""
+    return any(type(r) is Violation and (r.check == "alpha-mixing" or
+                                         r.check == "tough-lower" and r.lhs != degree)
+               for r in records)
 
 
 def test_each_screen_solves_exactly_where_its_exact_bound_can_reach_its_limit():
     # every connected labeled graph with n <= 6, each screened check alone:
-    # it reads a spectrum iff the bound at the spectrum's floor or ceiling,
-    # as a Fraction, can still reach the limit at which it gives a record.
-    # A window is (tol, eps_eq, and as Fractions the limits over the
-    # slacks: -tol for alpha-mixing, then those of the Laplacian screens)
-    windows = [(tol, eps_eq, -Fraction(tol), max(-Fraction(tol), Fraction(eps_eq)),
+    # it solves the Laplacian iff the bound at the spectrum's floor or
+    # ceiling, as a Fraction, can still reach the limit at which it gives a
+    # record, and the normalized Laplacian iff it prints a violation that
+    # reads xi, as every xi verdict is exact with no solve.  A window is
+    # (tol, eps_eq, and as Fractions the limits over the slacks: those of
+    # the Laplacian screens)
+    windows = [(tol, eps_eq, max(-Fraction(tol), Fraction(eps_eq)),
                 min(Fraction(tol), -Fraction(eps_eq)), -Fraction(eps_eq))
-               for tol in (1e-7, 0.0, -0.5, -1.0) for eps_eq in (1e-7, 1e-3)]
-    # and, where the spectral term at the floor falls between the degree
-    # terms, connected seeded G(7, 3/4) (over 1/dmax) and odd cycles
-    # (over (dmax + dmin) / (dmax n))
+               for tol in (1e-7, 0.0, -0.5, -1.0, -1.5) for eps_eq in (1e-7, 1e-3)]
+    # and connected seeded G(7, 3/4) and odd cycles, where the spectral
+    # term tops the degree terms (over 1/dmax and (dmax + dmin) / (dmax n))
+    # and, at tol = -3/2, gives violations; tol = -3/2 on them alone
     rng = random.Random(31)
     dense = (Graph.from_edges(7, [p for k, p in enumerate(itertools.combinations(range(7), 2))
                                   if mask >> k & 1])
@@ -701,23 +732,126 @@ def test_each_screen_solves_exactly_where_its_exact_bound_can_reach_its_limit():
         if not f.connected:
             continue
         solved = f.summary
-        spectral, mixing, laplacian, product, gap = _exact_slacks(f)
-        for tol, eps_eq, mixing_limit, alpha_limit, tau_limit, eq_limit in windows:
-            want = [("alpha-bounds", [mixing < mixing_limit, laplacian <= alpha_limit])]
+        laplacian, product, gap = _exact_slacks(f)
+        degree = max(f.g.n, f.dmax + f.dmin) / (f.dmax * f.g.n)
+        for tol, eps_eq, alpha_limit, tau_limit, eq_limit in windows[:None if g.n > 6 else -2]:
+            want = [("alpha-bounds", laplacian <= alpha_limit)]
             if f.bounded:
-                want += [("tough-lower", [spectral > 0, False]),
-                         ("lap-product", [False, product >= tau_limit]),
-                         ("lap-gap", [False, gap >= tau_limit]),
-                         ("extremal-iff", [False, max(product, gap) >= eq_limit])]
-            for name, reads in want:
+                want += [("tough-lower", False),
+                         ("lap-product", product >= tau_limit),
+                         ("lap-gap", gap >= tau_limit),
+                         ("extremal-iff", max(product, gap) >= eq_limit)]
+            for name, laplacian_read in want:
                 f.summary = spy = _Reads(solved)
                 f.__dict__.pop("lap_bounds", None)
-                list(CHECKS[name][0](f, tol, eps_eq))
-                assert spy.read == reads, (f.g6, name, tol, eps_eq)
-                seen.add((name, *reads))
+                records = list(CHECKS[name][0](f, tol, eps_eq))
+                xi_read = _prints_xi(records, degree)
+                assert spy.read == [xi_read, laplacian_read], (f.g6, name, tol, eps_eq)
+                seen.add((name, xi_read, laplacian_read))
     # each screen both solves and skips, and alpha-bounds reads each spectrum
     # alone and both
     assert len(seen) == 12, seen
+
+
+def _reference_xi_records(f, tol, eps_eq):
+    """The (kind, name) of tough-lower's records and of alpha-mixing's,
+    decided with Fractions and xi_reaches, sympy's root counts of the
+    normalized Laplacian, and none of the sweep's screens or inertias."""
+    g, t, eps = f.g, Fraction(tol), Fraction(eps_eq)
+    tough = []
+    if f.bounded:
+        tau = f.cert.value
+        degree = max(Fraction(1, f.dmax), Fraction(f.dmax + f.dmin, f.dmax * g.n))
+
+        def spectral_above(v, or_equal=False):
+            # T(xi) = dmin (xi + 1) / (dmax xi) - 2 falls as xi grows, and
+            # takes the value v at xi = dmin / ((v + 2) dmax - dmin)
+            k = (v + 2) * f.dmax - f.dmin
+            return k <= 0 or not xi_reaches(g, f.dmin / k, strict=or_equal)
+
+        if spectral_above(degree):
+            if spectral_above(tau + t):
+                tough.append(("Violation", "tough-lower"))
+            elif not spectral_above(tau + eps) and spectral_above(tau - eps, or_equal=True):
+                tough.append(("Interesting", "tough-lower-equality"))
+        elif degree > tau + t:
+            tough.append(("Violation", "tough-lower"))
+        elif abs(degree - tau) <= eps:
+            tough.append(("Interesting", "tough-lower-equality"))
+    # M(xi) = 2m xi / (dmin (xi + 1)) grows with xi, stays under 2m / dmin,
+    # and takes the value w at xi = w dmin / (2m - w dmin)
+    w = f.alpha - t
+    mixing = []
+    if f.dmin and (w * f.dmin >= 2 * g.m or not xi_reaches(g, w * f.dmin / (2 * g.m - w * f.dmin))):
+        mixing.append(("Violation", "alpha-mixing"))
+    return tough, mixing
+
+
+def test_the_xi_verdicts_match_an_exact_reference():
+    # tough-lower on every connected labeled graph with n <= 5, and
+    # alpha-mixing on every one with an edge, at each tol: the records are
+    # those of the reference, and a violation prints the solved value.
+    # The spectral term tops the degree terms on none of them, so seeded
+    # connected G(7, 3/4) join in
+    rng = random.Random(33)
+    pairs = list(itertools.combinations(range(7), 2))
+    dense = (Graph.from_edges(7, [p for k, p in enumerate(pairs) if mask >> k & 1])
+             for mask in (rng.getrandbits(21) | rng.getrandbits(21) for _ in range(40)))
+    kinds = Counter()
+    for g in itertools.chain((g for n in range(2, 6) for g in enumerate_labeled(n) if g.m), dense):
+        f = facts_of(g)
+        for tol in (1e-7, 0.0, -0.5, -1.0, -1.5):
+            tough, mixing = _reference_xi_records(f, tol, 1e-7)
+            got = list(CHECKS["tough-lower"][0](f, tol, 1e-7)) if f.bounded else []
+            assert [(type(r).__name__, r[1]) for r in got] == tough, (f.g6, tol)
+            got_mixing = [r for r in CHECKS["alpha-bounds"][0](f, tol, 1e-7)
+                          if r[1] == "alpha-mixing"]
+            assert [(type(r).__name__, r[1]) for r in got_mixing] == mixing, (f.g6, tol)
+            for r in got_mixing:
+                assert r.rhs == mixing_independence_bound(g.m, f.dmin, f.summary.xi)
+            spectral = (spectral_toughness_term(f.dmax, f.dmin, f.summary.xi)
+                        if f.bounded else None)
+            kinds.update(f"{r[1]}:{'xi' if type(r) is Violation and r.lhs == spectral else ''}"
+                         for r in got + got_mixing)
+    assert kinds["tough-lower:xi"] and kinds["tough-lower:"] and kinds["alpha-mixing:"]
+    assert kinds["tough-lower-equality:"]
+
+
+def test_the_xi_question_matches_the_root_counts(monkeypatch):
+    # every labeled graph with an edge on up to 5 vertices, at every r =
+    # k / 12 in [0, 1], both ways, with and without the floors in front of
+    # the inertias: the two ways differ where xi or one of its two
+    # eigenvalues sits at r, as on many of these graphs
+    graphs = [g for n in range(2, 6) for g in enumerate_labeled(n) if g.m]
+    ties = 0
+    for g in graphs:
+        want = [(r, strict, xi_reaches(g, r, strict))
+                for r in map(Fraction, range(13), [12] * 13) for strict in (False, True)]
+        ties += sum(a[2] != b[2] for a, b in zip(want[::2], want[1::2]))
+        for facts in (GraphFacts, _NoFloor):
+            f = facts(write_graph6(g), g)
+            for r, strict, reaches in want:
+                assert f.xi_at_least(r.numerator, r.denominator, strict) == reaches, (
+                    f.g6, r, strict)
+    assert ties > 500, ties
+
+
+def test_an_exact_xi_of_one_decides_where_the_solver_reads_under_it(monkeypatch):
+    # DQo, a path on five vertices, is bipartite, so xi = 1 exactly, but QL
+    # reads it under 1.  Its mixing bound M(1) = 2m / (2 dmin) = 4 ties
+    # alpha - tol at tol = -1, where the float M read under 4 gave a false
+    # alpha-mixing violation once the cut floor did not settle it
+    g = parse_graph6("DQo")
+    f = facts_of(g)
+    assert f.summary.xi < 1.0 and f.alpha == 3 and (g.m, f.dmin) == (4, 1)
+    assert f.xi_at_least(1, 1) and not f.xi_at_least(1, 1, strict=True)
+    assert not f.xi_at_least(1 + 2 ** -52, 1)
+    sweep_module = importlib.import_module("toughlab.sweep")
+    monkeypatch.setattr(sweep_module, "GraphFacts", _NoFloor)
+    for tol in (-1.0, -1.0 - 2 ** -50):
+        records = [r for r in evaluate_graph("DQo", g, ("alpha-bounds",), tol, 1e-7)
+                   if r[1] == "alpha-mixing"]
+        assert len(records) == (tol < -1), tol
 
 
 def test_independence_bound_values(petersen, c4, k4):

@@ -21,6 +21,7 @@ from toughlab import (
     disjoint_union,
     degree_profile,
     empty_graph,
+    is_connected,
     join,
     laplacian_spectrum,
     adjacency_spectrum,
@@ -35,13 +36,15 @@ from toughlab.cli import main
 from toughlab.formats import enumerate_labeled, write_graph6
 from toughlab.spectra import (
     adjacency_matrix,
+    inertia,
     laplacian_matrix,
     local_max_cut,
     normalized_laplacian_matrix,
+    top_normalized_floor,
 )
 from toughlab.sweep import GraphFacts
 
-from _oracles import has_nontrivial_bipartite_component, jacobi_eigenvalues
+from _oracles import eigenvalue_counts, has_nontrivial_bipartite_component, jacobi_eigenvalues
 
 
 def close(xs, ys, tol=1e-8):
@@ -252,6 +255,87 @@ def test_the_cut_floor_is_sharp_on_bipartite_graphs(petersen):
     for g in (petersen, *(cycle_graph(n) for n in range(3, 12, 2))):
         floor = _xi_floor(g)
         assert floor < 1 and floor <= _xi(g) + 1e-12
+
+
+def test_the_top_floor_is_between_the_cut_floor_and_the_solved_top():
+    # every connected labeled graph on 2 to 5 vertices, then seeded G(n, p)
+    # on 7 to 16: one power step from the cut vector never lowers its
+    # Rayleigh quotient, and no Rayleigh quotient passes the top eigenvalue
+    rng = random.Random(33)
+    graphs = [g for n in range(2, 6) for g in enumerate_labeled(n, connected_only=True)]
+    graphs += [g for n in range(7, 17) for p in (0.2, 0.5, 0.8) for _ in range(4)
+               if (g := _gnp(n, p, rng)).m and is_connected(g)]
+    raised = 0
+    for g in graphs:
+        top, scale = top_normalized_floor(g)
+        floor = Fraction(top, scale)
+        cut = Fraction(2 * local_max_cut(g), g.m)
+        assert cut <= floor <= normalized_laplacian_spectrum(g)[0] + 1e-12, write_graph6(g)
+        raised += floor > cut
+    assert raised > len(graphs) // 2
+    # the odd cycle C5: the cut takes 4 of 5 edges, a quotient of 8/5, and
+    # one step reaches 25/14 of the top eigenvalue 1 + cos(pi/5) = 1.809...
+    assert Fraction(*top_normalized_floor(cycle_graph(5))) == Fraction(25, 14)
+
+
+def test_inertia_matches_sympy_root_counts():
+    # every labeled graph on 1 to 4 vertices and 100 seeded ones on 5 and
+    # 6, at every quarter-integer c = k / 4: 4L - kI counts the eigenvalues
+    # of L about c over [0, n], and 4L - kD those of the normalized
+    # Laplacian over [0, 2], where an isolated vertex is a zero row, a zero
+    # eigenvalue of the pencil; the oracle counts it as the normalized
+    # Laplacian's eigenvalue 0
+    rng = random.Random(34)
+    graphs = [g for n in range(1, 5) for g in enumerate_labeled(n)]
+    graphs += [_gnp(n, 0.5, rng) for n in (5, 6) for _ in range(50)]
+    for g in graphs:
+        degrees = [row.bit_count() for row in g.rows]
+        isolated = degrees.count(0)
+        off = [[-4 * (row >> j & 1) for j in range(g.n)] for row in g.rows]
+        for k in range(4 * g.n + 1):
+            c = Fraction(k, 4)
+            lap = [row[:i] + [4 * degrees[i] - k] + row[i + 1:] for i, row in enumerate(off)]
+            assert inertia(lap) == eigenvalue_counts(g, c, normalized=False), (write_graph6(g), c)
+            if k <= 8:
+                pencil = [row[:i] + [(4 - k) * degrees[i]] + row[i + 1:]
+                          for i, row in enumerate(off)]
+                below, at, above = eigenvalue_counts(g, c, normalized=True)
+                if k:
+                    below, at = below - isolated, at + isolated
+                assert inertia(pencil) == (below, at, above), (write_graph6(g), c)
+
+
+def test_inertia_through_zero_diagonals():
+    # a zero pivot is skipped for a later one, an all-zero diagonal takes
+    # the congruence x_i <- x_i + x_j, and an all-zero block counts as zeros
+    cases = {
+        ((0, 1), (1, 0)): (1, 0, 1),
+        ((0, 0), (0, 0)): (0, 2, 0),
+        ((0, 2, 0), (2, 0, 0), (0, 0, 0)): (1, 1, 1),
+        ((0, 1, 1), (1, 0, 1), (1, 1, 0)): (2, 0, 1),   # J - I
+        ((0, 1, 0), (1, 1, 0), (0, 0, -3)): (2, 0, 1),
+        ((1, 1), (1, 1)): (0, 1, 1),
+        ((-5,),): (1, 0, 0),
+        (): (0, 0, 0),
+    }
+    for matrix, counts in cases.items():
+        rows = [list(row) for row in matrix]
+        assert inertia(rows) == counts, matrix
+        assert rows == [list(row) for row in matrix]  # the input is not changed
+    # random symmetric integer matrices, many of them singular, against
+    # numpy's eigenvalues, whose gaps here are far over its rounding
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                a[i][j] = a[j][i] = rng.choice((0, 0, 0, 1, -1, 2) if i != j else (0, 0, 1, -2))
+        eigs = np.linalg.eigvalsh(np.array(a, dtype=float))
+        if any(1e-9 < abs(x) < 1e-3 for x in eigs):
+            continue
+        want = (int((eigs < -1e-9).sum()), int((abs(eigs) <= 1e-9).sum()), int((eigs > 1e-9).sum()))
+        assert inertia(a) == want, a
 
 
 def test_the_laplacian_floor_and_ceiling_hold_and_are_sharp():
